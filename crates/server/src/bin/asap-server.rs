@@ -3,7 +3,7 @@
 //! ```text
 //! asap-server [--ingest ADDR] [--query ADDR] [--shards N] [--block-capacity N]
 //!             [--lateness L] [--max-connections N]
-//!             [--core event|threaded] [--event-workers N] [--write-deadline-ms N]
+//!             [--event-workers N] [--write-deadline-ms N]
 //!             [--sub-window N] [--sub-resolution N] [--sub-every N]
 //!             [--max-subscriptions N]
 //!             [--compact-interval SECS [--compact-jitter SECS]
@@ -20,13 +20,12 @@
 //! text protocol (`SMOOTH`, `RANGE`, `SUBSCRIBE`, `UNSUBSCRIBE`,
 //! `STATS`, `HEALTH`, `SNAPSHOT`, `SHUTDOWN`) on the query port.
 //! `--max-connections` caps each listener (ingest and query) at N
-//! concurrent connections. `--core` picks the I/O core: `event`
-//! (default) multiplexes all connections onto `--event-workers`
-//! threads sweeping nonblocking sockets; `threaded` is the legacy
-//! thread-per-connection fallback. `--write-deadline-ms` bounds how
-//! long a peer with pending response bytes may refuse to read before
-//! it is disconnected — including subscribers that stop reading
-//! pushed frames. `--sub-window`/`--sub-resolution` set the streaming
+//! concurrent connections. All connections are multiplexed onto
+//! `--event-workers` threads sweeping nonblocking sockets.
+//! `--write-deadline-ms` bounds how long a peer with pending response
+//! bytes may refuse to read before it is disconnected — including
+//! subscribers that stop reading pushed frames.
+//! `--sub-window`/`--sub-resolution` set the streaming
 //! smoothing template behind `SUBSCRIBE` (window points and target
 //! output resolution), `--sub-every` its default refresh cadence, and
 //! `--max-subscriptions` caps standing subscriptions server-wide.
@@ -68,7 +67,7 @@
 use std::time::Duration;
 
 use asap_server::{
-    CheckpointConfig, CompactionClock, CompactionConfig, CoreMode, Server, ServerConfig,
+    CheckpointConfig, CompactionClock, CompactionConfig, Server, ServerConfig,
 };
 use asap_tsdb::{
     obs, Aggregator, FsyncPolicy, IngestConfig, LogLevel, RetentionPolicy, RollupLevel, Schedule,
@@ -77,7 +76,7 @@ use asap_tsdb::{
 
 const USAGE: &str = "usage: asap-server [--ingest ADDR] [--query ADDR] [--shards N] \
                      [--block-capacity N] [--lateness L] [--max-connections N] \
-                     [--core event|threaded] [--event-workers N] [--write-deadline-ms N] \
+                     [--event-workers N] [--write-deadline-ms N] \
                      [--sub-window N] [--sub-resolution N] [--sub-every N] \
                      [--max-subscriptions N] \
                      [--compact-interval SECS [--compact-jitter SECS] [--rollup BUCKET] \
@@ -108,7 +107,6 @@ fn main() {
     let mut block_capacity = 4096usize;
     let mut lateness: Option<i64> = None;
     let mut max_connections = 64usize;
-    let mut core = CoreMode::Event;
     let mut event_workers: Option<usize> = None;
     let mut write_deadline_ms: Option<u64> = None;
     let mut sub_window: Option<usize> = None;
@@ -138,13 +136,6 @@ fn main() {
             "--block-capacity" => block_capacity = parse(args.next(), "--block-capacity"),
             "--lateness" => lateness = Some(parse(args.next(), "--lateness")),
             "--max-connections" => max_connections = parse(args.next(), "--max-connections"),
-            "--core" => {
-                core = match parse::<String>(args.next(), "--core").as_str() {
-                    "event" => CoreMode::Event,
-                    "threaded" => CoreMode::Threaded,
-                    other => fail(&format!("--core: `{other}` is not event|threaded")),
-                }
-            }
             "--event-workers" => event_workers = Some(parse(args.next(), "--event-workers")),
             "--write-deadline-ms" => {
                 write_deadline_ms = Some(parse(args.next(), "--write-deadline-ms"))
@@ -251,7 +242,6 @@ fn main() {
         snapshot_dir,
         wal,
         checkpoint,
-        core,
         event_workers: event_workers.unwrap_or(defaults.event_workers),
         write_deadline: write_deadline_ms
             .map_or(defaults.write_deadline, Duration::from_millis),

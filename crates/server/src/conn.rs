@@ -249,8 +249,8 @@ enum IngestPhase {
 /// the non-blocking [`StreamIngestor::try_feed`] path. Backpressure
 /// without a blocked thread: while the pipeline's bounded queues are
 /// full the tick stops reading, the kernel buffer fills, and TCP flow
-/// control stalls the sender — exactly the threaded core's behavior,
-/// minus the thread.
+/// control stalls the sender — the blocking [`StreamIngestor::feed`]'s
+/// behavior, minus the blocked thread.
 pub(crate) struct IngestConn {
     stream: TcpStream,
     shared: Arc<Shared>,
@@ -478,7 +478,8 @@ pub(crate) struct QueryConn {
     /// This connection's standing subscriptions; dropping the
     /// connection (any path) unsubscribes them via `SubSession::drop`.
     session: SubSession,
-    /// Client half-closed its write side; close once `out` drains.
+    /// Client half-closed its write side; close once every request
+    /// already received is answered and `out` drains.
     /// With live subscriptions the connection stays open in push-only
     /// mode — `watch`-style clients half-close after subscribing.
     eof: bool,
@@ -628,12 +629,15 @@ impl QueryConn {
         }
 
         // 4. Flush what this tick produced; close when nothing is left
-        // to say.
+        // to say. After a half-close that includes every complete
+        // request line step 3 left queued at the high-water mark — only
+        // an unterminated trailing fragment is discarded.
         if !self.flush_out(&mut progressed) {
             return (true, true);
         }
-        if self.out.is_empty() && (self.close_after_flush || (self.eof && !self.session.has_subs()))
-        {
+        let answered_all =
+            self.eof && !self.session.has_subs() && !self.acc.contains(&b'\n');
+        if self.out.is_empty() && (self.close_after_flush || answered_all) {
             self.finish_now();
             return (progressed, true);
         }

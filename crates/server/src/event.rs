@@ -1,7 +1,6 @@
-//! The event-driven server core ([`crate::CoreMode::Event`], the
-//! default): one dispatcher thread accepting on both listeners plus a
-//! small worker pool, each worker sweeping its own registry of
-//! nonblocking connections.
+//! The event-driven server core: one dispatcher thread accepting on
+//! both listeners plus a small worker pool, each worker sweeping its
+//! own registry of nonblocking connections.
 //!
 //! Readiness is level-triggered over `ErrorKind::WouldBlock` — a sweep
 //! ticks every connection (each tick makes bounded progress, see
@@ -10,8 +9,7 @@
 //! idle worker wakes either for a new connection or for the next poll
 //! tick. Cost scales with *active* connections per sweep plus one cheap
 //! `WouldBlock` read per idle one, which is what lets a fixed pool
-//! carry thousands of mostly-idle sockets where the threaded core
-//! needed a thread each.
+//! carry thousands of mostly-idle sockets without a thread each.
 //!
 //! Drain: the dispatcher sees the flag, stops accepting, and drops the
 //! inbox senders; each worker then finalizes its connections (bounded

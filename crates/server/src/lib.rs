@@ -24,12 +24,11 @@
 //!                                               └──────────────────────┘
 //! ```
 //!
-//! * **I/O core** — by default ([`CoreMode::Event`]) every connection
-//!   is a nonblocking state machine swept by a small worker pool:
-//!   level-triggered readiness over `WouldBlock`, bounded per-tick read
-//!   budgets and buffered writes, so thousands of mostly-idle
-//!   connections cost readiness checks rather than threads. `--core
-//!   threaded` keeps the legacy thread-per-connection core.
+//! * **I/O core** — every connection is a nonblocking state machine
+//!   swept by a small worker pool: level-triggered readiness over
+//!   `WouldBlock`, bounded per-tick read budgets and buffered writes,
+//!   so thousands of mostly-idle connections cost readiness checks
+//!   rather than threads.
 //! * **Ingest listener** — each accepted connection gets its own
 //!   [`asap_tsdb::StreamIngestor`] draining the socket with end-to-end
 //!   backpressure (a full pipeline stops reading, TCP flow control
@@ -99,9 +98,8 @@ pub mod protocol;
 mod scheduler;
 mod server;
 mod subscribe;
-mod threaded;
 
 pub use server::{
     CheckpointConfig, CheckpointStats, CompactionClock, CompactionConfig, CompactionStats,
-    CoreMode, IngestTotals, Server, ServerConfig, ServerError, ServerReport,
+    IngestTotals, Server, ServerConfig, ServerError, ServerReport,
 };

@@ -1,14 +1,11 @@
 //! The TCP server: ingest listener, query/ops listener, background
-//! compaction, graceful shutdown — over one of two interchangeable I/O
-//! cores selected by [`ServerConfig::core`].
+//! compaction, graceful shutdown.
 //!
-//! [`CoreMode::Event`] (the default) multiplexes all connections onto a
-//! small worker pool sweeping nonblocking sockets ([`crate::event`] /
-//! [`crate::conn`]); [`CoreMode::Threaded`] is the legacy
-//! thread-per-connection fallback ([`crate::threaded`]). Both speak the
-//! same protocol and share this module's lifecycle: everything polls
-//! the drain flag at [`ServerConfig::poll_interval`] granularity, so a
-//! graceful shutdown needs no signal machinery — set the flag and join.
+//! All connections are multiplexed onto a small worker pool sweeping
+//! nonblocking sockets ([`crate::event`] / [`crate::conn`]). Everything
+//! polls the drain flag at [`ServerConfig::poll_interval`] granularity,
+//! so a graceful shutdown needs no signal machinery — set the flag and
+//! join.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -29,21 +26,7 @@ use asap_tsdb::{
 
 use crate::protocol::{self, Command};
 use crate::subscribe::{Registry, SubSession};
-use crate::{checkpoint, event, scheduler, threaded};
-
-/// Which I/O core serves the two listeners.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CoreMode {
-    /// Event-driven (the default): a fixed worker pool sweeping
-    /// nonblocking connection state machines — thousands of mostly-idle
-    /// connections cost readiness checks, not threads.
-    #[default]
-    Event,
-    /// Legacy thread-per-connection: one blocking handler thread per
-    /// accepted socket. Conservative fallback (`--core threaded`);
-    /// concurrency is bounded by the connection caps.
-    Threaded,
-}
+use crate::{checkpoint, event, scheduler};
 
 /// Configuration of an [`Server`] instance.
 #[derive(Debug, Clone)]
@@ -59,8 +42,9 @@ pub struct ServerConfig {
     /// writer threads), so the cap bounds server threads and memory.
     pub max_ingest_connections: usize,
     /// Concurrent query/ops connection cap (default 64), enforced the
-    /// same way — one connection is one server thread, so remote
-    /// clients must not be able to spawn unboundedly many.
+    /// same way. A query connection costs a registry entry and its
+    /// request/response buffers, not a thread; the cap bounds that
+    /// memory against remote clients.
     pub max_query_connections: usize,
     /// The streaming pipeline configuration every ingest connection runs
     /// with (parsers, queue depth, chunk size, lateness).
@@ -100,13 +84,11 @@ pub struct ServerConfig {
     /// write with its privileges. Requests naming an absolute path or
     /// escaping the directory (`..`) are refused.
     pub snapshot_dir: Option<PathBuf>,
-    /// Socket read timeout / event-loop sweep granularity — how fast
-    /// idle paths notice the drain flag (default 25ms). Smaller values
+    /// Event-loop sweep granularity — how long an idle worker or the
+    /// dispatcher parks, and so how fast idle paths notice new bytes
+    /// and the drain flag (default 25ms). Smaller values respond and
     /// shut down faster at the cost of more idle wakeups.
     pub poll_interval: Duration,
-    /// Which I/O core serves the listeners (default
-    /// [`CoreMode::Event`]).
-    pub core: CoreMode,
     /// Worker threads of the event core (default 2). Each worker sweeps
     /// its share of the connections; more workers add read/execute
     /// parallelism, not connection capacity.
@@ -116,10 +98,8 @@ pub struct ServerConfig {
     /// siblings.
     pub read_budget: usize,
     /// How long a peer with pending response bytes may go without
-    /// accepting any before it is disconnected (default 5s). On the
-    /// threaded core this doubles as the socket write timeout, fixing
-    /// the stalled-reader `write_all` hang that could wedge
-    /// [`Server::shutdown`]'s drain.
+    /// accepting any before it is disconnected (default 5s), releasing
+    /// its connection slot and queued output.
     pub write_deadline: Duration,
     /// Log one line per connection close / compaction error to stderr
     /// (default `false`; the `asap-server` binary turns it on).
@@ -166,7 +146,6 @@ impl Default for ServerConfig {
             checkpoint: None,
             snapshot_dir: None,
             poll_interval: Duration::from_millis(25),
-            core: CoreMode::Event,
             event_workers: 2,
             read_budget: 64 * 1024,
             write_deadline: Duration::from_secs(5),
@@ -551,13 +530,13 @@ struct Lifecycle {
     /// A `SHUTDOWN` command (or [`Server::shutdown`]) asked for a
     /// graceful stop; [`Server::run`] waits on this.
     shutdown_requested: bool,
-    /// The drain has started: accept loops exit, connection threads
-    /// finish their streams, the scheduler stops.
+    /// The drain has started: the dispatcher stops accepting, workers
+    /// finalize their connections, the schedulers stop.
     draining: bool,
 }
 
-/// State shared by the accept loops, connection threads, the scheduler,
-/// and the [`Server`] handle.
+/// State shared by the dispatcher, the event workers, the background
+/// schedulers, and the [`Server`] handle.
 pub(crate) struct Shared {
     db: ShardedDb,
     config: ServerConfig,
@@ -680,8 +659,8 @@ impl Shared {
 
     /// The fully wired [`IngestConfig`] every ingest pipeline runs with:
     /// the configured base plus the WAL handle, the subscription fanout
-    /// hook, and the shared stage histograms. Both cores and the
-    /// self-scrape path build pipelines from this one place.
+    /// hook, and the shared stage histograms. Ingest connections and
+    /// the self-scrape path build pipelines from this one place.
     pub(crate) fn pipeline_config(&self) -> IngestConfig {
         IngestConfig {
             wal: self.wal_handle(),
@@ -928,8 +907,7 @@ pub struct Server {
     shared: Arc<Shared>,
     ingest_addr: SocketAddr,
     query_addr: SocketAddr,
-    /// The serving threads of the selected core: accept loops
-    /// (threaded) or dispatcher + workers (event).
+    /// The serving threads: dispatcher + event workers.
     io_threads: Vec<JoinHandle<()>>,
     scheduler_thread: Option<JoinHandle<()>>,
     checkpoint_thread: Option<JoinHandle<()>>,
@@ -937,8 +915,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds both listeners, spawns the accept loops and (if configured)
-    /// the compaction scheduler, and returns the running server.
+    /// Binds both listeners, spawns the dispatcher, the event workers
+    /// and the configured background threads (compaction, checkpoint,
+    /// self-scrape), and returns the running server.
     ///
     /// Fails fast on configuration errors ([`ServerError::Config`]) and
     /// socket errors ([`ServerError::Io`]); nothing is spawned on
@@ -981,7 +960,6 @@ impl Server {
             .into());
         }
         if config.write_deadline.is_zero() {
-            // Also required by `set_write_timeout`, which rejects zero.
             return Err(TsdbError::InvalidParameter {
                 name: "write_deadline",
                 message: "the write deadline must be positive",
@@ -1085,8 +1063,8 @@ impl Server {
         let ingest_listener = TcpListener::bind(&config.ingest_addr)?;
         let query_listener = TcpListener::bind(&config.query_addr)?;
         // Nonblocking accept, polled at the drain granularity: the
-        // accept loops must never park inside `accept()`, where only a
-        // successful inbound connection could wake them — a drain that
+        // dispatcher must never park inside `accept()`, where only a
+        // successful inbound connection could wake it — a drain that
         // relied on such a nudge would hang at join if the nudge
         // connect failed (e.g. fd exhaustion at shutdown time).
         ingest_listener.set_nonblocking(true)?;
@@ -1096,13 +1074,9 @@ impl Server {
         let compaction = config.compaction.clone();
         let checkpoint_config = config.checkpoint.clone();
         let self_scrape = config.self_scrape;
-        let core = config.core;
         let shared = Arc::new(Shared::new(db, config, wal, wal_replay, chain));
 
-        let io_threads = match core {
-            CoreMode::Event => event::start(ingest_listener, query_listener, &shared),
-            CoreMode::Threaded => threaded::start(ingest_listener, query_listener, &shared),
-        };
+        let io_threads = event::start(ingest_listener, query_listener, &shared);
         let scheduler_thread = compaction.map(|cfg| {
             let s = Arc::clone(&shared);
             std::thread::spawn(move || scheduler::run(&s, &cfg))
@@ -1202,11 +1176,9 @@ impl Server {
 
     fn drain(mut self) -> ServerReport {
         // Ordering: (1) raise the drain flag — within one poll tick the
-        // event workers finalize their connections (abort + flush
-        // reorder buffers) and the threaded handlers finish their
-        // streams, while accept paths stop taking new sockets; (2) join
-        // the core's I/O threads (the threaded accept loops join every
-        // handler; event workers exit after finalizing); (3) the
+        // dispatcher stops accepting and the event workers finalize
+        // their connections (abort + flush reorder buffers); (2) join
+        // the I/O threads (workers exit after finalizing); (3) the
         // scheduler observed the flag via the condvar — join it; (4) with
         // all writers drained and the compactor stopped, write the final
         // snapshot; (5) assemble the report (gauges now zero).
@@ -1367,9 +1339,8 @@ fn resolve_snapshot_path(dir: Option<&Path>, name: &str) -> Result<PathBuf, Stri
 }
 
 /// Executes one request line; returns the response and whether the
-/// server should begin shutting down after it is sent. Shared by both
-/// cores — responses must be byte-identical whichever serves them.
-/// `session` is the connection's subscription state: `SUBSCRIBE` /
+/// server should begin shutting down after it is sent. `session` is
+/// the connection's subscription state: `SUBSCRIBE` /
 /// `UNSUBSCRIBE` mutate it, everything else ignores it.
 ///
 /// Every request is phase-timed into the metrics registry: parse time

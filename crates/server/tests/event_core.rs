@@ -2,15 +2,15 @@
 //! mostly-idle connections served byte-identically to the serial
 //! oracle), `BATCH` framing end-to-end (framed ≡ plain ≡ oracle, frame
 //! boundaries crossing line boundaries, one-byte trickle), cap
-//! refusals on both ports, and the stalled-reader drain regressions —
-//! on both cores, since the threaded write-deadline fix is pinned here
-//! too.
+//! refusals on both ports, pipelined requests answered in full after a
+//! half-close, and the stalled-reader walls (drain bounded by the poll
+//! interval; slot released at the write deadline).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use asap_server::{protocol, CoreMode, Server, ServerConfig};
+use asap_server::{protocol, Server, ServerConfig};
 use asap_tsdb::{
     line_protocol, DataPoint, IngestConfig, RangeQuery, Selector, SeriesKey, ShardedConfig,
     ShardedDb, Tsdb, TsdbConfig,
@@ -99,7 +99,6 @@ fn event_core_serves_1024_mostly_idle_connections_byte_identically() {
     let server = Server::start(
         db,
         ServerConfig {
-            core: CoreMode::Event,
             event_workers: 2,
             max_query_connections: CONNECTIONS + 8,
             poll_interval: Duration::from_millis(5),
@@ -193,7 +192,6 @@ fn batch_framed_ingest_matches_the_plain_oracle() {
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(3, 32)),
         ServerConfig {
-            core: CoreMode::Event,
             poll_interval: Duration::from_millis(5),
             ..ServerConfig::default()
         },
@@ -246,7 +244,6 @@ fn trickled_bytes_across_a_batch_frame_boundary_ingest_exactly() {
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(2, 16)),
         ServerConfig {
-            core: CoreMode::Event,
             poll_interval: Duration::from_millis(3),
             ..ServerConfig::default()
         },
@@ -291,15 +288,13 @@ fn trickled_bytes_across_a_batch_frame_boundary_ingest_exactly() {
     server.shutdown();
 }
 
-/// Over-cap refusals on the event core: both ports refuse with one
-/// `ERR` line, and — unlike the old core, which lost query-port
-/// refusals — each port has its own visible counter.
+/// Over-cap refusals: both ports refuse with one `ERR` line, and each
+/// port has its own visible counter.
 #[test]
 fn cap_refusals_are_counted_per_port() {
     let server = Server::start(
         ShardedDb::new(),
         ServerConfig {
-            core: CoreMode::Event,
             max_ingest_connections: 1,
             max_query_connections: 1,
             poll_interval: Duration::from_millis(5),
@@ -351,10 +346,70 @@ fn cap_refusals_are_counted_per_port() {
     assert!(report.ingest.rejected_connections >= 1);
 }
 
-/// Fills a store with enough points that one `RANGE` response dwarfs
-/// any socket buffer, asks for it, reads only the first few bytes, and
-/// stops — then measures the drain.
-fn drain_with_stalled_reader(core: CoreMode, write_deadline: Duration) -> Duration {
+/// A client that pipelines requests and half-closes is owed every
+/// response: each `RANGE` answer here exceeds the connection's output
+/// high-water mark, so all but the first request sit queued in the
+/// accumulator when the server sees EOF — and must still be executed,
+/// in order, each byte-identical to the serial oracle.
+#[test]
+fn pipelined_requests_are_all_answered_after_a_half_close() {
+    const POINTS: i64 = 40_000;
+    const REQUESTS: usize = 12;
+    let db = ShardedDb::with_config(ShardedConfig::new(2, 1024));
+    let oracle = Tsdb::with_config(TsdbConfig {
+        block_capacity: 1024,
+    });
+    let key = SeriesKey::metric("m.v");
+    for t in 0..POINTS {
+        let point = DataPoint::new(t, f64::from(t as u32 % 997) + 0.5);
+        db.write(&key, point).unwrap();
+        oracle.write(&key, point).unwrap();
+    }
+    let expected = protocol::render_range(
+        &oracle
+            .query_selector(&Selector::metric("m.v"), RangeQuery::raw(0, POINTS))
+            .unwrap(),
+    );
+    assert!(
+        expected.len() > 256 * 1024,
+        "one response ({} bytes) must exceed the output high-water mark",
+        expected.len()
+    );
+
+    let server = Server::start(
+        db,
+        ServerConfig {
+            poll_interval: Duration::from_millis(5),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut conn = TcpStream::connect(server.query_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    conn.write_all(format!("RANGE m.v 0 {POINTS}\n").repeat(REQUESTS).as_bytes())
+        .unwrap();
+    conn.shutdown(Shutdown::Write).unwrap();
+    let mut received = String::new();
+    conn.read_to_string(&mut received).unwrap();
+
+    assert_eq!(
+        received.len(),
+        REQUESTS * expected.len(),
+        "{} of {REQUESTS} pipelined responses arrived before the close",
+        received.len() / expected.len()
+    );
+    assert!(
+        received == expected.repeat(REQUESTS),
+        "a pipelined response diverged from the oracle"
+    );
+    server.shutdown();
+}
+
+/// Starts a server over a store whose full `RANGE` response dwarfs any
+/// socket buffer, pipelines a few such requests, reads only the first
+/// bytes, and stops reading: the server's write path is now wedged
+/// against a full receive window.
+fn server_with_stalled_reader(write_deadline: Duration) -> (Server, TcpStream) {
     const POINTS: i64 = 300_000;
     let db = ShardedDb::with_config(ShardedConfig::new(1, 4096));
     let key = SeriesKey::metric("flood.v");
@@ -365,7 +420,6 @@ fn drain_with_stalled_reader(core: CoreMode, write_deadline: Duration) -> Durati
     let server = Server::start(
         db,
         ServerConfig {
-            core,
             write_deadline,
             poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
@@ -376,11 +430,10 @@ fn drain_with_stalled_reader(core: CoreMode, write_deadline: Duration) -> Durati
     let conn = TcpStream::connect(server.query_addr()).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     (&conn)
-        .write_all(format!("RANGE flood.v 0 {POINTS}\n").as_bytes())
+        .write_all(format!("RANGE flood.v 0 {POINTS}\n").repeat(4).as_bytes())
         .unwrap();
     // Confirm the (multi-megabyte) response started flowing, then never
-    // read again: the server's write path is now wedged against a full
-    // receive window.
+    // read again.
     let mut head = [0u8; 16];
     (&conn).read_exact(&mut head).unwrap();
     assert_eq!(&head[..3], b"OK ", "response head: {head:?}");
@@ -389,36 +442,56 @@ fn drain_with_stalled_reader(core: CoreMode, write_deadline: Duration) -> Durati
         b"OK 0\n",
         "the flood series matched nothing — the reader has nothing to stall on"
     );
+    (server, conn)
+}
 
+/// Drain with a stalled reader is bounded by the poll interval, not the
+/// write deadline: with a 60s deadline the drain must still finish in
+/// seconds.
+#[test]
+fn event_drain_is_bounded_by_the_poll_interval_not_the_client() {
+    let (server, conn) = server_with_stalled_reader(Duration::from_secs(60));
     let started = Instant::now();
     let report = server.shutdown();
     let elapsed = started.elapsed();
     drop(conn);
     assert_eq!(report.ingest.points, 0);
-    elapsed
-}
-
-/// Event-core drain with a stalled reader is bounded by the poll
-/// interval, not the write deadline: with a 60s deadline the drain
-/// must still finish in seconds.
-#[test]
-fn event_drain_is_bounded_by_the_poll_interval_not_the_client() {
-    let elapsed = drain_with_stalled_reader(CoreMode::Event, Duration::from_secs(60));
     assert!(
         elapsed < Duration::from_secs(5),
         "drain took {elapsed:?} with a stalled reader"
     );
 }
 
-/// The legacy-core regression (the original bug): without a write
-/// deadline, `write_all` to a peer with a full receive window blocks
-/// its handler forever and `Server::drain` — which joins every
-/// handler — hangs. With the deadline the drain completes.
+/// Without a drain, a `RANGE` reader stalled past the write deadline is
+/// disconnected and its connection slot released — and while it stalls,
+/// fresh connections on the same worker pool are answered.
 #[test]
-fn threaded_drain_completes_despite_a_stalled_reader() {
-    let elapsed = drain_with_stalled_reader(CoreMode::Threaded, Duration::from_millis(500));
-    assert!(
-        elapsed < Duration::from_secs(10),
-        "drain took {elapsed:?}: the write deadline did not unwedge the handler"
-    );
+fn stalled_range_reader_is_disconnected_at_the_write_deadline() {
+    let (server, conn) = server_with_stalled_reader(Duration::from_millis(300));
+    let addr = server.query_addr();
+
+    // The stalled connection does not hold up anyone else.
+    assert!(query(addr, "HEALTH").starts_with("OK healthy"));
+
+    // Each STATS poll counts its own connection, hence the baseline 1.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = query(addr, "STATS");
+        if stat(&stats, "query.active_connections") == 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stalled reader still holds its slot:\n{stats}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // The client side sees the cut: whatever the kernel had buffered,
+    // then a close — not four complete responses.
+    let mut rest = Vec::new();
+    let _ = (&conn).read_to_end(&mut rest);
+    let ends = rest.windows(4).filter(|w| w == b"END\n").count();
+    assert!(ends < 4, "all four responses arrived; the reader never stalled");
+    server.shutdown();
 }

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use asap_core::Asap;
 use asap_server::{
-    protocol, CheckpointConfig, CompactionClock, CompactionConfig, CoreMode, Server, ServerConfig,
+    protocol, CheckpointConfig, CompactionClock, CompactionConfig, Server, ServerConfig,
 };
 use asap_tsdb::{
     line_protocol, smooth, Aggregator, Compactor, DataPoint, FsyncPolicy, IngestConfig, RangeQuery,
@@ -138,14 +138,14 @@ fn wait_for_stats(addr: SocketAddr, what: &str, predicate: impl Fn(&str) -> bool
     }
 }
 
-/// The acceptance-criteria wall, parameterized over the I/O core: N
-/// concurrent TCP clients stream a lateness-shuffled document (hosts
+/// The acceptance-criteria wall: N concurrent TCP clients stream a
+/// lateness-shuffled document (hosts
 /// partitioned across clients, so per-series order stays within one
 /// connection's reorder stage); the served store and both protocol
 /// responses must be byte-identical to the single-shard serial oracle
 /// fed the sorted document. The `framed` variant wraps every client's
 /// stream in `BATCH` frames, which must change nothing.
-fn multi_client_oracle_wall(core: CoreMode, framed: bool) {
+fn multi_client_oracle_wall(framed: bool) {
     const HOSTS: usize = 6;
     const POINTS: i64 = 400;
     const CLIENTS: usize = 3;
@@ -153,7 +153,6 @@ fn multi_client_oracle_wall(core: CoreMode, framed: bool) {
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(4, 32)),
         ServerConfig {
-            core,
             ingest: IngestConfig {
                 lateness: Some(LATENESS),
                 ..IngestConfig::default()
@@ -288,14 +287,14 @@ fn multi_client_oracle_wall(core: CoreMode, framed: bool) {
 
 #[test]
 fn multi_client_tcp_ingest_matches_single_shard_serial_oracle() {
-    multi_client_oracle_wall(CoreMode::Event, false);
+    multi_client_oracle_wall(false);
 }
 
-/// The same wall on the legacy core — with `BATCH`-framed clients, so
-/// the threaded framing path is held to the same oracle.
+/// The same wall with `BATCH`-framed clients: concurrent framed,
+/// lateness-shuffled streams are held to the same oracle.
 #[test]
-fn multi_client_tcp_ingest_matches_oracle_on_the_threaded_core() {
-    multi_client_oracle_wall(CoreMode::Threaded, true);
+fn batch_framed_multi_client_tcp_ingest_matches_the_oracle() {
+    multi_client_oracle_wall(true);
 }
 
 /// Graceful shutdown must flush reorder buffers of connections that are

@@ -3,15 +3,14 @@
 //! ingest, the stalled-subscriber extension of the stalled-reader wall,
 //! and the streaming-lifecycle edges (subscribing before a series
 //! exists, series created after the subscription, `UNSUBSCRIBE` racing
-//! a frame push, drain-time reorder flush feeding final frames) — on
-//! both I/O cores, which must be observationally identical.
+//! a frame push, drain-time reorder flush feeding final frames).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use asap_core::{StreamingAsap, StreamingConfig};
-use asap_server::{protocol, CoreMode, Server, ServerConfig};
+use asap_server::{protocol, Server, ServerConfig};
 use asap_tsdb::{IngestConfig, RangeQuery, Selector, ShardedConfig, ShardedDb};
 
 use std::collections::BTreeMap;
@@ -25,11 +24,10 @@ fn full() -> RangeQuery {
 const SUB_WINDOW: usize = 400;
 const SUB_RESOLUTION: usize = 40;
 
-fn server(core: CoreMode, lateness: Option<i64>) -> Server {
+fn server(lateness: Option<i64>) -> Server {
     Server::start(
         ShardedDb::with_config(ShardedConfig::new(4, 64)),
         ServerConfig {
-            core,
             poll_interval: Duration::from_millis(5),
             subscribe_window: SUB_WINDOW,
             subscribe_resolution: SUB_RESOLUTION,
@@ -156,10 +154,11 @@ fn oracle_frames(server: &Server, every: usize) -> BTreeMap<String, Vec<String>>
 /// documents — a frame stream byte-identical to replaying the stored
 /// points through the same streaming template serially. Frames ride the
 /// ingest apply path post-reorder, so subscription order ≡ store order.
-fn push_stream_matches_poll_oracle(core: CoreMode) {
+#[test]
+fn event_push_stream_matches_the_poll_oracle() {
     const POINTS: i64 = 500;
     const EVERY: usize = 50;
-    let server = server(core, Some(64));
+    let server = server(Some(64));
 
     // Subscribe before a single point exists: the lifecycle edge where
     // every matching series is created later.
@@ -251,20 +250,11 @@ fn push_stream_matches_poll_oracle(core: CoreMode) {
     server.shutdown();
 }
 
-#[test]
-fn event_push_stream_matches_the_poll_oracle() {
-    push_stream_matches_poll_oracle(CoreMode::Event);
-}
-
-#[test]
-fn threaded_push_stream_matches_the_poll_oracle() {
-    push_stream_matches_poll_oracle(CoreMode::Threaded);
-}
-
 /// A subscriber that stops reading mid-stream must be lag-dropped or
 /// disconnected within the write deadline — and must never delay
 /// ingest or shutdown. The push extension of the stalled-reader wall.
-fn stalled_subscriber_never_wedges(core: CoreMode) {
+#[test]
+fn event_stalled_subscriber_never_wedges_ingest_or_drain() {
     // ~750 bytes per frame line at one frame per point: tens of
     // megabytes of push traffic, far past what kernel socket buffers
     // can absorb on behalf of a reader that never reads.
@@ -272,7 +262,6 @@ fn stalled_subscriber_never_wedges(core: CoreMode) {
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(2, 64)),
         ServerConfig {
-            core,
             poll_interval: Duration::from_millis(10),
             write_deadline: Duration::from_millis(500),
             subscribe_window: SUB_WINDOW,
@@ -320,32 +309,18 @@ fn stalled_subscriber_never_wedges(core: CoreMode) {
     let started = Instant::now();
     server.shutdown();
     let elapsed = started.elapsed();
-    let bound = match core {
-        CoreMode::Event => Duration::from_secs(5),
-        CoreMode::Threaded => Duration::from_secs(10),
-    };
     assert!(
-        elapsed < bound,
+        elapsed < Duration::from_secs(5),
         "drain took {elapsed:?} with a stalled subscriber"
     );
     drop(sub);
-}
-
-#[test]
-fn event_stalled_subscriber_never_wedges_ingest_or_drain() {
-    stalled_subscriber_never_wedges(CoreMode::Event);
-}
-
-#[test]
-fn threaded_stalled_subscriber_never_wedges_ingest_or_drain() {
-    stalled_subscriber_never_wedges(CoreMode::Threaded);
 }
 
 /// A wildcard subscription starts pushing for series that did not exist
 /// when it was registered — and for further series created later still.
 #[test]
 fn wildcard_subscription_tracks_series_created_later() {
-    let server = server(CoreMode::Event, None);
+    let server = server(None);
     let sub = TcpStream::connect(server.query_addr()).unwrap();
     sub.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     (&sub).write_all(b"SUBSCRIBE * EVERY 10\n").unwrap();
@@ -389,7 +364,7 @@ fn wildcard_subscription_tracks_series_created_later() {
 /// drops to zero, ingest completes clean, and shutdown stays prompt.
 #[test]
 fn unsubscribe_races_a_concurrent_frame_push() {
-    let server = server(CoreMode::Event, None);
+    let server = server(None);
     let sub = TcpStream::connect(server.query_addr()).unwrap();
     sub.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     (&sub).write_all(b"SUBSCRIBE * EVERY 1\n").unwrap();
@@ -447,7 +422,7 @@ fn unsubscribe_races_a_concurrent_frame_push() {
 fn clean_eof_flushes_the_reorder_tail_into_final_frames() {
     const POINTS: i64 = 300;
     const EVERY: usize = 20;
-    let server = server(CoreMode::Event, Some(64));
+    let server = server(Some(64));
     let sub = TcpStream::connect(server.query_addr()).unwrap();
     sub.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     (&sub)

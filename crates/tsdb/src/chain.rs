@@ -30,7 +30,7 @@
 //! directory, series sorted by key:
 //!   u32 key_len | key bytes | u8 mode | u32 start_block | u32 block_count
 //!   u64 payload_offset (from file start) | u64 payload_len
-//! payloads, same order: block records as in v1/v2
+//! payloads, same order: block records as in v2
 //! ```
 //!
 //! `mode` 0 is **append**: the link's blocks extend the series, and

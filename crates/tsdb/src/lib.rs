@@ -108,8 +108,8 @@ pub use obs::{
     MetricValue, Registry as ObsRegistry, WalMetrics, SELF_TAG,
 };
 pub use persist::{
-    checkpoint_sharded, load as load_snapshot, load_sharded as load_sharded_snapshot,
-    recover_sharded, save as save_snapshot, save_sharded as save_sharded_snapshot, SnapshotError,
+    checkpoint_sharded, load_sharded as load_sharded_snapshot, recover_sharded,
+    save_sharded as save_sharded_snapshot, SnapshotError,
 };
 pub use point::DataPoint;
 pub use query::{Aggregator, FillPolicy, RangeQuery, SeriesReader, SeriesWriter};

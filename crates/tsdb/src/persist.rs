@@ -7,38 +7,28 @@
 //! Gorilla-compressed payloads, so a snapshot is roughly the engine's
 //! compressed in-memory footprint.
 //!
-//! ## Format version 1 (little-endian) — single-shard, sequential
-//!
-//! ```text
-//! magic "ASAPTSDB" | u32 1 | u32 series_count
-//! per series:
-//!   u32 key_len   | key bytes (display form: metric{k=v,...})
-//!   u32 block_count
-//!   per block:
-//!     u64 count | u64 len_bits | u32 byte_len | payload bytes
-//! ```
-//!
-//! ## Format version 2 (little-endian) — sharded, parallel
+//! ## Format version 2 (little-endian)
 //!
 //! ```text
 //! magic "ASAPTSDB" | u32 2 | u32 series_count
 //! directory, series sorted by key:
-//!   u32 key_len | key bytes | u32 block_count
+//!   u32 key_len | key bytes (display form: metric{k=v,...})
+//!   u32 block_count
 //!   u64 payload_offset (from file start) | u64 payload_len
-//! payloads, same order: block records as in v1
+//! payloads, same order; per block:
+//!   u64 count | u64 len_bits | u32 byte_len | payload bytes
 //! ```
 //!
-//! Version 2 is produced by [`save_sharded`]: one worker per shard
-//! serializes its series concurrently, and the per-shard results are
-//! merged into key order before anything touches the file — so the bytes
-//! are **independent of the writer's shard count** (a 1-shard and an
-//! 8-shard store holding the same points produce identical files). The
+//! Produced by [`save_sharded`]: one worker per shard serializes its
+//! series concurrently, and the per-shard results are merged into key
+//! order before anything touches the file — so the bytes are
+//! **independent of the writer's shard count** (a 1-shard and an 8-shard
+//! store holding the same points produce identical files). The
 //! directory's offsets let [`load_sharded`] hand each shard worker its
-//! own file handle and read payloads in parallel.
-//!
-//! Both loaders accept both versions: a v1 file loads into any shard
-//! count (series re-route by hash), and a v2 file loads into a
-//! single-shard [`Tsdb`] sequentially.
+//! own file handle and read payloads in parallel; series re-route by
+//! hash, so a file loads into any shard count. Any other version number
+//! (including the retired sequential version 1) is refused as an
+//! unsupported snapshot version.
 //!
 //! ## Format version 3 — incremental checkpoint chains
 //!
@@ -77,8 +67,8 @@
 //!
 //! Callers needing a true cross-series cut must quiesce writers first.
 //!
-//! Both writers stage into a sibling `*.tmp` file and rename it over
-//! `path` on success, so a save that fails partway (full disk, crash,
+//! Writers stage into a sibling `*.tmp` file and rename it over `path`
+//! on success, so a save that fails partway (full disk, crash,
 //! unsnapshotable key) never clobbers an existing good snapshot.
 
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -87,7 +77,6 @@ use std::path::Path;
 use bytes::Bytes;
 
 use crate::block::Block;
-use crate::db::{Tsdb, TsdbConfig};
 use crate::error::TsdbError;
 use crate::gorilla::CompressedChunk;
 use crate::sharded::{ShardedConfig, ShardedDb};
@@ -95,7 +84,6 @@ use crate::tags::{Selector, SeriesKey};
 use crate::wal::{Wal, WalReplayReport};
 
 pub(crate) const MAGIC: &[u8; 8] = b"ASAPTSDB";
-const VERSION_V1: u32 = 1;
 pub(crate) const VERSION_V2: u32 = 2;
 
 /// Error of snapshot I/O: either the storage engine or the filesystem.
@@ -188,7 +176,8 @@ pub(crate) fn validate_key(key: &SeriesKey) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Encodes one series' block records (the shared v1/v2 payload form).
+/// Encodes one series' block records (the payload form v2 files and
+/// chain links share).
 pub(crate) fn encode_blocks(blocks: &[Block], out: &mut Vec<u8>) {
     for block in blocks {
         let chunk = block.chunk();
@@ -199,7 +188,7 @@ pub(crate) fn encode_blocks(blocks: &[Block], out: &mut Vec<u8>) {
     }
 }
 
-/// Reads `block_count` block records (the shared v1/v2 payload form).
+/// Reads `block_count` block records (see [`encode_blocks`]).
 pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Block>, SnapshotError> {
     // `block_count` is untrusted input: cap the pre-allocation so a
     // corrupt field yields a clean error once the payload runs out,
@@ -225,34 +214,6 @@ pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Blo
         blocks.push(Block::from_chunk(chunk)?);
     }
     Ok(blocks)
-}
-
-/// Writes a version-1 snapshot of `db` to `path`.
-///
-/// The database is flushed first (memtables sealed into blocks) so the
-/// snapshot captures every point accepted before the call; see the module
-/// docs for the exact consistency point under concurrent writers.
-pub fn save(db: &Tsdb, path: &Path) -> Result<(), SnapshotError> {
-    db.flush()?;
-    replace_file(path, |w| {
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION_V1.to_le_bytes())?;
-
-        let keys = db.list_series(&Selector::any());
-        w.write_all(&(keys.len() as u32).to_le_bytes())?;
-        for key in keys {
-            validate_key(&key)?;
-            let name = key.to_string();
-            w.write_all(&(name.len() as u32).to_le_bytes())?;
-            w.write_all(name.as_bytes())?;
-            let blocks = db.export_blocks(&key)?;
-            w.write_all(&(blocks.len() as u32).to_le_bytes())?;
-            let mut payload = Vec::new();
-            encode_blocks(&blocks, &mut payload);
-            w.write_all(&payload)?;
-        }
-        Ok(())
-    })
 }
 
 /// One merged series entry awaiting the v2 directory write.
@@ -290,7 +251,11 @@ pub(crate) fn write_v2(
 /// Writes a version-2 snapshot of `db` to `path`, serializing shards in
 /// parallel (one worker per non-empty shard) and merging the per-shard
 /// results into key order — so the file bytes are independent of the
-/// shard count. Same per-series consistency point as [`save`].
+/// shard count.
+///
+/// The store is flushed first (memtables sealed into blocks) so the
+/// snapshot captures every point accepted before the call; see the
+/// module docs for the exact consistency point under concurrent writers.
 pub fn save_sharded(db: &ShardedDb, path: &Path) -> Result<(), SnapshotError> {
     db.flush()?;
     let mut entries: Vec<EncodedSeries> = Vec::new();
@@ -323,35 +288,10 @@ pub fn save_sharded(db: &ShardedDb, path: &Path) -> Result<(), SnapshotError> {
     replace_file(path, |w| write_v2(&entries, w))
 }
 
-/// Loads a snapshot (either version) from `path` into a fresh [`Tsdb`]
-/// with `config`.
-pub fn load(path: &Path, config: TsdbConfig) -> Result<Tsdb, SnapshotError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let db = Tsdb::with_config(config);
-    match read_header(&mut r)? {
-        VERSION_V1 => load_v1_records(&mut r, |key, blocks| db.import_blocks(&key, blocks))?,
-        VERSION_V2 => {
-            for entry in read_directory(&mut r)? {
-                r.seek(SeekFrom::Start(entry.offset))?;
-                let mut bounded = (&mut r).take(entry.len);
-                let blocks = read_blocks(&mut bounded, entry.block_count)?;
-                if bounded.limit() != 0 {
-                    return Err(corrupt("series payload shorter than directory claims"));
-                }
-                db.import_blocks(&entry.key, blocks)?;
-            }
-        }
-        _ => return Err(corrupt("unsupported snapshot version")),
-    }
-    Ok(db)
-}
-
-/// Loads a snapshot (either version) from `path` into a fresh
-/// [`ShardedDb`] with `config`. Series re-route to `config.shards`
-/// partitions regardless of the writer's shard count; version-2 payloads
-/// are read in parallel, one worker per destination shard with its own
-/// file handle.
+/// Loads a snapshot from `path` into a fresh [`ShardedDb`] with
+/// `config`. Series re-route to `config.shards` partitions regardless of
+/// the writer's shard count; payloads are read in parallel, one worker
+/// per destination shard with its own file handle.
 ///
 /// When `path` is a **directory** it is treated as an incremental
 /// checkpoint chain (snapshot v3) and folded transparently via
@@ -365,15 +305,12 @@ pub fn load_sharded(path: &Path, config: ShardedConfig) -> Result<ShardedDb, Sna
     let file = std::fs::File::open(path)?;
     let mut r = BufReader::new(file);
     let db = ShardedDb::with_config(config);
-    match read_header(&mut r)? {
-        VERSION_V1 => load_v1_records(&mut r, |key, blocks| db.import_blocks(&key, blocks))?,
-        VERSION_V2 => {
-            let directory = read_directory(&mut r)?;
-            drop(r);
-            load_v2_parallel(path, &db, directory)?;
-        }
-        _ => return Err(corrupt("unsupported snapshot version")),
+    if read_header(&mut r)? != VERSION_V2 {
+        return Err(corrupt("unsupported snapshot version"));
     }
+    let directory = read_directory(&mut r)?;
+    drop(r);
+    load_v2_parallel(path, &db, directory)?;
     Ok(db)
 }
 
@@ -427,21 +364,6 @@ pub(crate) fn read_header(r: &mut impl Read) -> Result<u32, SnapshotError> {
         return Err(corrupt("bad magic"));
     }
     read_u32(r)
-}
-
-/// Reads every v1 series record, handing each to `import`.
-fn load_v1_records(
-    r: &mut impl Read,
-    mut import: impl FnMut(SeriesKey, Vec<Block>) -> Result<(), TsdbError>,
-) -> Result<(), SnapshotError> {
-    let series_count = read_u32(r)?;
-    for _ in 0..series_count {
-        let key = read_key(r)?;
-        let block_count = read_u32(r)?;
-        let blocks = read_blocks(r, block_count)?;
-        import(key, blocks)?;
-    }
-    Ok(())
 }
 
 /// One v2 directory entry.
@@ -582,8 +504,8 @@ mod tests {
         dir.join(name)
     }
 
-    fn seeded() -> Tsdb {
-        let db = Tsdb::with_config(TsdbConfig { block_capacity: 64 });
+    fn seeded(shards: usize) -> ShardedDb {
+        let db = ShardedDb::with_config(ShardedConfig::new(shards, 64));
         for host in ["a", "b"] {
             let key = SeriesKey::metric("cpu").with_tag("host", host).with_tag("dc", "west");
             for i in 0..500 {
@@ -596,20 +518,16 @@ mod tests {
         db
     }
 
-    fn seeded_sharded(shards: usize) -> ShardedDb {
-        ShardedDb::from_tsdb(&seeded(), ShardedConfig::new(shards, 64)).unwrap()
-    }
-
     fn full() -> RangeQuery {
         RangeQuery::raw(i64::MIN + 1, i64::MAX)
     }
 
     #[test]
     fn round_trip_preserves_every_point() {
-        let db = seeded();
+        let db = seeded(3);
         let path = tmp("roundtrip.snap");
-        save(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
+        save_sharded(&db, &path).unwrap();
+        let restored = load_sharded(&path, ShardedConfig::default()).unwrap();
         assert_eq!(restored.series_count(), db.series_count());
         for key in db.list_series(&Selector::any()) {
             let a = db.query(&key, full()).unwrap();
@@ -621,10 +539,10 @@ mod tests {
 
     #[test]
     fn restored_db_accepts_new_writes_in_order() {
-        let db = seeded();
+        let db = seeded(2);
         let path = tmp("writable.snap");
-        save(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
+        save_sharded(&db, &path).unwrap();
+        let restored = load_sharded(&path, ShardedConfig::default()).unwrap();
         let key = SeriesKey::metric("cpu").with_tag("host", "a").with_tag("dc", "west");
         // The last timestamp was 499*3; earlier writes must be rejected,
         // later ones accepted.
@@ -638,26 +556,15 @@ mod tests {
         let path = tmp("garbage.snap");
         std::fs::write(&path, b"NOTASNAPSHOT").unwrap();
         assert!(matches!(
-            load(&path, TsdbConfig::default()),
+            load_sharded(&path, ShardedConfig::default()),
             Err(SnapshotError::Tsdb(TsdbError::CorruptBlock { .. }))
         ));
 
         // Truncate a valid snapshot mid-payload.
-        let db = seeded();
-        save(&db, &path).unwrap();
+        save_sharded(&seeded(2), &path).unwrap();
         let full_bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full_bytes[..full_bytes.len() / 2]).unwrap();
-        assert!(load(&path, TsdbConfig::default()).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn empty_db_round_trips() {
-        let db = Tsdb::new();
-        let path = tmp("empty.snap");
-        save(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
-        assert_eq!(restored.series_count(), 0);
+        assert!(load_sharded(&path, ShardedConfig::default()).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -675,13 +582,13 @@ mod tests {
 
     #[test]
     fn snapshot_is_compact() {
-        let db = Tsdb::with_config(TsdbConfig { block_capacity: 512 });
+        let db = ShardedDb::with_config(ShardedConfig::new(1, 512));
         let key = SeriesKey::metric("flat");
         for i in 0..10_000 {
             db.write(&key, DataPoint::new(i * 10, 42.0)).unwrap();
         }
         let path = tmp("compact.snap");
-        save(&db, &path).unwrap();
+        save_sharded(&db, &path).unwrap();
         let size = std::fs::metadata(&path).unwrap().len();
         assert!(
             size < 16 * 10_000 / 4,
@@ -692,7 +599,7 @@ mod tests {
 
     #[test]
     fn v2_round_trips_through_sharded_engines() {
-        let db = seeded_sharded(4);
+        let db = seeded(4);
         let path = tmp("v2_roundtrip.snap");
         save_sharded(&db, &path).unwrap();
         // Reload at several shard counts; all must agree with the source.
@@ -711,8 +618,8 @@ mod tests {
     fn v2_bytes_are_independent_of_shard_count() {
         let a = tmp("v2_one_shard.snap");
         let b = tmp("v2_many_shards.snap");
-        save_sharded(&seeded_sharded(1), &a).unwrap();
-        save_sharded(&seeded_sharded(7), &b).unwrap();
+        save_sharded(&seeded(1), &a).unwrap();
+        save_sharded(&seeded(7), &b).unwrap();
         assert_eq!(
             std::fs::read(&a).unwrap(),
             std::fs::read(&b).unwrap(),
@@ -723,36 +630,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_file_loads_into_any_shard_count() {
-        let db = seeded();
-        let path = tmp("v1_crossload.snap");
-        save(&db, &path).unwrap();
-        for shards in [1usize, 2, 5] {
-            let restored = load_sharded(&path, ShardedConfig::new(shards, 64)).unwrap();
-            assert_eq!(
-                restored.query_selector(&Selector::any(), full()).unwrap(),
-                db.query_selector(&Selector::any(), full()).unwrap()
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_file_loads_into_single_shard_tsdb() {
-        let db = seeded_sharded(4);
-        let path = tmp("v2_to_tsdb.snap");
-        save_sharded(&db, &path).unwrap();
-        let restored = load(&path, TsdbConfig::default()).unwrap();
-        assert_eq!(
-            restored.query_selector(&Selector::any(), full()).unwrap(),
-            db.query_selector(&Selector::any(), full()).unwrap()
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn v2_truncation_and_bad_version_rejected() {
-        let db = seeded_sharded(3);
+        let db = seeded(3);
         let path = tmp("v2_truncated.snap");
         save_sharded(&db, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -778,6 +657,23 @@ mod tests {
     }
 
     #[test]
+    fn retired_v1_header_is_an_unsupported_version() {
+        // A well-formed version-1 file (empty: zero series) — the format
+        // is gone, and must be refused by name rather than misread.
+        let path = tmp("v1_header.snap");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // version
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // series_count
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_sharded(&path, ShardedConfig::default()).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported snapshot version"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn empty_sharded_db_round_trips_v2() {
         let db = ShardedDb::with_config(ShardedConfig::new(3, 64));
         let path = tmp("v2_empty.snap");
@@ -787,38 +683,42 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A store holding `aaa` (snapshotable) and a key whose tag value
+    /// contains a structural character (not snapshotable).
+    fn store_with_structural_key() -> ShardedDb {
+        let db = ShardedDb::with_config(ShardedConfig::new(3, 64));
+        db.write(&SeriesKey::metric("aaa"), DataPoint::new(1, 1.0)).unwrap();
+        let bad = SeriesKey::metric("cpu").with_tag("host", "a=b");
+        db.write(&bad, DataPoint::new(1, 1.0)).unwrap();
+        db
+    }
+
     #[test]
     fn structural_keys_rejected_by_both_writers() {
-        let bad = SeriesKey::metric("cpu").with_tag("host", "a=b");
-        let db = Tsdb::new();
-        db.write(&bad, DataPoint::new(1, 1.0)).unwrap();
+        // The single-file writer and the chain writer share the key
+        // check: neither may emit a key that would not parse back.
+        let db = store_with_structural_key();
         let path = tmp("badkey.snap");
-        assert!(save(&db, &path).is_err());
-        let sharded = ShardedDb::with_config(ShardedConfig::new(2, 64));
-        sharded.write(&bad, DataPoint::new(1, 1.0)).unwrap();
-        assert!(save_sharded(&sharded, &path).is_err());
-        std::fs::remove_file(&path).ok();
+        assert!(save_sharded(&db, &path).is_err());
+        assert!(!path.exists());
+
+        let dir = tmp("badkey.chain");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut chain = crate::chain::CheckpointChain::open(&dir, 4).unwrap();
+        assert!(chain.checkpoint(&db, None).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn failed_save_preserves_previous_snapshot() {
         let path = tmp("keepold.snap");
-        let good = seeded();
-        save(&good, &path).unwrap();
+        save_sharded(&seeded(2), &path).unwrap();
         let before = std::fs::read(&path).unwrap();
 
-        // A later save that errors mid-write (unsnapshotable key) must
-        // leave the previous good file untouched — both writers.
-        let bad_key = SeriesKey::metric("cpu").with_tag("host", "a=b");
-        let bad = Tsdb::new();
-        bad.write(&SeriesKey::metric("aaa"), DataPoint::new(1, 1.0)).unwrap();
-        bad.write(&bad_key, DataPoint::new(1, 1.0)).unwrap();
-        assert!(save(&bad, &path).is_err());
+        // A later save that errors (unsnapshotable key) must leave the
+        // previous good file untouched.
+        assert!(save_sharded(&store_with_structural_key(), &path).is_err());
         assert_eq!(std::fs::read(&path).unwrap(), before);
-
-        let bad_sharded = ShardedDb::from_tsdb(&bad, ShardedConfig::new(3, 64)).unwrap();
-        assert!(save_sharded(&bad_sharded, &path).is_err());
-        assert_eq!(std::fs::read(&path).unwrap(), before, "v2 writer clobbered the old file");
 
         // No stray temp file left behind.
         assert!(!path.with_file_name("keepold.snap.tmp").exists());
@@ -827,27 +727,29 @@ mod tests {
 
     #[test]
     fn implausible_block_count_is_an_error_not_an_abort() {
-        // A v1 header claiming one series with u32::MAX blocks and no
-        // payload must surface as a clean error (the pre-allocation is
-        // capped), not an allocator abort.
+        // A v2 directory claiming one series with u32::MAX blocks over
+        // an empty payload must surface as a clean error (the
+        // pre-allocation is capped), not an allocator abort.
         let path = tmp("hugeblocks.snap");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"ASAPTSDB");
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // version
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION_V2.to_le_bytes());
         bytes.extend_from_slice(&1u32.to_le_bytes()); // series_count
         bytes.extend_from_slice(&3u32.to_le_bytes()); // key_len
         bytes.extend_from_slice(b"cpu");
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // block_count
+        let payload_offset = (bytes.len() + 16) as u64;
+        bytes.extend_from_slice(&payload_offset.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // payload_len
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load(&path, TsdbConfig::default()).is_err());
+        assert!(load_sharded(&path, ShardedConfig::default()).is_err());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn v2_payload_overrun_rejected_by_both_loaders() {
+    fn v2_payload_overrun_rejected() {
         // Shrink a directory len field so the payload read overruns the
-        // declared extent: both loaders must reject identically.
-        let db = seeded_sharded(2);
+        // declared extent.
+        let db = seeded(2);
         let path = tmp("lenlie.snap");
         save_sharded(&db, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -859,7 +761,6 @@ mod tests {
         bytes[len_pos..len_pos + 8].copy_from_slice(&(len - 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_sharded(&path, ShardedConfig::default()).is_err());
-        assert!(load(&path, TsdbConfig::default()).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

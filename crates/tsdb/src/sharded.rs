@@ -204,9 +204,9 @@ impl ShardedDb {
         crate::persist::save_sharded(self, path)
     }
 
-    /// Loads a version-1 or version-2 snapshot from `path` into a fresh
-    /// engine with `config` (series re-route to the new shard count); see
-    /// [`crate::persist::load_sharded`].
+    /// Loads a snapshot file or checkpoint-chain directory from `path`
+    /// into a fresh engine with `config` (series re-route to the new
+    /// shard count); see [`crate::persist::load_sharded`].
     pub fn load(
         path: &std::path::Path,
         config: ShardedConfig,

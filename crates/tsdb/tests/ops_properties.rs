@@ -10,8 +10,8 @@
 //! * pipeline ingest (parser workers → per-shard channels → per-shard
 //!   writers) ≡ serial `line_protocol::ingest` into a [`Tsdb`], for every
 //!   query shape, at any parser/shard/queue/chunk configuration;
-//! * snapshot save→load ≡ identity, across versions (v1 ↔ v2) and shard
-//!   counts, with v2 bytes independent of the writer's shard count;
+//! * snapshot save→load ≡ identity across shard counts, with the file
+//!   bytes independent of the writer's shard count;
 //! * the sharded compactor ≡ the serial compactor: same reports, same
 //!   store contents, no double-counted rollup buckets, raw eviction never
 //!   ahead of the rollup watermark;
@@ -21,8 +21,8 @@
 
 use asap_tsdb::query::Aggregator;
 use asap_tsdb::{
-    line_protocol, load_sharded_snapshot, load_snapshot, pipeline_ingest, rollup_key,
-    save_sharded_snapshot, save_snapshot, Compactor, DataPoint, IngestConfig, RangeQuery,
+    line_protocol, load_sharded_snapshot, pipeline_ingest, rollup_key,
+    save_sharded_snapshot, Compactor, DataPoint, IngestConfig, RangeQuery,
     RetentionPolicy, RollupLevel, Selector, SeriesKey, ShardedConfig, ShardedDb, Tsdb,
     TsdbConfig,
 };
@@ -198,10 +198,9 @@ proptest! {
         prop_assert_eq!(report_a.points % case.fields.min(FIELD_NAMES.len()), 0);
     }
 
-    /// Snapshot save→load is the identity, across format versions and
-    /// arbitrary source/destination shard counts — including the v1
-    /// (single-shard, sequential) → v2 (sharded, parallel) cross-load —
-    /// and v2 bytes do not depend on the writer's shard count.
+    /// Snapshot save→load is the identity across arbitrary
+    /// source/destination shard counts, and the file bytes do not depend
+    /// on the writer's shard count.
     #[test]
     fn snapshots_round_trip_across_versions_and_shard_counts(case in ops_case()) {
         let (sharded, oracle, _) = twin_ingest(&case);
@@ -226,14 +225,6 @@ proptest! {
         oracle.flush().unwrap();
         prop_assert_eq!(restored.stats(), oracle.stats());
 
-        // …and the same v2 file loads into a single-shard Tsdb.
-        let into_tsdb = load_snapshot(&v2, TsdbConfig { block_capacity: case.block_capacity })
-            .unwrap();
-        prop_assert_eq!(
-            into_tsdb.query_selector(&Selector::any(), full()).unwrap(),
-            oracle.query_selector(&Selector::any(), full()).unwrap()
-        );
-
         // v2 bytes are shard-count-invariant: a single-shard engine with
         // the same points writes the identical file.
         let v2_single = dir.join(format!("{stamp}_v2single.snap"));
@@ -248,19 +239,7 @@ proptest! {
             std::fs::read(&v2_single).unwrap()
         );
 
-        // v1 written by the single-shard oracle cross-loads into any
-        // shard count.
-        let v1 = dir.join(format!("{stamp}_v1.snap"));
-        save_snapshot(&oracle, &v1).unwrap();
-        let from_v1 =
-            load_sharded_snapshot(&v1, ShardedConfig::new(case.shards, case.block_capacity))
-                .unwrap();
-        prop_assert_eq!(
-            from_v1.query_selector(&Selector::any(), full()).unwrap(),
-            oracle.query_selector(&Selector::any(), full()).unwrap()
-        );
-
-        for p in [v2, v2_single, v1] {
+        for p in [v2, v2_single] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -380,21 +359,10 @@ fn concurrent_writers_during_save_yield_loadable_prefix_snapshots() {
                 }
             });
         }
-        // Race repeated saves (both formats) against the writers.
+        // Race repeated saves against the writers.
         for round in 0..6 {
             let path = dir.join(format!("live_{}_{round}.snap", std::process::id()));
-            if round % 2 == 0 {
-                save_sharded_snapshot(&db, &path).unwrap();
-            } else {
-                let single = Tsdb::new();
-                // v1 save path races too, via a sharded->serial copy that
-                // itself runs export under live writers.
-                for k in db.list_series(&Selector::any()) {
-                    db.flush().unwrap();
-                    single.import_blocks(&k, db.export_blocks(&k).unwrap()).unwrap();
-                }
-                save_snapshot(&single, &path).unwrap();
-            }
+            save_sharded_snapshot(&db, &path).unwrap();
             snapshots.push(path);
         }
     });

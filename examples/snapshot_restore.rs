@@ -14,10 +14,7 @@
 //! 4. report the metadata-only `summarize` fast path over the same range.
 
 use asap::core::Asap;
-use asap::tsdb::{
-    load_snapshot, save_snapshot, smooth_query, DataPoint, RangeQuery, SeriesKey, Tsdb,
-    TsdbConfig,
-};
+use asap::tsdb::{smooth_query, DataPoint, RangeQuery, SeriesKey, ShardedConfig, ShardedDb};
 
 const STEP: i64 = 30; // seconds per sample
 
@@ -34,14 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. A day of 30-second samples, then snapshot.
     let day = 86_400 / STEP;
-    let db = Tsdb::with_config(TsdbConfig {
-        block_capacity: 512,
-    });
+    let db = ShardedDb::with_config(ShardedConfig::new(4, 512));
     let key = SeriesKey::metric("cpu").with_tag("host", "db-1");
     for i in 0..day {
         db.write(&key, DataPoint::new(i * STEP, metric(i)))?;
     }
-    save_snapshot(&db, &path)?;
+    db.save(&path)?;
     let size = std::fs::metadata(&path)?.len();
     println!(
         "snapshot: {} points -> {:.1} KiB on disk ({:.1} bits/point)",
@@ -50,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         8.0 * size as f64 / day as f64
     );
 
-    // 2. Restart: a fresh engine loads the snapshot.
-    let restored = load_snapshot(&path, TsdbConfig::default())?;
+    // 2. Restart: a fresh engine loads the snapshot (at any shard count).
+    let restored = ShardedDb::load(&path, ShardedConfig::default())?;
 
     // 3a. Verify equality.
     let before = db.query(&key, RangeQuery::raw(0, day * STEP))?;
