@@ -8,9 +8,9 @@
 //!             [--max-subscriptions N]
 //!             [--compact-interval SECS [--compact-jitter SECS]
 //!              [--rollup BUCKET] [--raw-ttl T]]
-//!             [--snapshot PATH] [--snapshot-dir DIR]
+//!             [--snapshot DIR [--checkpoint-interval SECS]
+//!              [--checkpoint-chain-depth N]] [--snapshot-dir DIR]
 //!             [--wal-dir DIR [--fsync always|every=N|interval-ms=N]]
-//!             [--checkpoint-interval SECS [--checkpoint-chain-depth N]]
 //!             [--log-level error|warn|info|debug] [--slow-query-ms N]
 //!             [--self-scrape-interval SECS]
 //! ```
@@ -35,25 +35,24 @@
 //! client sends `SHUTDOWN`, then drains gracefully and prints the
 //! final report.
 //!
-//! Durability: `--wal-dir` appends every applied point to a per-shard
-//! write-ahead log (sync cadence set by `--fsync`, default `every=256`)
-//! and replays any log left by a previous run before the listeners
-//! open. With `--snapshot PATH` the path doubles as persistent state:
-//! an existing snapshot is loaded at boot (the WAL tail replays on
-//! top), and the drain-time save becomes a checkpoint that truncates
-//! the covered log generations. See DESIGN.md § Durability.
-//!
-//! Online checkpoints: `--checkpoint-interval SECS` upgrades the
-//! `--snapshot` path from a single file to an incremental *chain
-//! directory* (a full base snapshot plus per-checkpoint deltas holding
-//! only the series that changed, committed by a CRC-guarded manifest).
-//! A background thread then checkpoints on jittered ticks while the
-//! server runs, truncating the covered WAL generations each pass — the
-//! log stays bounded without waiting for shutdown, and checkpoint cost
-//! tracks write activity rather than store size.
-//! `--checkpoint-chain-depth N` (default 8) caps the delta links before
-//! a pass re-bases. Requires `--snapshot`; boot loads a chain directory
-//! exactly like a snapshot file.
+//! Durability: `--snapshot DIR` names the **checkpoint-chain
+//! directory**, the one state the server boots from: a full base
+//! snapshot plus per-checkpoint deltas holding only the series that
+//! changed, committed by a CRC-guarded manifest. An existing chain is
+//! folded at boot (a damaged one degrades to its newest loadable prefix
+//! and is logged as a warning), a background thread checkpoints into it
+//! on jittered ticks while the server runs, and the drain ends with one
+//! more pass. `--checkpoint-interval SECS` (default 300) only sets how
+//! often a pass runs and `--checkpoint-chain-depth N` (default 8) caps
+//! the delta links before a pass re-bases; neither changes what is on
+//! disk. A regular file at DIR — the retired single-file boot snapshot
+//! — is a start-up error. `--wal-dir` appends every applied point to a
+//! per-shard write-ahead log (sync cadence set by `--fsync`, default
+//! `every=256`) and replays any log left by a previous run, on top of
+//! the chain, before the listeners open; every checkpoint pass truncates
+//! the log generations it covers, so the log stays bounded by write
+//! activity. `--snapshot`, `--snapshot-dir` and `--wal-dir` must name
+//! disjoint directories. See DESIGN.md § Durability.
 //!
 //! Observability: `METRICS` on the query port returns Prometheus text
 //! exposition of the same registry `STATS` reads. `--log-level` sets
@@ -70,8 +69,8 @@ use asap_server::{
     CheckpointConfig, CompactionClock, CompactionConfig, Server, ServerConfig,
 };
 use asap_tsdb::{
-    obs, Aggregator, FsyncPolicy, IngestConfig, LogLevel, RetentionPolicy, RollupLevel, Schedule,
-    ShardedConfig, ShardedDb, WalConfig,
+    load_chain_with_report, obs, Aggregator, FsyncPolicy, IngestConfig, LogLevel,
+    RetentionPolicy, RollupLevel, Schedule, ShardedConfig, ShardedDb, WalConfig,
 };
 
 const USAGE: &str = "usage: asap-server [--ingest ADDR] [--query ADDR] [--shards N] \
@@ -80,9 +79,9 @@ const USAGE: &str = "usage: asap-server [--ingest ADDR] [--query ADDR] [--shards
                      [--sub-window N] [--sub-resolution N] [--sub-every N] \
                      [--max-subscriptions N] \
                      [--compact-interval SECS [--compact-jitter SECS] [--rollup BUCKET] \
-                     [--raw-ttl T]] [--snapshot PATH] [--snapshot-dir DIR] \
+                     [--raw-ttl T]] [--snapshot DIR [--checkpoint-interval SECS] \
+                     [--checkpoint-chain-depth N]] [--snapshot-dir DIR] \
                      [--wal-dir DIR [--fsync always|every=N|interval-ms=N]] \
-                     [--checkpoint-interval SECS [--checkpoint-chain-depth N]] \
                      [--log-level error|warn|info|debug] [--slow-query-ms N] \
                      [--self-scrape-interval SECS]";
 
@@ -207,25 +206,24 @@ fn main() {
         fsync: fsync.unwrap_or_default(),
     });
 
-    // `--checkpoint-interval` turns the `--snapshot` path into an
-    // incremental chain directory maintained online: the background
-    // scheduler (and the drain) checkpoint into the chain, so the
-    // single-file drain-time save is replaced, not duplicated.
+    // `--snapshot` names the chain directory; `--checkpoint-interval`
+    // only overrides when a pass runs, never what is written.
     if checkpoint_interval.is_some() && snapshot.is_none() {
         fail("--checkpoint-interval needs --snapshot (the chain directory)");
     }
-    let checkpoint = checkpoint_interval.map(|secs| CheckpointConfig {
-        dir: snapshot.clone().expect("checked above"),
-        schedule: Schedule::every(Duration::from_secs(secs))
-            .with_jitter(Duration::from_secs(secs / 10)),
-        seed: 0xc4ec,
-        chain_depth: checkpoint_chain_depth,
+    let checkpoint = snapshot.clone().map(|dir| {
+        let mut config = CheckpointConfig {
+            dir,
+            seed: 0xc4ec,
+            chain_depth: checkpoint_chain_depth,
+            ..CheckpointConfig::default()
+        };
+        if let Some(secs) = checkpoint_interval {
+            config.schedule = Schedule::every(Duration::from_secs(secs))
+                .with_jitter(Duration::from_secs(secs / 10));
+        }
+        config
     });
-    let final_snapshot = if checkpoint.is_some() {
-        None
-    } else {
-        snapshot.clone()
-    };
 
     let defaults = ServerConfig::default();
     let config = ServerConfig {
@@ -238,7 +236,6 @@ fn main() {
             ..IngestConfig::default()
         },
         compaction,
-        final_snapshot,
         snapshot_dir,
         wal,
         checkpoint,
@@ -256,14 +253,28 @@ fn main() {
     };
     // Raise/lower the log threshold before anything can emit a line.
     obs::set_log_level(log_level.unwrap_or(LogLevel::Info));
-    // `--snapshot` doubles as persistent state: an existing snapshot is
-    // the checkpoint base, and `Server::start` replays the WAL tail on
-    // top of it before the listeners open.
+    // Boot: fold the chain (a missing directory is the first boot);
+    // `Server::start` then replays the WAL tail on top of it before the
+    // listeners open. A damaged chain degrades to its newest loadable
+    // prefix — say so, the WAL tail may or may not cover the rest.
     let store_config = ShardedConfig::new(shards, block_capacity);
     let db = match &snapshot {
-        Some(path) if path.exists() => match ShardedDb::load(path, store_config) {
-            Ok(db) => {
-                obs::info("server", "snapshot_loaded", &[("path", &path.display())]);
+        Some(path) if path.exists() => match load_chain_with_report(path, store_config) {
+            Ok((db, chain)) => {
+                let path = path.display();
+                match &chain.damage {
+                    None => obs::info("server", "snapshot_loaded", &[("path", &path)]),
+                    Some(damage) => obs::warn(
+                        "server",
+                        "snapshot_damaged",
+                        &[
+                            ("path", &path),
+                            ("links_loaded", &chain.links_loaded),
+                            ("links_total", &chain.links_total),
+                            ("damage", damage),
+                        ],
+                    ),
+                }
                 db
             }
             Err(e) => fail(&format!("cannot load snapshot {}: {e}", path.display())),
@@ -326,10 +337,6 @@ fn main() {
         );
     }
     let mut failed = false;
-    if let Some(e) = report.final_snapshot_error {
-        obs::error("server", "final_snapshot_failed", &[("error", &e)]);
-        failed = true;
-    }
     // The drain ends with one final checkpoint on chain-configured
     // servers; a populated `last_error` means that final pass failed.
     if let Some(e) = report.checkpoint.last_error {

@@ -286,10 +286,11 @@ impl IngestConn {
         // so pushed frames match a serial replay of the stored series),
         // and the shared stage histograms.
         let ingest_config = shared.pipeline_config();
-        let ingestor = match shared
-            .db()
-            .stream_ingestor(shared.config().default_ts, ingest_config)
-        {
+        let ingestor = match StreamIngestor::new(
+            shared.db(),
+            shared.config().default_ts,
+            ingest_config,
+        ) {
             Ok(ingestor) => ingestor,
             Err(e) => {
                 let mut w = &stream;

@@ -56,16 +56,17 @@
 //!   [`asap_tsdb::Compactor::run_sharded`] on jittered ticks
 //!   ([`asap_tsdb::Schedule`]), mutually exclusive with snapshot saves,
 //!   its cumulative counters surfaced through `STATS`.
-//! * **Checkpoint scheduler** — with durability configured, a second
-//!   background thread takes *incremental* checkpoints on jittered
-//!   ticks ([`asap_tsdb::CheckpointChain`]): each pass writes only the
-//!   series that changed since the last one and discards the covered
-//!   WAL generations, so checkpoint cost tracks write activity — not
-//!   total data — and the log stays bounded at steady state.
+//! * **Checkpoint scheduler** — with a chain directory configured
+//!   ([`ServerConfig::checkpoint`], the one durable boot state), a
+//!   second background thread takes *incremental* checkpoints on
+//!   jittered ticks ([`asap_tsdb::CheckpointChain`]): each pass writes
+//!   only the series that changed since the last one and discards the
+//!   covered WAL generations, so checkpoint cost tracks write activity
+//!   — not total data — and the log stays bounded at steady state.
 //! * **Graceful shutdown** — `SHUTDOWN` (or [`Server::shutdown`]) stops
 //!   accepting, finalizes every connection (complete ingest lines
-//!   applied, reorder buffers flushed), stops the scheduler, optionally
-//!   writes a final snapshot, and returns a [`ServerReport`] — promptly
+//!   applied, reorder buffers flushed), stops the schedulers, takes a
+//!   final chain checkpoint, and returns a [`ServerReport`] — promptly
 //!   even when a peer has stopped reading: the drain is bounded by the
 //!   poll interval and server-side work, never by client behavior.
 //!

@@ -18,8 +18,7 @@ use std::time::{Duration, Instant};
 use asap_core::Asap;
 use asap_tsdb::obs::{self, MetricSample};
 use asap_tsdb::{
-    checkpoint_sharded, pipeline_ingest, ApplyHook, ChainCheckpointReport, CheckpointChain,
-    CompactionReport, Counter, Histogram, IngestConfig, IngestMetrics, IngestReport, ObsRegistry,
+    pipeline_ingest, ApplyHook, ChainCheckpointReport, CheckpointChain, CompactionReport, Counter, Histogram, IngestConfig, IngestMetrics, IngestReport, ObsRegistry,
     RangeQuery, RetentionPolicy, Schedule, Selector, ShardedDb, SnapshotError, StreamProgress,
     TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
 };
@@ -54,35 +53,34 @@ pub struct ServerConfig {
     pub default_ts: i64,
     /// Background compaction; `None` disables the scheduler thread.
     pub compaction: Option<CompactionConfig>,
-    /// Where to write a final snapshot during shutdown, after every
-    /// connection has drained (`None` skips it).
-    pub final_snapshot: Option<PathBuf>,
-    /// Write-ahead log directory + fsync policy (`None` disables
-    /// durability). When set, [`Server::start`] first replays any
-    /// existing log files into the store (crash recovery — pair it with
-    /// loading the matching `final_snapshot` beforehand), then opens a
+    /// Write-ahead log directory + fsync policy (`None` disables the
+    /// log). When set, [`Server::start`] first replays any existing log
+    /// files into the store (crash recovery — pair it with loading the
+    /// [`ServerConfig::checkpoint`] chain beforehand), then opens a
     /// fresh log generation that every ingest connection appends applied
-    /// points to. The drain-time final snapshot becomes a *checkpoint*:
-    /// rotate the log, save, then discard the covered generations.
-    /// Client-issued `SNAPSHOT <name>` exports never truncate the log —
-    /// only the snapshot recovery actually boots from may.
+    /// points to. Only a chain checkpoint ever truncates the log; without
+    /// a chain it grows until the operator removes it.
     pub wal: Option<WalConfig>,
-    /// Background incremental checkpoints; `None` disables the
-    /// checkpoint scheduler thread and the on-disk chain. When set, the
-    /// server maintains a [`CheckpointChain`] in the configured
-    /// directory: each scheduled pass rotates the WAL, writes only the
-    /// series that changed since the previous pass, commits the chain
-    /// manifest, and discards the covered log generations — so both the
-    /// log and the checkpoint cost stay bounded by write activity. The
-    /// drain-time final snapshot and client `SNAPSHOT` commands go
-    /// through the same chain (see [`Server::shutdown`]).
+    /// The durable boot state: an incremental checkpoint chain (`None`
+    /// keeps the store in memory only — no checkpoint thread, nothing
+    /// written at drain). When set, the server maintains a
+    /// [`CheckpointChain`] in the configured directory: each scheduled
+    /// pass rotates the WAL (if any), writes only the series that
+    /// changed since the previous pass, commits the chain manifest, and
+    /// discards the covered log generations — so both the log and the
+    /// checkpoint cost stay bounded by write activity. The drain ends
+    /// with one more pass and client `SNAPSHOT` commands start with one
+    /// (see [`Server::shutdown`]).
     pub checkpoint: Option<CheckpointConfig>,
     /// Directory `SNAPSHOT <name>` targets resolve inside. `None`
     /// (the default) disables the command: the query port may be bound
     /// on a non-loopback address, and an unauthenticated client must
     /// not get to pick arbitrary filesystem paths for the server to
     /// write with its privileges. Requests naming an absolute path or
-    /// escaping the directory (`..`) are refused.
+    /// escaping the directory (`..`) are refused, and the directory must
+    /// be disjoint from the chain and WAL directories (equal or nested
+    /// directories are a start-up error), so no export name can resolve
+    /// onto live durable state.
     pub snapshot_dir: Option<PathBuf>,
     /// Event-loop sweep granularity — how long an idle worker or the
     /// dispatcher parks, and so how fast idle paths notice new bytes
@@ -141,7 +139,6 @@ impl Default for ServerConfig {
             ingest: IngestConfig::default(),
             default_ts: 0,
             compaction: None,
-            final_snapshot: None,
             wal: None,
             checkpoint: None,
             snapshot_dir: None,
@@ -188,13 +185,15 @@ impl Default for CompactionConfig {
 }
 
 /// What the background checkpoint scheduler runs and when: the on-disk
-/// incremental chain plus the tick plan driving it.
+/// incremental chain plus the tick plan driving it. The schedule only
+/// decides *when* a pass runs, never what is written.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
-    /// The chain directory ([`CheckpointChain::open`] creates it).
-    /// Recovery loads it like any snapshot path —
-    /// [`asap_tsdb::recover_sharded`] and `ShardedDb::load` dispatch on
-    /// directories transparently.
+    /// The chain directory ([`CheckpointChain::open`] creates it; a
+    /// regular file there — a retired single-file boot snapshot — is a
+    /// start-up error). Boot by folding it with
+    /// [`asap_tsdb::load_chain_with_report`] (or `ShardedDb::load`) and
+    /// handing the store to [`Server::start`].
     pub dir: PathBuf,
     /// Tick plan: base interval plus jitter (see
     /// [`asap_tsdb::Schedule`]).
@@ -422,9 +421,6 @@ pub struct ServerReport {
     /// Checkpoint totals at shutdown, the drain-time final checkpoint
     /// included (zeroes when no chain was configured).
     pub checkpoint: CheckpointStats,
-    /// Rendering of the final-snapshot failure, if one was requested
-    /// and failed (the drain still completes).
-    pub final_snapshot_error: Option<String>,
     /// Rendering of the drain-time WAL seal failure, if a WAL was
     /// configured and the final flush+fsync failed.
     pub wal_seal_error: Option<String>,
@@ -560,7 +556,7 @@ pub(crate) struct Shared {
     /// The incremental checkpoint chain, when configured. The lock
     /// serializes checkpoint passes (scheduler ticks, `SNAPSHOT`
     /// commands, the drain); the snapshot gate additionally keeps them
-    /// exclusive with compaction and plain snapshot saves.
+    /// exclusive with compaction and `SNAPSHOT` exports.
     chain: Option<Mutex<CheckpointChain>>,
     /// Live WAL appender, shared with every ingest pipeline.
     wal: Option<Wal>,
@@ -1032,11 +1028,12 @@ impl Server {
                 .into());
             }
         }
+        check_disjoint_dirs(&config)?;
         // Recover, then open: replay any WAL left by a prior run into
         // the store before the listeners exist (no ingest races replay),
         // then start a fresh log generation for this run's appends. The
-        // caller pre-loads the matching snapshot into `db`, so replay
-        // only adds the tail (snapshot overlap is skipped).
+        // caller pre-loads the chain into `db`, so replay only adds the
+        // tail (chain overlap is skipped).
         let mut wal = None;
         let mut wal_replay = WalReplayReport::default();
         if let Some(wal_config) = &config.wal {
@@ -1168,8 +1165,8 @@ impl Server {
 
     /// Gracefully stops the server now: stops accepting, lets every
     /// ingest connection flush its reorder buffers via `finish()`, stops
-    /// the compaction scheduler, writes the final snapshot if
-    /// configured, and returns the final report.
+    /// the background threads, takes one last chain checkpoint if a
+    /// chain is configured, seals the WAL, and returns the final report.
     pub fn shutdown(self) -> ServerReport {
         self.drain()
     }
@@ -1180,8 +1177,8 @@ impl Server {
         // their connections (abort + flush reorder buffers); (2) join
         // the I/O threads (workers exit after finalizing); (3) the
         // scheduler observed the flag via the condvar — join it; (4) with
-        // all writers drained and the compactor stopped, write the final
-        // snapshot; (5) assemble the report (gauges now zero).
+        // all writers drained and the compactor stopped, take the final
+        // checkpoint; (5) assemble the report (gauges now zero).
         self.shared.begin_drain();
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
@@ -1204,28 +1201,13 @@ impl Server {
         // lands in the chain and the covered log generations go away,
         // so the next boot folds the chain plus an empty (or tiny) WAL
         // tail. Failures land in `checkpoint.last_error` — the drain
-        // still completes, and the surviving WAL still covers the data.
+        // still completes, and a surviving WAL still covers the data.
         if self.shared.has_chain() {
             let _gate = self.shared.snapshot_gate();
             let _ = self.shared.run_checkpoint();
         }
-        let mut final_snapshot_error = None;
-        if let Some(path) = self.shared.config.final_snapshot.clone() {
-            let _gate = self.shared.snapshot_gate();
-            let saved = match &self.shared.wal {
-                // With a WAL, the final snapshot is a checkpoint:
-                // rotate → save → discard the covered generations, so
-                // the snapshot plus the surviving log tail stays a
-                // complete recovery set whatever step a crash hits.
-                Some(wal) => checkpoint_sharded(&self.shared.db, &path, wal).map(|_| ()),
-                None => self.shared.db.save(&path),
-            };
-            if let Err(e) = saved {
-                final_snapshot_error = Some(e.to_string());
-            }
-        }
         // Seal the log last (flush + fsync every shard): whatever the
-        // snapshot outcome, everything ingested this run is on disk.
+        // checkpoint outcome, everything ingested this run is on disk.
         let mut wal_seal_error = None;
         if let Some(wal) = &self.shared.wal {
             if let Err(e) = wal.seal() {
@@ -1246,7 +1228,6 @@ impl Server {
                 .lock()
                 .expect("checkpoint stats poisoned")
                 .clone(),
-            final_snapshot_error,
             wal_seal_error,
             query_rejected_connections: self.shared.query_rejected.load(Ordering::Acquire),
         }
@@ -1305,6 +1286,56 @@ fn check_grid(start: i64, end: i64, bucket: i64) -> Result<(), String> {
                 "grid of {buckets} buckets exceeds the server cap of {MAX_GRID_BUCKETS}; \
                  widen the bucket or narrow the range"
             ));
+        }
+    }
+    Ok(())
+}
+
+/// `path` made absolute, with symlinks resolved as deep as the path
+/// exists — the configured directories may not have been created yet.
+fn resolved(path: &Path) -> PathBuf {
+    let absolute = std::path::absolute(path).unwrap_or_else(|_| path.to_path_buf());
+    let mut missing = Vec::new();
+    let mut existing = absolute.as_path();
+    loop {
+        if let Ok(base) = existing.canonicalize() {
+            return missing.iter().rev().fold(base, |p, name| p.join(name));
+        }
+        match (existing.parent(), existing.file_name()) {
+            (Some(parent), Some(name)) => {
+                missing.push(name);
+                existing = parent;
+            }
+            _ => return absolute,
+        }
+    }
+}
+
+/// Refuses a configuration in which the `SNAPSHOT` export directory,
+/// the chain directory and the WAL directory are equal or nested.
+/// [`resolve_snapshot_path`] confines an export to `snapshot_dir`, which
+/// protects nothing when durable state lives under it: `SNAPSHOT
+/// chain/MANIFEST` would overwrite the manifest with a v2 file, and the
+/// next boot would serve an empty store. The chain and the log also
+/// each assume they own their directory's file names.
+fn check_disjoint_dirs(config: &ServerConfig) -> Result<(), TsdbError> {
+    let dirs: Vec<PathBuf> = [
+        config.snapshot_dir.as_deref(),
+        config.checkpoint.as_ref().map(|c| c.dir.as_path()),
+        config.wal.as_ref().map(|w| w.dir.as_path()),
+    ]
+    .into_iter()
+    .flatten()
+    .map(resolved)
+    .collect();
+    for (i, a) in dirs.iter().enumerate() {
+        if dirs[i + 1..].iter().any(|b| a.starts_with(b) || b.starts_with(a)) {
+            return Err(TsdbError::InvalidParameter {
+                name: "directories",
+                message: "the snapshot, checkpoint-chain and WAL directories must be \
+                          disjoint (none equal to or nested inside another): a SNAPSHOT \
+                          export could otherwise overwrite live durable state",
+            });
         }
     }
     Ok(())
@@ -1510,38 +1541,16 @@ fn dispatch(
 }
 
 /// The work behind a client `SNAPSHOT <name>`, run under the snapshot
-/// gate the caller holds. What "snapshot" means depends on the
-/// durability configuration — with a WAL, a plain export alone would
-/// leave the operator's freshest on-disk state out of the recovery set,
-/// so the command advances the real checkpoint wherever one exists:
-///
-/// * **No WAL** — the named export *is* the durable state; save it.
-/// * **WAL + checkpoint chain** — run a real incremental checkpoint
-///   (rotate → delta → manifest → discard covered generations), then
-///   write the named export as a bonus standalone copy.
-/// * **WAL + boot snapshot, no chain** — recovery boots from
-///   [`ServerConfig::final_snapshot`] plus the log tail, so refresh
-///   *that* file under one rotation boundary before any generation is
-///   discarded; the named export rides along under the same boundary.
-/// * **WAL only** — recovery replays the log from the start, so nothing
-///   may be discarded: the named export stays a plain copy.
+/// gate the caller holds. With a chain, first advance it — one real
+/// checkpoint pass, so the operator's freshest on-disk state is the
+/// state recovery boots from (and the covered WAL generations go away);
+/// then, chain or not, write the named v2 export. The export itself
+/// never truncates the log: recovery does not boot from it.
 fn snapshot_command(shared: &Shared, target: &Path) -> Result<(), String> {
-    let err = |e: SnapshotError| e.to_string();
-    let Some(wal) = &shared.wal else {
-        return shared.db.save(target).map_err(err);
-    };
     if shared.has_chain() {
         shared.run_checkpoint()?;
-        return shared.db.save(target).map_err(err);
     }
-    if let Some(boot) = shared.config.final_snapshot.clone() {
-        let boundary = wal.rotate().map_err(|e| e.to_string())?;
-        shared.db.save(&boot).map_err(err)?;
-        shared.db.save(target).map_err(err)?;
-        wal.discard_before(boundary).map_err(|e| e.to_string())?;
-        return Ok(());
-    }
-    shared.db.save(target).map_err(err)
+    shared.db.save(target).map_err(|e| e.to_string())
 }
 
 /// Hides server-internal series from `RANGE` / `SMOOTH` / `SUBSCRIBE`

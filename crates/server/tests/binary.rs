@@ -1,0 +1,153 @@
+//! Start-up behaviour of the shipped `asap-server` binary that no
+//! in-process test can see: what it logs while booting from a chain,
+//! and which configurations it refuses with exit code 2.
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+
+use asap_tsdb::{CheckpointChain, DataPoint, SeriesKey, ShardedConfig, ShardedDb};
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("asap_binary_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn store() -> ShardedDb {
+    let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
+    let key = SeriesKey::metric("cpu").with_tag("host", "a");
+    for t in 0..100 {
+        db.write(&key, DataPoint::new(t, t as f64)).unwrap();
+    }
+    db
+}
+
+fn server(flags: &[&str]) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_asap-server"));
+    command
+        .args(["--ingest", "127.0.0.1:0", "--query", "127.0.0.1:0"])
+        .args(flags)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped());
+    command
+}
+
+/// Runs the binary until it listens, asks `RANGE cpu 0 100`, sends
+/// `SHUTDOWN`, and returns (the `RANGE` response, the whole stderr log).
+fn boot_query_shutdown(flags: &[&str]) -> (String, String) {
+    let mut child = server(flags).spawn().expect("spawn asap-server");
+    let mut stderr = BufReader::new(child.stderr.take().unwrap());
+    let mut log = String::new();
+    let query_addr: SocketAddr = loop {
+        let mut line = String::new();
+        assert!(
+            stderr.read_line(&mut line).unwrap() > 0,
+            "asap-server exited before listening:\n{log}"
+        );
+        log.push_str(&line);
+        if line.contains("event=listening") {
+            let addr = line.split(' ').find_map(|t| t.strip_prefix("query="));
+            break addr.expect("query address").parse().unwrap();
+        }
+    };
+    let mut conn = TcpStream::connect(query_addr).unwrap();
+    conn.write_all(b"RANGE cpu 0 100\nSHUTDOWN\n").unwrap();
+    let mut response = String::new();
+    conn.read_to_string(&mut response).unwrap();
+    stderr.read_to_string(&mut log).unwrap();
+    assert!(child.wait().unwrap().success(), "{log}");
+    (response, log)
+}
+
+/// Runs the binary expecting a start-up refusal: exit code 2, and the
+/// reason on stderr.
+fn refused(flags: &[&str]) -> String {
+    let output = server(flags).output().expect("run asap-server");
+    let log = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert_eq!(output.status.code(), Some(2), "{log}");
+    log
+}
+
+fn path_str(path: &Path) -> &str {
+    path.to_str().unwrap()
+}
+
+/// A damaged chain boots (degraded to its loadable prefix) but must say
+/// so: one `warn` line with how far the fold got, where a healthy chain
+/// logs `snapshot_loaded`.
+#[test]
+fn damaged_chain_boots_with_a_warning_not_like_a_healthy_one() {
+    let dir = temp_dir("damaged");
+    let chain_dir = dir.join("chain");
+    CheckpointChain::open(&chain_dir, 4)
+        .unwrap()
+        .checkpoint(&store(), None)
+        .unwrap();
+
+    let (healthy, log) = boot_query_shutdown(&["--snapshot", path_str(&chain_dir)]);
+    assert!(
+        healthy.starts_with("OK 1\n") && healthy.contains("\n99 99\n"),
+        "{healthy}"
+    );
+    assert!(log.contains("event=snapshot_loaded"), "{log}");
+    assert!(!log.contains("level=warn"), "{log}");
+
+    let manifest = chain_dir.join("MANIFEST");
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    bytes[13] ^= 0x10; // inside the chain id; the CRC no longer matches
+    std::fs::write(&manifest, &bytes).unwrap();
+    let (degraded, log) = boot_query_shutdown(&["--snapshot", path_str(&chain_dir)]);
+    assert!(degraded.starts_with("OK 0\n"), "{degraded}");
+    let warning = log
+        .lines()
+        .find(|l| l.contains("event=snapshot_damaged"))
+        .unwrap_or_else(|| panic!("no snapshot_damaged line:\n{log}"));
+    assert!(
+        warning.starts_with("level=warn component=server "),
+        "{warning}"
+    );
+    assert!(
+        warning.contains(" links_loaded=0 links_total=0 damage=\"")
+            && warning.contains("manifest is damaged"),
+        "{warning}"
+    );
+    assert!(!log.contains("event=snapshot_loaded"), "{log}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The retired layouts and the unsafe ones are start-up errors (exit
+/// 2) that say what to do, not silent fallbacks.
+#[test]
+fn retired_and_unsafe_durable_layouts_exit_2() {
+    let dir = temp_dir("refused");
+
+    // A regular file at `--snapshot`: the retired single-file boot
+    // snapshot. Refused by name; the file is left alone.
+    let file = dir.join("boot.snap");
+    store().save(&file).unwrap();
+    let before = std::fs::read(&file).unwrap();
+    let log = refused(&["--snapshot", path_str(&file)]);
+    assert!(
+        log.contains("single-file boot snapshots are retired"),
+        "{log}"
+    );
+    assert!(log.contains("ShardedDb::load"), "{log}");
+    assert_eq!(std::fs::read(&file).unwrap(), before);
+
+    // `--snapshot-dir` an ancestor of the chain: `SNAPSHOT
+    // chain/MANIFEST` would overwrite the manifest.
+    let chain = dir.join("chain");
+    let log = refused(&[
+        "--snapshot",
+        path_str(&chain),
+        "--snapshot-dir",
+        path_str(&dir),
+    ]);
+    assert!(log.contains("must be disjoint"), "{log}");
+    assert!(!chain.exists(), "a refused configuration touched the disk");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -12,7 +12,7 @@ use asap_server::{
     protocol, CheckpointConfig, CompactionClock, CompactionConfig, Server, ServerConfig,
 };
 use asap_tsdb::{
-    line_protocol, smooth, Aggregator, Compactor, DataPoint, FsyncPolicy, IngestConfig, RangeQuery,
+    line_protocol, load_chain_with_report, smooth, Aggregator, Compactor, DataPoint, FsyncPolicy, IngestConfig, RangeQuery,
     RetentionPolicy, RollupLevel, Schedule, Selector, SeriesKey, ShardedConfig, ShardedDb, Tsdb,
     TsdbConfig, WalConfig, ROLLUP_TAG,
 };
@@ -357,7 +357,7 @@ fn graceful_shutdown_flushes_reorder_buffers_of_open_connections() {
 /// (`m v=9 99` cut out of `m v=9 990\n` parses as a valid point with a
 /// wrong timestamp). The drain must abort — applying every complete
 /// line and flushing reorder buffers, but discarding that tail —
-/// instead of finishing it into the store and the final snapshot.
+/// instead of finishing it into the store and the final checkpoint.
 #[test]
 fn drain_discards_the_partial_trailing_line_of_open_connections() {
     let server = Server::start(
@@ -663,16 +663,21 @@ fn background_scheduler_compacts_like_serial_compactor() {
 }
 
 /// A client's `SHUTDOWN` command ends [`Server::run`], which drains and
-/// returns the final report — the binary's lifecycle.
+/// returns the final report — the binary's lifecycle. The drain's last
+/// act is a chain checkpoint: the chain directory alone reloads to the
+/// drained store.
 #[test]
 fn shutdown_command_ends_run() {
+    let chain_dir =
+        std::env::temp_dir().join(format!("asap_server_final_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&chain_dir);
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(2, 16)),
         ServerConfig {
-            final_snapshot: Some(std::env::temp_dir().join(format!(
-                "asap_server_final_{}.bin",
-                std::process::id()
-            ))),
+            checkpoint: Some(CheckpointConfig {
+                dir: chain_dir.clone(),
+                ..CheckpointConfig::default()
+            }),
             ..ServerConfig::default()
         },
     )
@@ -689,12 +694,12 @@ fn shutdown_command_ends_run() {
 
     let final_report = runner.join().unwrap();
     assert_eq!(final_report.ingest.points, 2);
-    assert_eq!(final_report.final_snapshot_error, None);
+    assert_eq!(final_report.checkpoint.runs, 1, "the drain checkpoints once");
+    assert_eq!(final_report.checkpoint.last_error, None);
 
-    // The final snapshot captured the drained store.
-    let path = std::env::temp_dir().join(format!("asap_server_final_{}.bin", std::process::id()));
-    let restored = ShardedDb::load(&path, ShardedConfig::new(2, 16)).unwrap();
-    std::fs::remove_file(&path).ok();
+    // The final checkpoint captured the drained store.
+    let restored = ShardedDb::load(&chain_dir, ShardedConfig::new(2, 16)).unwrap();
+    std::fs::remove_dir_all(&chain_dir).ok();
     assert_eq!(
         restored.query_selector(&Selector::any(), full()).unwrap(),
         db.query_selector(&Selector::any(), full()).unwrap()
@@ -772,6 +777,136 @@ fn restart_with_wal_recovers_the_drained_state() {
     assert_eq!(stat(&stats, "store.points") as usize, total);
     second.shutdown();
     std::fs::remove_dir_all(&wal_dir).ok();
+}
+
+/// The restart wall for the layout without a log: a chain and no WAL.
+/// The drain's final checkpoint is the only durable state; folding the
+/// chain like the binary does and serving it must answer `RANGE` and
+/// `SMOOTH` byte-identically — across a second restart too, whose first
+/// checkpoint re-bases the chain a previous process wrote.
+#[test]
+fn restart_from_the_chain_alone_recovers_the_drained_state() {
+    const HOSTS: usize = 3;
+    const POINTS: i64 = 120;
+    let chain_dir =
+        std::env::temp_dir().join(format!("asap_server_chain_only_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&chain_dir);
+    let config = || ServerConfig {
+        ingest: IngestConfig {
+            lateness: Some(LATENESS),
+            ..IngestConfig::default()
+        },
+        checkpoint: Some(CheckpointConfig {
+            dir: chain_dir.clone(),
+            ..CheckpointConfig::default()
+        }),
+        ..ServerConfig::default()
+    };
+    let boot = |shards: usize| {
+        let (db, report) =
+            load_chain_with_report(&chain_dir, ShardedConfig::new(shards, 16)).unwrap();
+        assert_eq!(report.damage, None);
+        Server::start(db, config()).unwrap()
+    };
+
+    let first = boot(3); // the chain directory does not exist yet
+    let doc = shuffle_within_lateness(&sorted_doc(HOSTS, POINTS)).join("\n") + "\n";
+    let report = ingest_doc(first.ingest_addr(), &doc);
+    assert!(report.contains("clean=true"), "{report}");
+    let range_cmd = format!("RANGE cpu.usage 0 {POINTS}");
+    let smooth_cmd = format!("SMOOTH cpu.usage{{host=h1}} 0 {POINTS} 1 60");
+    let before_range = query(first.query_addr(), &range_cmd);
+    let before_smooth = query(first.query_addr(), &smooth_cmd);
+    assert!(
+        before_range.len() > 1_000 && before_range.contains("SERIES cpu.usage"),
+        "pre-restart RANGE response is vacuous: {before_range}"
+    );
+    let query_addr = first.query_addr();
+    let runner = std::thread::spawn(move || first.run());
+    assert_eq!(query(query_addr, "SHUTDOWN").trim(), "OK shutting down");
+    let drained = runner.join().unwrap();
+    assert_eq!(drained.ingest.points, HOSTS * POINTS as usize);
+    assert_eq!(drained.checkpoint.last_error, None);
+
+    for shards in [2, 5] {
+        let next = boot(shards);
+        assert_eq!(query(next.query_addr(), &range_cmd), before_range);
+        assert_eq!(query(next.query_addr(), &smooth_cmd), before_smooth);
+        let stats = query(next.query_addr(), "STATS");
+        assert_eq!(stat(&stats, "store.points") as usize, HOSTS * POINTS as usize);
+        let drained = next.shutdown();
+        assert_eq!(drained.checkpoint.rebases, 1, "a reopened chain re-bases first");
+        assert_eq!(drained.checkpoint.last_error, None);
+    }
+    std::fs::remove_dir_all(&chain_dir).ok();
+}
+
+/// Regression for a data loss: `SNAPSHOT` names are confined to the
+/// snapshot directory, which protects nothing when the chain or the
+/// log lives under it — `SNAPSHOT chain/MANIFEST` used to answer `OK`,
+/// turn the manifest into a v2 file, and let the next boot serve an
+/// empty store. Such a configuration is now refused at start-up; with
+/// disjoint directories the very same request sequence (ingest →
+/// `SNAPSHOT chain/MANIFEST` → `SHUTDOWN` → restart) loses nothing.
+#[test]
+fn nested_durable_directories_are_refused_at_start_up() {
+    let base = std::env::temp_dir().join(format!("asap_nested_dirs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let exports = base.join("exports");
+    std::fs::create_dir_all(exports.join("chain")).unwrap();
+    let config = |snapshot_dir: &std::path::Path, chain: &str, wal: &str| ServerConfig {
+        snapshot_dir: Some(snapshot_dir.to_path_buf()),
+        checkpoint: Some(CheckpointConfig {
+            dir: base.join(chain),
+            ..CheckpointConfig::default()
+        }),
+        wal: Some(WalConfig {
+            dir: base.join(wal),
+            fsync: FsyncPolicy::Always,
+        }),
+        ..ServerConfig::default()
+    };
+    let store = || ShardedDb::with_config(ShardedConfig::new(2, 16));
+
+    // Ancestor, equal, and descendant — in any pairing of the three.
+    for (snapshot_dir, chain, wal) in [
+        (base.clone(), "chain", "wal"),
+        (base.join("chain"), "chain", "wal"),
+        (base.join("wal").join("exports"), "chain", "wal"),
+        (exports.clone(), "state", "state/wal"),
+        (exports.clone(), "exports/../chain", "./chain"),
+    ] {
+        let err = match Server::start(store(), config(&snapshot_dir, chain, wal)) {
+            Ok(_) => panic!("{snapshot_dir:?} / {chain} / {wal} was accepted"),
+            Err(e) => e.to_string(),
+        };
+        assert!(err.starts_with("config: ") && err.contains("disjoint"), "{err}");
+    }
+    assert!(
+        !base.join("chain").exists() && !base.join("wal").exists(),
+        "a refused configuration must not touch the disk"
+    );
+
+    // Disjoint directories: the sequence that used to lose the store.
+    let first = Server::start(store(), config(&exports, "chain", "wal")).unwrap();
+    let report = ingest_doc(first.ingest_addr(), "m v=1 1\nm v=2 2\n");
+    assert!(report.contains("points=2"), "{report}");
+    assert_eq!(
+        query(first.query_addr(), "SNAPSHOT chain/MANIFEST"),
+        "OK snapshot chain/MANIFEST\n"
+    );
+    let range_cmd = "RANGE m.v 0 10";
+    let expect = query(first.query_addr(), range_cmd);
+    assert!(expect.contains("SERIES m.v") && expect.starts_with("OK 1"), "{expect}");
+    first.shutdown();
+
+    let (db, report) =
+        load_chain_with_report(&base.join("chain"), ShardedConfig::new(2, 16)).unwrap();
+    assert_eq!(report.damage, None, "the export landed on the live manifest");
+    let second = Server::start(db, config(&exports, "chain", "wal")).unwrap();
+    assert_eq!(query(second.query_addr(), range_cmd), expect);
+    second.shutdown();
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// The distinct WAL generations currently on disk, parsed from the

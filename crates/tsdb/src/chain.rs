@@ -1,12 +1,13 @@
 //! Incremental checkpoint chains — snapshot format v3.
 //!
-//! A drain-time checkpoint ([`crate::persist::checkpoint_sharded`])
+//! A whole-store snapshot ([`crate::persist::save_sharded`])
 //! re-serializes the **entire** store every time, so its cost scales
 //! with total data. A long-running server checkpointing every minute
 //! needs the opposite: cost proportional to what changed since the last
 //! checkpoint. This module provides that as a *chain* — a directory
 //! holding one full base snapshot plus a sequence of per-series delta
-//! links, indexed by a manifest:
+//! links, indexed by a manifest. The chain directory is the only state
+//! a server boots from; a chain with zero deltas is just a v2 base:
 //!
 //! ```text
 //! <dir>/
@@ -55,9 +56,9 @@
 //!
 //! ## Crash safety
 //!
-//! Every file is written via tmp+rename ([`crate::persist`]'s
-//! `replace_file`), and a checkpoint orders its steps so that a kill
-//! anywhere leaves a recoverable prefix:
+//! Every file is written via tmp+fsync+rename+directory-fsync
+//! ([`crate::persist`]'s `replace_file`), and a checkpoint orders its
+//! steps so that a kill anywhere leaves a recoverable prefix:
 //!
 //! 1. rotate the WAL (boundary `g`): nothing discarded yet;
 //! 2. write the delta (or, on re-base, the new base under a fresh
@@ -86,12 +87,11 @@ use std::path::{Path, PathBuf};
 use crate::block::Block;
 use crate::error::TsdbError;
 use crate::persist::{
-    corrupt, encode_blocks, read_blocks, read_directory, read_header, read_key, read_u32,
-    read_u64, replace_file, validate_key, write_v2, EncodedSeries, SnapshotError, VERSION_V2,
+    corrupt, encoded_len, export_all, read_blocks, read_header, read_key, read_u32, read_u64,
+    read_v2, replace_file, write_blocks, write_v2, ExportedSeries, SnapshotError, MAGIC,
 };
-use crate::persist::MAGIC;
 use crate::sharded::{ShardedConfig, ShardedDb};
-use crate::tags::{Selector, SeriesKey};
+use crate::tags::SeriesKey;
 use crate::wal::{crc32, Wal};
 
 const CHAIN_MAGIC: &[u8; 8] = b"ASAPCHN1";
@@ -279,48 +279,13 @@ fn write_manifest(dir: &Path, chain_id: u64, links: &[u64]) -> Result<(), Snapsh
     })
 }
 
-/// Exports every series' sealed blocks, one worker per non-empty shard,
-/// merged into key order (same consistency point as `save_sharded`).
-/// Call after `db.flush()` so memtable contents are included.
-fn export_all(db: &ShardedDb) -> Result<Vec<(SeriesKey, Vec<Block>)>, SnapshotError> {
-    let mut all: Vec<(SeriesKey, Vec<Block>)> = Vec::new();
-    crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
-        let mut handles = Vec::new();
-        for shard in db.shards() {
-            if shard.series_count() == 0 {
-                continue;
-            }
-            handles.push(scope.spawn(
-                move |_| -> Result<Vec<(SeriesKey, Vec<Block>)>, SnapshotError> {
-                    let mut out = Vec::new();
-                    for key in shard.list_series(&Selector::any()) {
-                        validate_key(&key)?;
-                        let blocks = shard.export_blocks(&key)?;
-                        if !blocks.is_empty() {
-                            out.push((key, blocks));
-                        }
-                    }
-                    Ok(out)
-                },
-            ));
-        }
-        for handle in handles {
-            all.extend(handle.join().expect("chain export worker panicked")?);
-        }
-        Ok(())
-    })
-    .expect("chain export scope failed")?;
-    all.sort_by(|(a, _), (b, _)| a.cmp(b));
-    Ok(all)
-}
-
 /// Computes the delta entries between the chain's fingerprints and a
 /// fresh export: appends for cleanly-extended series, replaces for new
 /// or rewritten ones, zero-block replaces (tombstones) for series the
 /// store no longer holds.
 fn diff(
     prev: &BTreeMap<SeriesKey, Fingerprint>,
-    exports: &[(SeriesKey, Vec<Block>)],
+    exports: &[ExportedSeries],
 ) -> Vec<DeltaEntry> {
     let mut entries = Vec::new();
     for (key, blocks) in exports {
@@ -364,39 +329,33 @@ fn write_delta(
     seq: u64,
     entries: &[DeltaEntry],
 ) -> Result<(), SnapshotError> {
-    let encoded: Vec<(String, u8, u32, u32, Vec<u8>)> = entries
-        .iter()
-        .map(|e| {
-            let mut payload = Vec::new();
-            encode_blocks(&e.blocks, &mut payload);
-            let mode = match e.mode {
-                DeltaMode::Append => 0u8,
-                DeltaMode::Replace => 1u8,
-            };
-            (e.key.to_string(), mode, e.start_block, e.blocks.len() as u32, payload)
-        })
-        .collect();
+    let names: Vec<String> = entries.iter().map(|e| e.key.to_string()).collect();
     let header_len = MAGIC.len() + 4 + 8 + 8 + 4;
-    let dir_len: usize = encoded.iter().map(|(n, ..)| 4 + n.len() + 1 + 4 + 4 + 8 + 8).sum();
+    let dir_len: usize = names.iter().map(|n| 4 + n.len() + 1 + 4 + 4 + 8 + 8).sum();
     replace_file(path, |w| {
         w.write_all(MAGIC)?;
         w.write_all(&VERSION_V3.to_le_bytes())?;
         w.write_all(&chain_id.to_le_bytes())?;
         w.write_all(&seq.to_le_bytes())?;
-        w.write_all(&(encoded.len() as u32).to_le_bytes())?;
+        w.write_all(&(entries.len() as u32).to_le_bytes())?;
         let mut offset = (header_len + dir_len) as u64;
-        for (name, mode, start_block, block_count, payload) in &encoded {
+        for (entry, name) in entries.iter().zip(&names) {
+            let mode = match entry.mode {
+                DeltaMode::Append => 0u8,
+                DeltaMode::Replace => 1u8,
+            };
+            let len = encoded_len(&entry.blocks);
             w.write_all(&(name.len() as u32).to_le_bytes())?;
             w.write_all(name.as_bytes())?;
-            w.write_all(&[*mode])?;
-            w.write_all(&start_block.to_le_bytes())?;
-            w.write_all(&block_count.to_le_bytes())?;
+            w.write_all(&[mode])?;
+            w.write_all(&entry.start_block.to_le_bytes())?;
+            w.write_all(&(entry.blocks.len() as u32).to_le_bytes())?;
             w.write_all(&offset.to_le_bytes())?;
-            w.write_all(&(payload.len() as u64).to_le_bytes())?;
-            offset += payload.len() as u64;
+            w.write_all(&len.to_le_bytes())?;
+            offset += len;
         }
-        for (_, _, _, _, payload) in &encoded {
-            w.write_all(payload)?;
+        for entry in entries {
+            write_blocks(&entry.blocks, w)?;
         }
         Ok(())
     })
@@ -466,32 +425,21 @@ fn read_delta(
     Ok(entries)
 }
 
-/// Decodes a base link (a plain v2 snapshot) fully into memory. Chain
-/// folding trades the v2 loader's parallel streaming for whole-link
-/// validation before apply — base links are read once at boot.
-fn read_base(path: &Path) -> Result<Vec<DeltaEntry>, SnapshotError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    if read_header(&mut r)? != VERSION_V2 {
-        return Err(corrupt("chain base is not a v2 snapshot"));
+/// A regular file where the chain directory belongs is a boot snapshot
+/// of the retired single-file layout: refuse it by name rather than
+/// misreading it (there is no migration code — the message says how to
+/// carry one over).
+fn refuse_single_file(dir: &Path) -> Result<(), SnapshotError> {
+    if dir.is_file() {
+        return Err(SnapshotError::Tsdb(TsdbError::InvalidParameter {
+            name: "chain directory",
+            message: "the path is a regular file, and single-file boot snapshots are retired: \
+                      move it aside, `ShardedDb::load` it, and hand the store to \
+                      `Server::start` — the first checkpoint re-bases it into the chain \
+                      directory",
+        }));
     }
-    let directory = read_directory(&mut r)?;
-    let mut entries = Vec::with_capacity(directory.len());
-    for entry in directory {
-        r.seek(SeekFrom::Start(entry.offset))?;
-        let mut bounded = (&mut r).take(entry.len);
-        let blocks = read_blocks(&mut bounded, entry.block_count)?;
-        if bounded.limit() != 0 {
-            return Err(corrupt("series payload shorter than directory claims"));
-        }
-        entries.push(DeltaEntry {
-            key: entry.key,
-            mode: DeltaMode::Replace,
-            start_block: 0,
-            blocks,
-        });
-    }
-    Ok(entries)
+    Ok(())
 }
 
 fn sealed_block_count(db: &ShardedDb, key: &SeriesKey) -> usize {
@@ -503,11 +451,13 @@ fn sealed_block_count(db: &ShardedDb, key: &SeriesKey) -> usize {
 /// manifest, a missing or foreign delta, a torn payload — stops the fold
 /// at the newest loadable prefix instead of failing: the WAL tail
 /// (never discarded past the manifest's coverage) supplies the rest via
-/// [`crate::persist::recover_sharded`].
+/// [`crate::persist::recover_sharded`]. The one hard error is a regular
+/// file at `dir` (a retired single-file boot snapshot).
 pub fn load_chain_with_report(
     dir: &Path,
     config: ShardedConfig,
 ) -> Result<(ShardedDb, ChainLoadReport), SnapshotError> {
+    refuse_single_file(dir)?;
     let db = ShardedDb::with_config(config);
     let mut report = ChainLoadReport::default();
     let manifest = match read_manifest(dir) {
@@ -521,7 +471,18 @@ pub fn load_chain_with_report(
     report.links_total = manifest.links.len();
     for (index, &seq) in manifest.links.iter().enumerate() {
         let decoded = if index == 0 {
-            read_base(&dir.join(base_name(manifest.chain_id, seq)))
+            // The base link is a plain v2 file: every series replaces.
+            read_v2(&dir.join(base_name(manifest.chain_id, seq)), &db).map(|series| {
+                series
+                    .into_iter()
+                    .map(|(key, blocks)| DeltaEntry {
+                        key,
+                        mode: DeltaMode::Replace,
+                        start_block: 0,
+                        blocks,
+                    })
+                    .collect()
+            })
         } else {
             read_delta(&dir.join(delta_name(manifest.chain_id, seq)), manifest.chain_id, seq)
         };
@@ -592,8 +553,10 @@ impl CheckpointChain {
     /// fresh full base and drops the old chain); it must be at least 1.
     ///
     /// Fingerprints do not survive restarts, so the first checkpoint of
-    /// a fresh instance always re-bases.
+    /// a fresh instance always re-bases. A regular file at `dir` (a
+    /// retired single-file boot snapshot) is refused.
     pub fn open(dir: &Path, max_depth: usize) -> Result<Self, SnapshotError> {
+        refuse_single_file(dir)?;
         if max_depth == 0 {
             return Err(SnapshotError::Tsdb(TsdbError::InvalidParameter {
                 name: "max_depth",
@@ -676,7 +639,10 @@ impl CheckpointChain {
         }
 
         db.flush()?;
-        let exports = export_all(db)?;
+        // A fully evicted series is absent from the chain (a tombstone
+        // in a delta), not an empty entry.
+        let mut exports = export_all(db)?;
+        exports.retain(|(_, blocks)| !blocks.is_empty());
         let fingerprints: BTreeMap<SeriesKey, Fingerprint> = exports
             .iter()
             .map(|(key, blocks)| (key.clone(), fingerprint(blocks)))
@@ -690,15 +656,7 @@ impl CheckpointChain {
             report.series_written = exports.len();
             let chain_id = self.next_chain_id;
             let base = self.dir.join(base_name(chain_id, 0));
-            let encoded: Vec<EncodedSeries> = exports
-                .iter()
-                .map(|(key, blocks)| {
-                    let mut payload = Vec::new();
-                    encode_blocks(blocks, &mut payload);
-                    (key.clone(), blocks.len() as u32, payload)
-                })
-                .collect();
-            replace_file(&base, |w| write_v2(&encoded, w))?;
+            replace_file(&base, |w| write_v2(&exports, w))?;
             report.bytes_written = std::fs::metadata(&base)?.len();
             if stop(ChainStep::BaseWritten) {
                 return Ok(report);
@@ -780,6 +738,7 @@ mod tests {
     use super::*;
     use crate::point::DataPoint;
     use crate::query::RangeQuery;
+    use crate::tags::Selector;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -982,6 +941,32 @@ mod tests {
             loaded.query_selector(&Selector::any(), full()).unwrap(),
             db.query_selector(&Selector::any(), full()).unwrap()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn regular_file_at_the_chain_path_is_a_retired_boot_snapshot() {
+        // A well-formed v2 file where the chain directory belongs — the
+        // single-file boot layout is gone, and must be refused by name
+        // by both the writer and the loader rather than misread.
+        let dir = temp_dir("retired");
+        let file = dir.join("boot.snap");
+        let db = db();
+        write_points(&db, "a", 0, 40);
+        crate::persist::save_sharded(&db, &file).unwrap();
+        let before = std::fs::read(&file).unwrap();
+
+        let opened = CheckpointChain::open(&file, 4).map(|_| ()).unwrap_err();
+        let loaded = load_chain_with_report(&file, ShardedConfig::default())
+            .map(|_| ())
+            .unwrap_err();
+        for err in [opened, loaded] {
+            assert!(
+                err.to_string().contains("single-file boot snapshots are retired"),
+                "{err}"
+            );
+        }
+        assert_eq!(std::fs::read(&file).unwrap(), before, "the file was touched");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -62,14 +62,12 @@
 //!
 //! Entry points, thinnest to most general:
 //!
-//! * [`pipeline_ingest`] / [`ShardedDb::ingest`] — a whole in-memory
-//!   document;
-//! * [`ingest_reader`] / [`ShardedDb::ingest_reader`] — drain any
-//!   [`std::io::Read`] to end of stream;
-//! * [`StreamIngestor`] / [`ShardedDb::stream_ingestor`] — a long-running
-//!   handle: feed byte pieces as they arrive, poll a live
-//!   [`StreamProgress`], `finish()` to flush and collect the final
-//!   report. This is the shape a socket listener plugs into.
+//! * [`pipeline_ingest`] — a whole in-memory document;
+//! * [`ingest_reader`] — drain any [`std::io::Read`] to end of stream;
+//! * [`StreamIngestor`] — a long-running handle: feed byte pieces as
+//!   they arrive, poll a live [`StreamProgress`], `finish()` to flush
+//!   and collect the final report. This is the shape a socket listener
+//!   plugs into.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
@@ -556,8 +554,7 @@ pub fn ingest_reader<R: Read>(
 /// A long-running handle on the streaming pipeline: feed byte pieces as
 /// they arrive, poll a live [`StreamProgress`], and
 /// [`finish`](StreamIngestor::finish) to flush the reorder stages and
-/// collect the final [`IngestReport`]. Created by
-/// [`ShardedDb::stream_ingestor`].
+/// collect the final [`IngestReport`].
 ///
 /// [`feed`](StreamIngestor::feed) blocks when the pipeline's bounded
 /// queues are full — backpressure reaches the byte source, so a handle

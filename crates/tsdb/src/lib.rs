@@ -33,14 +33,15 @@
 //!   (atomic counters, gauges, log-bucketed latency histograms), a
 //!   leveled structured logger, and the Prometheus/line-protocol
 //!   renderers behind the server's `METRICS` verb and self-scrape;
-//! * [`persist`] — single-file snapshots for restart durability (v2
-//!   serializes and loads shards in parallel), plus the coordinated
-//!   checkpoint (rotate → save → discard) and snapshot+WAL-tail recovery
-//!   entry points;
-//! * [`chain`] — incremental checkpoint chains (snapshot v3): a base v2
-//!   snapshot plus per-series delta links under a CRC-guarded manifest,
-//!   so online checkpoint cost scales with write activity instead of
-//!   total data, folded transparently by the recovery entry points;
+//! * [`persist`] — the single-file v2 snapshot format (exports and
+//!   chain base links; one parallel exporter, one parallel
+//!   validate-then-import reader) and the snapshot+WAL-tail recovery
+//!   entry point;
+//! * [`chain`] — incremental checkpoint chains (snapshot v3), the one
+//!   durable boot state: a base v2 snapshot plus per-series delta links
+//!   under a CRC-guarded manifest, so online checkpoint cost scales
+//!   with write activity instead of total data, folded transparently
+//!   by the recovery entry points;
 //! * [`wal`] — per-shard append-only write-ahead log: CRC-checked
 //!   length-prefixed records of applied points, configurable fsync
 //!   policy, generation-based rotation, and idempotent crash replay;
@@ -107,10 +108,7 @@ pub use obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, IngestMetrics, LogLevel, MetricSample,
     MetricValue, Registry as ObsRegistry, WalMetrics, SELF_TAG,
 };
-pub use persist::{
-    checkpoint_sharded, load_sharded as load_sharded_snapshot, recover_sharded,
-    save_sharded as save_sharded_snapshot, SnapshotError,
-};
+pub use persist::{recover_sharded, SnapshotError};
 pub use point::DataPoint;
 pub use query::{Aggregator, FillPolicy, RangeQuery, SeriesReader, SeriesWriter};
 pub use reorder::{ReorderBuffer, ReorderStats};

@@ -1,11 +1,13 @@
 //! Snapshot persistence: serialize an engine to a single file and back.
 //!
 //! The engine is in-memory (like the hot tier of Gorilla, which keeps 26
-//! hours in RAM); snapshots provide the restart-durability story: flush
-//! every series' memtable, write all sealed blocks to disk in a compact
-//! binary format, and reload them on startup. Blocks are stored as their
-//! Gorilla-compressed payloads, so a snapshot is roughly the engine's
-//! compressed in-memory footprint.
+//! hours in RAM); snapshots are whole-store copies: flush every series'
+//! memtable and write all sealed blocks to disk in a compact binary
+//! format. Blocks are stored as their Gorilla-compressed payloads, so a
+//! snapshot is roughly the engine's compressed in-memory footprint. A
+//! single v2 file is the *export* format (`SNAPSHOT <name>`,
+//! [`ShardedDb::save`]) and the base link of a checkpoint chain; the
+//! state a server boots from is always a chain directory (below).
 //!
 //! ## Format version 2 (little-endian)
 //!
@@ -19,16 +21,17 @@
 //!   u64 count | u64 len_bits | u32 byte_len | payload bytes
 //! ```
 //!
-//! Produced by [`save_sharded`]: one worker per shard serializes its
+//! Produced by [`save_sharded`]: one worker per shard exports its
 //! series concurrently, and the per-shard results are merged into key
 //! order before anything touches the file — so the bytes are
 //! **independent of the writer's shard count** (a 1-shard and an 8-shard
 //! store holding the same points produce identical files). The
-//! directory's offsets let [`load_sharded`] hand each shard worker its
-//! own file handle and read payloads in parallel; series re-route by
-//! hash, so a file loads into any shard count. Any other version number
-//! (including the retired sequential version 1) is refused as an
-//! unsupported snapshot version.
+//! directory's offsets let the one v2 reader hand each shard worker its
+//! own file handle and decode payloads in parallel — every payload is
+//! validated before anything is imported; series re-route by hash, so a
+//! file loads into any shard count. Any other version number (including
+//! the retired sequential version 1) is refused as an unsupported
+//! snapshot version.
 //!
 //! ## Format version 3 — incremental checkpoint chains
 //!
@@ -67,9 +70,11 @@
 //!
 //! Callers needing a true cross-series cut must quiesce writers first.
 //!
-//! Writers stage into a sibling `*.tmp` file and rename it over `path`
-//! on success, so a save that fails partway (full disk, crash,
-//! unsnapshotable key) never clobbers an existing good snapshot.
+//! Writers stage into a sibling `*.tmp` file, fsync it, rename it over
+//! `path` and fsync the directory, so a save that fails partway (full
+//! disk, crash, unsnapshotable key) never clobbers an existing good
+//! snapshot, and a save that returned is on disk before any WAL
+//! generation it covers is discarded.
 
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -81,7 +86,7 @@ use crate::error::TsdbError;
 use crate::gorilla::CompressedChunk;
 use crate::sharded::{ShardedConfig, ShardedDb};
 use crate::tags::{Selector, SeriesKey};
-use crate::wal::{Wal, WalReplayReport};
+use crate::wal::WalReplayReport;
 
 pub(crate) const MAGIC: &[u8; 8] = b"ASAPTSDB";
 pub(crate) const VERSION_V2: u32 = 2;
@@ -129,10 +134,12 @@ pub(crate) fn corrupt(reason: &'static str) -> SnapshotError {
     SnapshotError::Tsdb(TsdbError::CorruptBlock { reason })
 }
 
-/// Writes a snapshot through `write` into a sibling temp file, then
-/// renames it over `path` — so a save that fails partway (full disk,
-/// crash, unsnapshotable key discovered mid-write) never destroys a
-/// previous good snapshot at `path`.
+/// Writes a snapshot through `write` into a sibling temp file, fsyncs
+/// it, renames it over `path`, then fsyncs the directory — so a save
+/// that fails partway (full disk, crash, unsnapshotable key discovered
+/// mid-write) never destroys a previous good snapshot at `path`, and a
+/// save that returned `Ok` is durable: callers discard the WAL
+/// generations a file covers only after this returns.
 pub(crate) fn replace_file(
     path: &Path,
     write: impl FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), SnapshotError>,
@@ -148,11 +155,18 @@ pub(crate) fn replace_file(
         let mut w = BufWriter::new(file);
         write(&mut w)?;
         w.flush()?;
+        w.get_ref().sync_all()?;
         Ok(())
     })();
     match result {
         Ok(()) => {
             std::fs::rename(&tmp, path)?;
+            // The rename is only durable once the directory entry is.
+            #[cfg(unix)]
+            {
+                let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+                std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+            }
             Ok(())
         }
         Err(e) => {
@@ -176,19 +190,25 @@ pub(crate) fn validate_key(key: &SeriesKey) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Encodes one series' block records (the payload form v2 files and
-/// chain links share).
-pub(crate) fn encode_blocks(blocks: &[Block], out: &mut Vec<u8>) {
-    for block in blocks {
-        let chunk = block.chunk();
-        out.extend_from_slice(&(chunk.count as u64).to_le_bytes());
-        out.extend_from_slice(&(chunk.len_bits as u64).to_le_bytes());
-        out.extend_from_slice(&(chunk.data.len() as u32).to_le_bytes());
-        out.extend_from_slice(&chunk.data);
-    }
+/// Bytes [`write_blocks`] emits for `blocks`.
+pub(crate) fn encoded_len(blocks: &[Block]) -> u64 {
+    blocks.iter().map(|b| 8 + 8 + 4 + b.chunk().data.len() as u64).sum()
 }
 
-/// Reads `block_count` block records (see [`encode_blocks`]).
+/// Writes one series' block records (the payload form v2 files and
+/// chain links share).
+pub(crate) fn write_blocks(blocks: &[Block], w: &mut impl Write) -> std::io::Result<()> {
+    for block in blocks {
+        let chunk = block.chunk();
+        w.write_all(&(chunk.count as u64).to_le_bytes())?;
+        w.write_all(&(chunk.len_bits as u64).to_le_bytes())?;
+        w.write_all(&(chunk.data.len() as u32).to_le_bytes())?;
+        w.write_all(&chunk.data)?;
+    }
+    Ok(())
+}
+
+/// Reads `block_count` block records (see [`write_blocks`]).
 pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Block>, SnapshotError> {
     // `block_count` is untrusted input: cap the pre-allocation so a
     // corrupt field yields a clean error once the payload runs out,
@@ -216,39 +236,69 @@ pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Blo
     Ok(blocks)
 }
 
-/// One merged series entry awaiting the v2 directory write.
-pub(crate) type EncodedSeries = (SeriesKey, u32, Vec<u8>);
+/// One exported series: its key and sealed blocks.
+pub(crate) type ExportedSeries = (SeriesKey, Vec<Block>);
 
-/// Writes the v2 header + directory + payloads for already-encoded,
-/// key-sorted `entries`. Shared between [`save_sharded`] and the chain
-/// writer's base links ([`crate::chain`]), which are byte-for-byte plain
-/// v2 snapshots.
-pub(crate) fn write_v2(
-    entries: &[EncodedSeries],
-    w: &mut impl Write,
-) -> Result<(), SnapshotError> {
+/// Exports every series' sealed blocks, one worker per non-empty shard,
+/// merged into key order — the one exporter behind [`save_sharded`] and
+/// the chain writer ([`crate::chain`]). Call after `db.flush()` so
+/// memtable contents are included; see the module docs for the
+/// consistency point under concurrent writers.
+pub(crate) fn export_all(db: &ShardedDb) -> Result<Vec<ExportedSeries>, SnapshotError> {
+    let mut all: Vec<ExportedSeries> = Vec::new();
+    crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
+        let mut handles = Vec::new();
+        for shard in db.shards() {
+            if shard.series_count() == 0 {
+                continue;
+            }
+            handles.push(scope.spawn(move |_| -> Result<Vec<ExportedSeries>, SnapshotError> {
+                let mut out = Vec::new();
+                for key in shard.list_series(&Selector::any()) {
+                    validate_key(&key)?;
+                    let blocks = shard.export_blocks(&key)?;
+                    out.push((key, blocks));
+                }
+                Ok(out)
+            }));
+        }
+        for handle in handles {
+            all.extend(handle.join().expect("snapshot worker panicked")?);
+        }
+        Ok(())
+    })
+    .expect("snapshot scope failed")?;
+    all.sort_by(|(a, _), (b, _)| a.cmp(b));
+    Ok(all)
+}
+
+/// Writes the v2 header + directory + payloads for key-sorted `entries`.
+/// Shared between [`save_sharded`] and the chain writer's base links
+/// ([`crate::chain`]), which are byte-for-byte plain v2 snapshots.
+pub(crate) fn write_v2(entries: &[ExportedSeries], w: &mut impl Write) -> Result<(), SnapshotError> {
     w.write_all(MAGIC)?;
     w.write_all(&VERSION_V2.to_le_bytes())?;
     w.write_all(&(entries.len() as u32).to_le_bytes())?;
 
-    let names: Vec<String> = entries.iter().map(|(k, _, _)| k.to_string()).collect();
+    let names: Vec<String> = entries.iter().map(|(k, _)| k.to_string()).collect();
     let dir_len: usize = names.iter().map(|n| 4 + n.len() + 4 + 8 + 8).sum();
     let mut offset = (MAGIC.len() + 4 + 4 + dir_len) as u64;
-    for ((_, block_count, payload), name) in entries.iter().zip(&names) {
+    for ((_, blocks), name) in entries.iter().zip(&names) {
+        let len = encoded_len(blocks);
         w.write_all(&(name.len() as u32).to_le_bytes())?;
         w.write_all(name.as_bytes())?;
-        w.write_all(&block_count.to_le_bytes())?;
+        w.write_all(&(blocks.len() as u32).to_le_bytes())?;
         w.write_all(&offset.to_le_bytes())?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        offset += payload.len() as u64;
+        w.write_all(&len.to_le_bytes())?;
+        offset += len;
     }
-    for (_, _, payload) in entries {
-        w.write_all(payload)?;
+    for (_, blocks) in entries {
+        write_blocks(blocks, w)?;
     }
     Ok(())
 }
 
-/// Writes a version-2 snapshot of `db` to `path`, serializing shards in
+/// Writes a version-2 snapshot of `db` to `path`, exporting shards in
 /// parallel (one worker per non-empty shard) and merging the per-shard
 /// results into key order — so the file bytes are independent of the
 /// shard count.
@@ -258,40 +308,14 @@ pub(crate) fn write_v2(
 /// module docs for the exact consistency point under concurrent writers.
 pub fn save_sharded(db: &ShardedDb, path: &Path) -> Result<(), SnapshotError> {
     db.flush()?;
-    let mut entries: Vec<EncodedSeries> = Vec::new();
-    crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
-        let mut handles = Vec::new();
-        for shard in db.shards() {
-            if shard.series_count() == 0 {
-                continue;
-            }
-            handles.push(scope.spawn(move |_| -> Result<Vec<EncodedSeries>, SnapshotError> {
-                let mut out = Vec::new();
-                for key in shard.list_series(&Selector::any()) {
-                    validate_key(&key)?;
-                    let blocks = shard.export_blocks(&key)?;
-                    let mut payload = Vec::new();
-                    encode_blocks(&blocks, &mut payload);
-                    out.push((key, blocks.len() as u32, payload));
-                }
-                Ok(out)
-            }));
-        }
-        for handle in handles {
-            entries.extend(handle.join().expect("snapshot worker panicked")?);
-        }
-        Ok(())
-    })
-    .expect("snapshot scope failed")?;
-    entries.sort_by(|(a, _, _), (b, _, _)| a.cmp(b));
-
+    let entries = export_all(db)?;
     replace_file(path, |w| write_v2(&entries, w))
 }
 
 /// Loads a snapshot from `path` into a fresh [`ShardedDb`] with
 /// `config`. Series re-route to `config.shards` partitions regardless of
-/// the writer's shard count; payloads are read in parallel, one worker
-/// per destination shard with its own file handle.
+/// the writer's shard count; payloads are decoded in parallel and
+/// imported only once the whole file validated (`read_v2`).
 ///
 /// When `path` is a **directory** it is treated as an incremental
 /// checkpoint chain (snapshot v3) and folded transparently via
@@ -302,32 +326,11 @@ pub fn load_sharded(path: &Path, config: ShardedConfig) -> Result<ShardedDb, Sna
     if path.is_dir() {
         return crate::chain::load_chain(path, config);
     }
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
     let db = ShardedDb::with_config(config);
-    if read_header(&mut r)? != VERSION_V2 {
-        return Err(corrupt("unsupported snapshot version"));
+    for (key, blocks) in read_v2(path, &db)? {
+        db.import_blocks(&key, blocks)?;
     }
-    let directory = read_directory(&mut r)?;
-    drop(r);
-    load_v2_parallel(path, &db, directory)?;
     Ok(db)
-}
-
-/// Takes a *checkpoint*: rotates `wal` onto a fresh generation, saves a
-/// sharded snapshot covering everything before the rotation, then
-/// discards the covered log generations.
-///
-/// The ordering makes a crash at any step safe: before the save, the old
-/// generations are still on disk; after the save but before the discard,
-/// [`recover_sharded`] replays the covered generations on top of the
-/// snapshot and skips every already-present record (replay is
-/// idempotent). Returns the new live generation.
-pub fn checkpoint_sharded(db: &ShardedDb, path: &Path, wal: &Wal) -> Result<u64, SnapshotError> {
-    let boundary = wal.rotate()?;
-    save_sharded(db, path)?;
-    wal.discard_before(boundary)?;
-    Ok(boundary)
 }
 
 /// Recovers a store from a snapshot plus its WAL tail.
@@ -337,9 +340,8 @@ pub fn checkpoint_sharded(db: &ShardedDb, path: &Path, wal: &Wal) -> Result<u64,
 /// empty", e.g. the first boot) — then replays every WAL file in
 /// `wal_dir`, skipping records the snapshot already covers. Either
 /// source may be absent; together they are the complete recovery set a
-/// [`checkpoint_sharded`] or a [`crate::chain::CheckpointChain`]
-/// checkpoint (or a crash at any point between its steps) leaves
-/// behind.
+/// [`crate::chain::CheckpointChain`] checkpoint (or a crash at any
+/// point between its steps) leaves behind.
 pub fn recover_sharded(
     snapshot: Option<&Path>,
     wal_dir: Option<&Path>,
@@ -367,15 +369,15 @@ pub(crate) fn read_header(r: &mut impl Read) -> Result<u32, SnapshotError> {
 }
 
 /// One v2 directory entry.
-pub(crate) struct DirEntry {
-    pub(crate) key: SeriesKey,
-    pub(crate) block_count: u32,
-    pub(crate) offset: u64,
-    pub(crate) len: u64,
+struct DirEntry {
+    key: SeriesKey,
+    block_count: u32,
+    offset: u64,
+    len: u64,
 }
 
 /// Reads the v2 series directory (assumes the header was consumed).
-pub(crate) fn read_directory(r: &mut impl Read) -> Result<Vec<DirEntry>, SnapshotError> {
+fn read_directory(r: &mut impl Read) -> Result<Vec<DirEntry>, SnapshotError> {
     let series_count = read_u32(r)?;
     let mut out = Vec::with_capacity(series_count.min(1 << 20) as usize);
     for _ in 0..series_count {
@@ -396,28 +398,29 @@ pub(crate) fn read_directory(r: &mut impl Read) -> Result<Vec<DirEntry>, Snapsho
     Ok(out)
 }
 
-/// Reads every directory entry's payload in parallel — one worker per
-/// destination shard, each with its own file handle — and imports the
-/// decoded blocks into `db`.
-fn load_v2_parallel(
-    path: &Path,
-    db: &ShardedDb,
-    directory: Vec<DirEntry>,
-) -> Result<(), SnapshotError> {
+/// Decodes a v2 file **fully** — header, directory, every payload —
+/// without importing anything, so a damaged file never half-applies.
+/// This is the one v2 reader: [`load_sharded`] on a file and the chain's
+/// base link ([`crate::chain`]) both go through it. Payloads decode in
+/// parallel, one worker per shard of `db` (the store the caller will
+/// import into) that owns any series, each with its own file handle.
+pub(crate) fn read_v2(path: &Path, db: &ShardedDb) -> Result<Vec<ExportedSeries>, SnapshotError> {
+    let mut r = BufReader::new(std::fs::File::open(path)?);
+    if read_header(&mut r)? != VERSION_V2 {
+        return Err(corrupt("unsupported snapshot version"));
+    }
     let mut by_shard: Vec<Vec<DirEntry>> = (0..db.shard_count()).map(|_| Vec::new()).collect();
-    for entry in directory {
+    for entry in read_directory(&mut r)? {
         by_shard[db.shard_of(&entry.key)].push(entry);
     }
-    let shards = db.shards();
+    drop(r);
+    let mut all = Vec::new();
     crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
         let mut handles = Vec::new();
-        for (shard, entries) in shards.iter().zip(by_shard) {
-            if entries.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move |_| -> Result<(), SnapshotError> {
-                let file = std::fs::File::open(path)?;
-                let mut r = BufReader::new(file);
+        for entries in by_shard.into_iter().filter(|e| !e.is_empty()) {
+            handles.push(scope.spawn(move |_| -> Result<Vec<ExportedSeries>, SnapshotError> {
+                let mut r = BufReader::new(std::fs::File::open(path)?);
+                let mut out = Vec::with_capacity(entries.len());
                 for entry in entries {
                     r.seek(SeekFrom::Start(entry.offset))?;
                     let mut bounded = (&mut r).take(entry.len);
@@ -425,17 +428,18 @@ fn load_v2_parallel(
                     if bounded.limit() != 0 {
                         return Err(corrupt("series payload shorter than directory claims"));
                     }
-                    shard.import_blocks(&entry.key, blocks)?;
+                    out.push((entry.key, blocks));
                 }
-                Ok(())
+                Ok(out)
             }));
         }
         for handle in handles {
-            handle.join().expect("snapshot load worker panicked")?;
+            all.extend(handle.join().expect("snapshot load worker panicked")?);
         }
         Ok(())
     })
-    .expect("snapshot load scope failed")
+    .expect("snapshot load scope failed")?;
+    Ok(all)
 }
 
 /// Reads a length-prefixed series key in display form.

@@ -160,44 +160,6 @@ impl ShardedDb {
         &self.shards
     }
 
-    /// Ingests a line-protocol document through the concurrent pipeline
-    /// (parser workers → per-shard bounded channels → per-shard writers);
-    /// see [`mod@crate::ingest`] for topology, backpressure, and the
-    /// report's semantics.
-    pub fn ingest(
-        &self,
-        text: &str,
-        default_ts: i64,
-        config: &crate::ingest::IngestConfig,
-    ) -> Result<crate::ingest::IngestReport, TsdbError> {
-        crate::ingest::pipeline_ingest(self, text, default_ts, config)
-    }
-
-    /// Drains `reader` to end of stream through the streaming pipeline in
-    /// bounded memory; see [`crate::ingest::ingest_reader`] for chunking,
-    /// reorder-stage, and report semantics.
-    pub fn ingest_reader<R: std::io::Read>(
-        &self,
-        reader: R,
-        default_ts: i64,
-        config: &crate::ingest::IngestConfig,
-    ) -> Result<crate::ingest::IngestReport, TsdbError> {
-        crate::ingest::ingest_reader(self, reader, default_ts, config)
-    }
-
-    /// Opens a long-running streaming ingest handle: feed byte pieces as
-    /// they arrive, poll a live [`crate::ingest::StreamProgress`], and
-    /// `finish()` to flush the reorder stages and collect the final
-    /// report — the shape a socket listener plugs into. See
-    /// [`crate::ingest::StreamIngestor`].
-    pub fn stream_ingestor(
-        &self,
-        default_ts: i64,
-        config: crate::ingest::IngestConfig,
-    ) -> Result<crate::ingest::StreamIngestor, TsdbError> {
-        crate::ingest::StreamIngestor::new(self, default_ts, config)
-    }
-
     /// Writes a version-2 snapshot of the whole store to `path`, shards
     /// serialized in parallel; see [`crate::persist::save_sharded`].
     pub fn save(&self, path: &std::path::Path) -> Result<(), crate::persist::SnapshotError> {

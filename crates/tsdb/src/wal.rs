@@ -33,15 +33,16 @@
 //! tail is never appended to. A *checkpoint* is the coordinated sequence
 //!
 //! 1. [`Wal::rotate`] — every shard moves to generation *G+1*;
-//! 2. snapshot save — covers everything in generations ≤ *G*;
+//! 2. chain link + manifest commit — covers everything in generations
+//!    ≤ *G*, durably (file and directory fsynced);
 //! 3. [`Wal::discard_before`]`(G+1)` — delete the covered generations.
 //!
 //! A crash between any two steps is safe because [`replay`] is
 //! idempotent: records already present in the store (e.g. loaded from the
 //! snapshot) are skipped via the engine's strict per-series timestamp
-//! ordering. [`crate::persist::checkpoint_sharded`] packages the
-//! sequence; a snapshot plus the WAL directory's surviving files is
-//! therefore always a complete recovery set.
+//! ordering. [`crate::chain::CheckpointChain::checkpoint`] packages the
+//! sequence; a chain directory plus the WAL directory's surviving files
+//! is therefore always a complete recovery set.
 //!
 //! # Ordering contract
 //!

@@ -10,10 +10,10 @@
 //! * flip **every bit position's byte** — corruption must be caught by
 //!   the CRC (or the header plausibility checks) and confined to the
 //!   file tail, never applied, never fatal;
-//! * kill between every step of the checkpoint sequence
-//!   (rotate → snapshot → discard) — each intermediate state must
-//!   recover to the full store, with snapshot overlap skipped rather
-//!   than double-applied;
+//! * kill between the coarse steps of a checkpoint (rotate → save →
+//!   discard, the last leg through a real chain checkpoint) — each
+//!   intermediate state must recover to the full store, with snapshot
+//!   overlap skipped rather than double-applied;
 //! * feed garbage, empty, and half-header files — replay reports them
 //!   and moves on;
 //! * (property) kill a shuffled-lateness `StreamIngestor` run at an
@@ -274,8 +274,9 @@ fn oracle_of_batches(batches: &[&[(usize, SeriesKey, DataPoint)]]) -> Tsdb {
     oracle_of(&records, 32)
 }
 
-/// Tentpole sweep #3: kill between every step of the checkpoint
-/// sequence (rotate → snapshot save → discard). Each intermediate
+/// Tentpole sweep #3: kill between the coarse steps of a checkpoint
+/// (rotate → save → discard; sweep #4 below kills inside the chain's
+/// own steps). Each intermediate
 /// on-disk state must recover to the complete store; snapshot overlap is
 /// skipped, never double-applied, and recovery also survives restarting
 /// with a *different* shard count (replay re-routes by the store hash).
@@ -334,23 +335,26 @@ fn a_kill_between_any_checkpoint_step_recovers_the_full_store() {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    // Full checkpoint, then more writes, then a kill: snapshot plus the
+    // Full checkpoint, then more writes, then a kill: the chain plus the
     // WAL tail is a complete recovery set — here recovered into a store
     // with a different shard count than the one that wrote the log.
     {
         let root = temp_dir("kill-after-checkpoint");
         let wal_dir = root.join("wal");
-        let snap = root.join("snap.bin");
+        let chain_dir = root.join("chain");
         let db = ShardedDb::with_config(ShardedConfig::new(2, 32));
         let wal = Wal::open(&wal_dir, 2, FsyncPolicy::EveryN(4)).unwrap();
+        let mut chain = CheckpointChain::open(&chain_dir, 4).unwrap();
         apply_batch(&db, &wal, &a);
-        let boundary = asap_tsdb::checkpoint_sharded(&db, &snap, &wal).unwrap();
+        let checkpoint = chain.checkpoint(&db, Some(&wal)).unwrap();
+        let boundary = checkpoint.boundary.expect("a walled checkpoint rotates");
+        assert!(checkpoint.completed);
         assert!(wal_files(&wal_dir).unwrap().iter().all(|f| f.generation >= boundary));
         apply_batch(&db, &wal, &c);
-        drop((db, wal)); // crash after the tail was written
+        drop((db, wal, chain)); // crash after the tail was written
 
         let (recovered, report) =
-            recover_sharded(Some(&snap), Some(&wal_dir), ShardedConfig::new(5, 32)).unwrap();
+            recover_sharded(Some(&chain_dir), Some(&wal_dir), ShardedConfig::new(5, 32)).unwrap();
         assert_eq!(report.applied, c.len() as u64);
         assert_eq!(report.skipped, 0);
         assert_equiv(&recovered, &oracle_of_batches(&[&a, &c]));

@@ -21,8 +21,7 @@
 
 use asap_tsdb::query::Aggregator;
 use asap_tsdb::{
-    line_protocol, load_sharded_snapshot, pipeline_ingest, rollup_key,
-    save_sharded_snapshot, Compactor, DataPoint, IngestConfig, RangeQuery,
+    line_protocol, pipeline_ingest, rollup_key, Compactor, DataPoint, IngestConfig, RangeQuery,
     RetentionPolicy, RollupLevel, Selector, SeriesKey, ShardedConfig, ShardedDb, Tsdb,
     TsdbConfig,
 };
@@ -211,10 +210,10 @@ proptest! {
         // v2 written by the sharded engine, reloaded at a different shard
         // count, must equal the oracle.
         let v2 = dir.join(format!("{stamp}_v2.snap"));
-        save_sharded_snapshot(&sharded, &v2).unwrap();
+        sharded.save(&v2).unwrap();
         let reload_shards = (case.shards % 6) + 1;
         let restored =
-            load_sharded_snapshot(&v2, ShardedConfig::new(reload_shards, case.block_capacity))
+            ShardedDb::load(&v2, ShardedConfig::new(reload_shards, case.block_capacity))
                 .unwrap();
         prop_assert_eq!(
             restored.query_selector(&Selector::any(), full()).unwrap(),
@@ -233,7 +232,7 @@ proptest! {
             ShardedConfig::new(1, case.block_capacity),
         )
         .unwrap();
-        save_sharded_snapshot(&single, &v2_single).unwrap();
+        single.save(&v2_single).unwrap();
         prop_assert_eq!(
             std::fs::read(&v2).unwrap(),
             std::fs::read(&v2_single).unwrap()
@@ -362,14 +361,14 @@ fn concurrent_writers_during_save_yield_loadable_prefix_snapshots() {
         // Race repeated saves against the writers.
         for round in 0..6 {
             let path = dir.join(format!("live_{}_{round}.snap", std::process::id()));
-            save_sharded_snapshot(&db, &path).unwrap();
+            db.save(&path).unwrap();
             snapshots.push(path);
         }
     });
 
     // Writers are done: the final contents are the full runs.
     for path in &snapshots {
-        let restored = load_sharded_snapshot(path, ShardedConfig::new(3, 16)).unwrap();
+        let restored = ShardedDb::load(path, ShardedConfig::new(3, 16)).unwrap();
         for w in 0..WRITERS {
             let k = key(w);
             // A snapshot taken before this series' first seal has no

@@ -24,8 +24,8 @@ use std::io::Read;
 
 use asap_tsdb::query::Aggregator;
 use asap_tsdb::{
-    line_protocol, pipeline_ingest, DataPoint, IngestConfig, RangeQuery, Selector, SeriesKey,
-    ShardedConfig, ShardedDb, StreamIngestor, Tsdb, TsdbConfig,
+    ingest_reader, line_protocol, pipeline_ingest, DataPoint, IngestConfig, RangeQuery, Selector,
+    SeriesKey, ShardedConfig, ShardedDb, StreamIngestor, Tsdb, TsdbConfig,
 };
 use proptest::prelude::*;
 
@@ -238,7 +238,7 @@ proptest! {
         let sharded =
             ShardedDb::with_config(ShardedConfig::new(case.shards, case.block_capacity));
         let reader = ChoppedReader::new(case.shuffled_doc.as_bytes(), &case.read_sizes);
-        let report = sharded.ingest_reader(reader, 0, &case.ingest).unwrap();
+        let report = ingest_reader(&sharded, reader, 0, &case.ingest).unwrap();
 
         let oracle = Tsdb::with_config(TsdbConfig {
             block_capacity: case.block_capacity,
@@ -311,7 +311,7 @@ proptest! {
 
         let streamed = ShardedDb::with_config(ShardedConfig::new(3, 8));
         let reader = ChoppedReader::new(doc.as_bytes(), &read_sizes);
-        let streamed_report = streamed.ingest_reader(reader, 100, &config).unwrap();
+        let streamed_report = ingest_reader(&streamed, reader, 100, &config).unwrap();
 
         let whole = ShardedDb::with_config(ShardedConfig::new(3, 8));
         let whole_report = pipeline_ingest(&whole, &doc, 100, &config).unwrap();

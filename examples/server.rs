@@ -8,16 +8,20 @@
 //! concurrent "agent" connections, polls the ops endpoints (`HEALTH`,
 //! `STATS`) while data flows, asks for an ASAP-smoothed frame over the
 //! query protocol (`SMOOTH`), and shuts down gracefully with a final
-//! snapshot — the shape the paper's §2 deployment story describes, as
-//! an actual network service.
+//! checkpoint into the chain directory, which a "restart" then folds
+//! back into an identical store — the shape the paper's §2 deployment
+//! story describes, as an actual network service.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use asap::server::{CompactionClock, CompactionConfig, Server, ServerConfig};
+use asap::server::{
+    CheckpointConfig, CompactionClock, CompactionConfig, Server, ServerConfig,
+};
 use asap::tsdb::{
-    Aggregator, IngestConfig, RetentionPolicy, RollupLevel, Schedule, ShardedConfig, ShardedDb,
+    Aggregator, IngestConfig, RangeQuery, RetentionPolicy, RollupLevel, Schedule, Selector,
+    ShardedConfig, ShardedDb,
 };
 
 /// Simulated agents (one TCP connection each).
@@ -65,7 +69,7 @@ fn query(addr: SocketAddr, command: &str) -> std::io::Result<String> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let snapshot = std::env::temp_dir().join(format!("asap_server_{}.snap", std::process::id()));
+    let chain = std::env::temp_dir().join(format!("asap_server_{}.chain", std::process::id()));
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(4, 512)),
         ServerConfig {
@@ -87,7 +91,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 seed: 7,
                 clock: CompactionClock::DataWatermark,
             }),
-            final_snapshot: Some(snapshot.clone()),
+            checkpoint: Some(CheckpointConfig {
+                dir: chain.clone(),
+                ..CheckpointConfig::default()
+            }),
             ..ServerConfig::default()
         },
     )?;
@@ -162,19 +169,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("smooth h0: {header}");
     }
 
-    // ── graceful shutdown: drain, final snapshot, report ───────────────
+    // ── graceful shutdown: drain, final checkpoint, report ─────────────
+    let served = server.db();
     let report = server.shutdown();
     println!(
         "drained: {} points over {} connections; compaction runs={} rolled_up={}; \
-         snapshot at {}",
+         chain at {} ({} bytes)",
         report.ingest.points,
         report.ingest.connections,
         report.compaction.runs,
         report.compaction.rolled_up,
-        snapshot.display()
+        chain.display(),
+        report.checkpoint.bytes_written,
     );
     assert_eq!(report.ingest.points as i64, AGENTS as i64 * SAMPLES);
-    assert!(report.final_snapshot_error.is_none());
-    std::fs::remove_file(&snapshot).ok();
+    assert!(report.checkpoint.last_error.is_none());
+
+    // ── "restart": the chain directory folds back into the same store ──
+    let restored = ShardedDb::load(&chain, ShardedConfig::new(2, 512))?;
+    let everything = RangeQuery::raw(i64::MIN + 1, i64::MAX);
+    assert_eq!(
+        restored.query_selector(&Selector::any(), everything)?,
+        served.query_selector(&Selector::any(), everything)?,
+    );
+    println!("restart: {} series restored from the chain", restored.series_count());
+    std::fs::remove_dir_all(&chain).ok();
     Ok(())
 }

@@ -7,7 +7,7 @@
 //! runs the streaming front-end end to end, twice:
 //!
 //! 1. **File drain**: write jittered line-protocol telemetry to a real
-//!    file, then drain it through [`asap::tsdb::ShardedDb::ingest_reader`]
+//!    file, then drain it through [`asap::tsdb::ingest_reader`]
 //!    — the chunker reassembles lines across read-buffer boundaries and
 //!    the per-shard reorder stage repairs the disorder;
 //! 2. **Live handle**: feed the same stream to a long-running
@@ -20,7 +20,8 @@
 
 use asap::core::Asap;
 use asap::tsdb::{
-    smooth_query, IngestConfig, RangeQuery, SeriesKey, ShardedConfig, ShardedDb,
+    ingest_reader, smooth_query, IngestConfig, RangeQuery, SeriesKey, ShardedConfig, ShardedDb,
+    StreamIngestor,
 };
 use asap::viz::TerminalChart;
 
@@ -68,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = std::env::temp_dir().join(format!("asap_stream_{}.lp", std::process::id()));
     std::fs::write(&path, doc.as_bytes())?;
     let db = ShardedDb::with_config(ShardedConfig::new(4, 512));
-    let report = db.ingest_reader(std::fs::File::open(&path)?, 0, &config)?;
+    let report = ingest_reader(&db, std::fs::File::open(&path)?, 0, &config)?;
     std::fs::remove_file(&path).ok();
     // IngestReport renders as the stable one-line ops format the server
     // also logs — parseable `key=value` tokens.
@@ -78,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ── 2. The same stream through a long-running live handle ──────────
     let live = ShardedDb::with_config(ShardedConfig::new(4, 512));
-    let mut ingestor = live.stream_ingestor(0, config)?;
+    let mut ingestor = StreamIngestor::new(&live, 0, config)?;
     let packet = 1_400; // one "network packet" worth of bytes
     for (i, piece) in doc.as_bytes().chunks(packet).enumerate() {
         ingestor.feed(piece);
