@@ -321,7 +321,6 @@ fn main() {
                         db,
                         ServerConfig {
                             max_query_connections: connections + 8,
-                            poll_interval: Duration::from_millis(5),
                             ..ServerConfig::default()
                         },
                     )

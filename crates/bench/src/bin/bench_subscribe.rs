@@ -91,7 +91,6 @@ fn main() {
     );
 
     let config = || ServerConfig {
-        poll_interval: Duration::from_millis(2),
         subscribe_window: SUB_WINDOW,
         subscribe_resolution: SUB_RESOLUTION,
         subscribe_every: every,

@@ -4,9 +4,11 @@
 //! makes *bounded* progress per tick — at most
 //! [`crate::ServerConfig::read_budget`] bytes read, writes only as far
 //! as the socket accepts — so one busy or misbehaving connection cannot
-//! starve its worker's siblings. Readiness is level-triggered over
-//! `ErrorKind::WouldBlock`: a tick that can't progress simply returns,
-//! and the worker sleeps one poll interval before the next sweep.
+//! starve its worker's siblings. A tick that can't progress simply
+//! returns (`ErrorKind::WouldBlock`); what the connection waits for next
+//! is its [`Interest`], derived from its state each time the worker is
+//! about to block: which socket events to poll for, and — only where no
+//! socket event announces the work — a time to be ticked regardless.
 //!
 //! The [`Framer`] sits in front of the ingest byte stream and
 //! implements the `BATCH <nbytes>` frame of the ingest protocol (see
@@ -16,14 +18,17 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown as SocketShutdown, TcpStream};
+use std::os::fd::{AsFd, BorrowedFd};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use asap_tsdb::{obs, StreamIngestor};
+use nix::poll::PollFlags;
 
+use crate::event::Waker;
 use crate::protocol;
 use crate::server::{execute, ActiveGuard, Shared, MAX_REQUEST_LINE};
-use crate::subscribe::SubSession;
+use crate::subscribe::{Outbox, SubSession};
 
 /// Stop reading new requests from a query connection while more than
 /// this many response bytes are queued for it — the memory bound
@@ -33,6 +38,29 @@ const OUT_HIGH_WATER: usize = 256 * 1024;
 /// Compact a write buffer once this many flushed bytes sit in front of
 /// the unflushed remainder.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
+
+/// How soon a connection backpressured on the ingest pipeline is ticked
+/// again. A parser thread taking a chunk off the full queue is what
+/// clears the condition, and nothing signals that to the worker, so this
+/// is a timed recheck — short, because the queue drains in microseconds
+/// and bulk ingest would otherwise be quantized to the wait.
+const BACKPRESSURE_RECHECK: Duration = Duration::from_micros(100);
+
+/// What a connection is waiting for, derived from its state each time
+/// its worker is about to block.
+pub(crate) struct Interest {
+    /// Socket events to poll for. Read interest is *absent* — not merely
+    /// ignored — whenever the connection would not read (end of stream
+    /// seen, output over the high-water mark, closing, backpressured): a
+    /// level-triggered poller reports a readable socket nobody reads on
+    /// every call.
+    pub events: PollFlags,
+    /// Tick the connection no later than this even if its socket stays
+    /// silent: work no socket event announces (pushed frames, requests
+    /// queued behind the high-water mark — both due at once), the
+    /// write deadline, the backpressure recheck.
+    pub wake_at: Option<Instant>,
+}
 
 /// Longest byte sequence that can still be a prefix of a valid
 /// `BATCH <nbytes>` header line (`BATCH ` + 20 digits of `u64::MAX` +
@@ -299,7 +327,7 @@ impl IngestConn {
                 return None;
             }
         };
-        let id = shared.register_connection();
+        let id = shared.register_connection(ingestor.watch_progress());
         Some(Self {
             stream,
             shared,
@@ -315,79 +343,83 @@ impl IngestConn {
         })
     }
 
-    /// Whether the last tick stopped on a full pipeline queue rather
-    /// than an unready socket — the worker polls such connections on a
-    /// much shorter tick, since a parser thread (not the peer) is what
-    /// unblocks them.
-    pub(crate) fn backpressured(&self) -> bool {
-        self.backpressured
+    pub(crate) fn fd(&self) -> BorrowedFd<'_> {
+        self.stream.as_fd()
     }
 
-    /// One readiness sweep; returns `(made_progress, done)`.
-    pub(crate) fn tick(&mut self, scratch: &mut [u8]) -> (bool, bool) {
-        let mut progressed = false;
+    pub(crate) fn interest(&self, now: Instant) -> Interest {
+        match self.phase {
+            // A parser thread, not the peer, ends backpressure: no read
+            // interest, a timed recheck instead.
+            IngestPhase::Streaming if self.backpressured => Interest {
+                events: PollFlags::empty(),
+                wake_at: Some(now + BACKPRESSURE_RECHECK),
+            },
+            IngestPhase::Streaming => Interest {
+                events: PollFlags::POLLIN,
+                wake_at: None,
+            },
+            // The peer reading its report (`POLLOUT`) is what ends the
+            // flush; the write deadline bounds how long it may take.
+            IngestPhase::Flushing | IngestPhase::Done => Interest {
+                events: PollFlags::POLLOUT,
+                wake_at: Some(self.last_write_progress + self.shared.config().write_deadline),
+            },
+        }
+    }
+
+    /// One bounded step of whatever phase the connection is in; returns
+    /// whether it is done (socket closed, to be dropped).
+    pub(crate) fn tick(&mut self, scratch: &mut [u8]) -> bool {
         if matches!(self.phase, IngestPhase::Streaming) {
-            progressed |= self.tick_streaming(scratch);
+            self.tick_streaming(scratch);
         }
         if matches!(self.phase, IngestPhase::Flushing) {
-            progressed |= self.tick_flushing();
+            self.tick_flushing();
         }
-        (progressed, matches!(self.phase, IngestPhase::Done))
+        matches!(self.phase, IngestPhase::Done)
     }
 
-    fn tick_streaming(&mut self, scratch: &mut [u8]) -> bool {
-        self.backpressured = false;
-        {
-            let ing = self
-                .ingestor
-                .as_mut()
-                .expect("streaming phase owns the ingestor");
-            // Drain the chunk backlog before reading more: while the
-            // pipeline is full this connection must not consume input —
-            // the event loop's stand-in for `feed()`'s blocking
-            // backpressure.
-            if !ing.try_pump() {
-                self.backpressured = true;
-                self.publish();
-                return false;
-            }
-        }
+    fn tick_streaming(&mut self, scratch: &mut [u8]) {
+        let ing = self
+            .ingestor
+            .as_mut()
+            .expect("streaming phase owns the ingestor");
+        // Drain the chunk backlog before reading more: while the
+        // pipeline is full this connection must not consume input — the
+        // event loop's stand-in for `feed()`'s blocking backpressure.
+        self.backpressured = !ing.try_pump();
         let mut budget = self.shared.config().read_budget;
-        let mut progressed = false;
-        while budget > 0 {
+        while budget > 0 && !self.backpressured {
             let want = budget.min(scratch.len());
             match (&self.stream).read(&mut scratch[..want]) {
                 Ok(0) => {
                     self.begin_close(true);
-                    return true;
+                    return;
                 }
                 Ok(n) => {
-                    progressed = true;
                     budget -= n;
-                    let framer = &mut self.framer;
-                    let ing = self
-                        .ingestor
-                        .as_mut()
-                        .expect("streaming phase owns the ingestor");
-                    framer.push(&scratch[..n], &mut |piece| {
+                    self.framer.push(&scratch[..n], &mut |piece| {
                         ing.try_feed(piece);
                     });
-                    if !ing.try_pump() {
-                        // Pipeline full: stop reading this tick.
-                        self.backpressured = true;
-                        break;
-                    }
+                    self.backpressured = !ing.try_pump();
                 }
-                Err(e) if is_retry(e.kind()) => break,
+                Err(e) if is_retry(e.kind()) => {
+                    // The socket is drained and the peer may say nothing
+                    // more for a long time: hand the lines short of a
+                    // full chunk to the pipeline now, or a slow live
+                    // feed stays invisible to readers and subscribers
+                    // until `chunk_lines` lines have accumulated.
+                    self.backpressured = !ing.try_flush();
+                    return;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.begin_close(false);
-                    return true;
+                    return;
                 }
             }
         }
-        self.publish();
-        progressed
     }
 
     /// Ends the stream — `finish()` on a clean EOF (the trailing
@@ -419,7 +451,7 @@ impl IngestConn {
         self.last_write_progress = Instant::now();
     }
 
-    fn tick_flushing(&mut self) -> bool {
+    fn tick_flushing(&mut self) {
         match self.out.flush(&self.stream) {
             Ok(n) => {
                 if n > 0 {
@@ -433,22 +465,13 @@ impl IngestConn {
                     let _ = self.stream.shutdown(SocketShutdown::Both);
                     self.phase = IngestPhase::Done;
                 }
-                n > 0
             }
-            Err(_) => {
-                self.phase = IngestPhase::Done;
-                true
-            }
+            Err(_) => self.phase = IngestPhase::Done,
         }
     }
 
-    fn publish(&self) {
-        if let Some(ing) = &self.ingestor {
-            self.shared.publish_progress(self.id, ing.progress());
-        }
-    }
-
-    /// Drain-time finalization: abort the stream (complete lines
+    /// Finalization at drain time, or when the peer hung up on a
+    /// connection that was not reading: abort the stream (complete lines
     /// applied, reorder buffers flushed, the possibly-truncated tail
     /// discarded), then one best-effort flush of the report — bounded
     /// by server-side work only, never by the client.
@@ -488,20 +511,32 @@ pub(crate) struct QueryConn {
     close_after_flush: bool,
     /// Call `request_shutdown` when the connection finishes.
     shutdown_when_done: bool,
+    /// Complete request lines sit in `acc`, held back by the output
+    /// high-water mark: work to resume as soon as `out` has room, which
+    /// no socket event announces if the flush that made the room
+    /// happened inside the same tick.
+    requests_queued: bool,
     last_write_progress: Instant,
     done: bool,
 }
 
 impl QueryConn {
-    /// Builds the connection. `None` means the socket was refused and
+    /// Builds the connection; `waker` is the owning worker's, so a
+    /// frame pushed into this connection's outbox wakes the thread that
+    /// will write it out. `None` means the socket was refused and
     /// already closed.
-    pub(crate) fn new(stream: TcpStream, shared: Arc<Shared>, slot: ActiveGuard) -> Option<Self> {
+    pub(crate) fn new(
+        stream: TcpStream,
+        shared: Arc<Shared>,
+        slot: ActiveGuard,
+        waker: Arc<Waker>,
+    ) -> Option<Self> {
         if stream.set_nonblocking(true).is_err() {
             let _ = stream.shutdown(SocketShutdown::Both);
             return None;
         }
         let _ = stream.set_nodelay(true);
-        let session = SubSession::new(Arc::clone(shared.subscriptions()));
+        let session = SubSession::new(Arc::clone(shared.subscriptions()), Outbox::new(waker));
         Some(Self {
             stream,
             shared,
@@ -512,22 +547,50 @@ impl QueryConn {
             eof: false,
             close_after_flush: false,
             shutdown_when_done: false,
+            requests_queued: false,
             last_write_progress: Instant::now(),
             done: false,
         })
     }
 
-    /// One readiness sweep; returns `(made_progress, done)`.
-    pub(crate) fn tick(&mut self, scratch: &mut [u8]) -> (bool, bool) {
-        if self.done {
-            return (false, true);
+    pub(crate) fn fd(&self) -> BorrowedFd<'_> {
+        self.stream.as_fd()
+    }
+
+    pub(crate) fn interest(&self, now: Instant) -> Interest {
+        let mut events = PollFlags::empty();
+        let mut wake_at = None;
+        if !self.out.is_empty() {
+            // The peer reading (`POLLOUT`) is what drains `out`; the
+            // write deadline bounds how long it may not.
+            events |= PollFlags::POLLOUT;
+            wake_at = Some(self.last_write_progress + self.shared.config().write_deadline);
         }
-        let mut progressed = false;
+        if self.out.len() < OUT_HIGH_WATER {
+            if !self.eof && !self.close_after_flush {
+                events |= PollFlags::POLLIN;
+            }
+            if self.requests_queued
+                || (self.session.has_subs() && !self.session.outbox().is_empty())
+            {
+                wake_at = Some(now);
+            }
+        }
+        Interest { events, wake_at }
+    }
+
+    /// One bounded step: flush, move pushed lines, read, execute, flush;
+    /// returns whether the connection is done (socket closed, to be
+    /// dropped).
+    pub(crate) fn tick(&mut self, scratch: &mut [u8]) -> bool {
+        if self.done {
+            return true;
+        }
 
         // 1. Writes first: readiness applies to both socket halves, and
         // draining `out` is what re-opens the read path below.
-        if !self.flush_out(&mut progressed) {
-            return (true, true);
+        if !self.flush_out() {
+            return true;
         }
         if !self.out.is_empty()
             && self.last_write_progress.elapsed() > self.shared.config().write_deadline
@@ -535,7 +598,7 @@ impl QueryConn {
             // Stalled reader with queued responses: disconnect rather
             // than buffer unboundedly or hold the slot forever.
             self.finish_now();
-            return (true, true);
+            return true;
         }
 
         // 1b. Move pushed FRAME/ALERT lines into the write buffer,
@@ -545,21 +608,15 @@ impl QueryConn {
         // above eventually disconnects it — ingest is never delayed.
         if self.session.has_subs() && self.out.len() < OUT_HIGH_WATER {
             let was_empty = self.out.is_empty();
-            let mut moved = false;
-            while self.out.len() < OUT_HIGH_WATER {
-                let Some(line) = self.session.outbox().pop() else {
-                    break;
-                };
-                self.out.push(line.as_bytes());
-                moved = true;
-            }
-            if moved {
-                progressed = true;
-                if was_empty {
-                    // Arm the stall deadline fresh: the clock starts
-                    // when output becomes pending, not at connect time.
-                    self.last_write_progress = Instant::now();
-                }
+            let out = &mut self.out;
+            let moved = self
+                .session
+                .outbox()
+                .drain(OUT_HIGH_WATER - out.len(), |line| out.push(line.as_bytes()));
+            if moved && was_empty {
+                // Arm the stall deadline fresh: the clock starts when
+                // output becomes pending, not at connect time.
+                self.last_write_progress = Instant::now();
             }
         }
 
@@ -575,7 +632,6 @@ impl QueryConn {
                         break;
                     }
                     Ok(n) => {
-                        progressed = true;
                         budget -= n;
                         self.acc.extend_from_slice(&scratch[..n]);
                         if self.acc.len() > MAX_REQUEST_LINE {
@@ -586,7 +642,7 @@ impl QueryConn {
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => {
                         self.finish_now();
-                        return (true, true);
+                        return true;
                     }
                 }
             }
@@ -594,12 +650,16 @@ impl QueryConn {
 
         // 3. Execute complete lines, bounded by the same high-water
         // mark so a request burst cannot queue unbounded responses.
-        while !self.close_after_flush && self.out.len() < OUT_HIGH_WATER {
+        self.requests_queued = false;
+        while !self.close_after_flush {
             let Some(pos) = self.acc.iter().position(|&b| b == b'\n') else {
                 break;
             };
+            if self.out.len() >= OUT_HIGH_WATER {
+                self.requests_queued = true;
+                break;
+            }
             let raw: Vec<u8> = self.acc.drain(..=pos).collect();
-            progressed = true;
             let text = String::from_utf8_lossy(&raw);
             let line = text.trim();
             if line.is_empty() {
@@ -616,42 +676,36 @@ impl QueryConn {
         // A newline-free request past the line cap is fatal: answer
         // with one ERR and disconnect (remote input must not grow
         // server memory).
-        if !self.close_after_flush
-            && self.acc.len() > MAX_REQUEST_LINE
-            && !self.acc.contains(&b'\n')
-        {
+        if !self.close_after_flush && !self.requests_queued && self.acc.len() > MAX_REQUEST_LINE {
             self.out.push(
                 protocol::render_error(&format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
                     .as_bytes(),
             );
             self.last_write_progress = Instant::now();
             self.close_after_flush = true;
-            progressed = true;
         }
 
         // 4. Flush what this tick produced; close when nothing is left
         // to say. After a half-close that includes every complete
         // request line step 3 left queued at the high-water mark — only
         // an unterminated trailing fragment is discarded.
-        if !self.flush_out(&mut progressed) {
-            return (true, true);
+        if !self.flush_out() {
+            return true;
         }
-        let answered_all =
-            self.eof && !self.session.has_subs() && !self.acc.contains(&b'\n');
+        let answered_all = self.eof && !self.session.has_subs() && !self.requests_queued;
         if self.out.is_empty() && (self.close_after_flush || answered_all) {
             self.finish_now();
-            return (progressed, true);
+            return true;
         }
-        (progressed, false)
+        false
     }
 
     /// Flushes `out`; returns `false` when the connection died (already
     /// finished).
-    fn flush_out(&mut self, progressed: &mut bool) -> bool {
+    fn flush_out(&mut self) -> bool {
         match self.out.flush(&self.stream) {
             Ok(n) => {
                 if n > 0 {
-                    *progressed = true;
                     self.last_write_progress = Instant::now();
                 }
                 true
@@ -671,8 +725,9 @@ impl QueryConn {
         self.done = true;
     }
 
-    /// Drain-time finalization: one best-effort flush, then close —
-    /// bounded by the poll interval, never by client behavior.
+    /// Finalization at drain time, or when the peer hung up on a
+    /// connection that was not reading: one best-effort flush, then
+    /// close — never waiting on the client.
     pub(crate) fn finalize(&mut self) {
         if self.done {
             return;

@@ -24,11 +24,12 @@
 //!                                               └──────────────────────┘
 //! ```
 //!
-//! * **I/O core** — every connection is a nonblocking state machine
-//!   swept by a small worker pool: level-triggered readiness over
-//!   `WouldBlock`, bounded per-tick read budgets and buffered writes,
-//!   so thousands of mostly-idle connections cost readiness checks
-//!   rather than threads.
+//! * **I/O core** — every connection is a nonblocking state machine on
+//!   a small worker pool that blocks in `poll(2)` and is woken by
+//!   readiness — a socket, or a waker written when a connection is
+//!   dealt, a frame is pushed, or the drain begins — never by a timer;
+//!   bounded per-tick read budgets and buffered writes, so thousands of
+//!   mostly-idle connections cost poll-set entries rather than threads.
 //! * **Ingest listener** — each accepted connection gets its own
 //!   [`asap_tsdb::StreamIngestor`] draining the socket with end-to-end
 //!   backpressure (a full pipeline stops reading, TCP flow control
@@ -67,8 +68,8 @@
 //!   accepting, finalizes every connection (complete ingest lines
 //!   applied, reorder buffers flushed), stops the schedulers, takes a
 //!   final chain checkpoint, and returns a [`ServerReport`] — promptly
-//!   even when a peer has stopped reading: the drain is bounded by the
-//!   poll interval and server-side work, never by client behavior.
+//!   even when a peer has stopped reading: the drain is bounded by one
+//!   wake-up and server-side work, never by client behavior.
 //!
 //! # Example
 //!

@@ -1,11 +1,11 @@
 //! The TCP server: ingest listener, query/ops listener, background
 //! compaction, graceful shutdown.
 //!
-//! All connections are multiplexed onto a small worker pool sweeping
-//! nonblocking sockets ([`crate::event`] / [`crate::conn`]). Everything
-//! polls the drain flag at [`ServerConfig::poll_interval`] granularity,
-//! so a graceful shutdown needs no signal machinery — set the flag and
-//! join.
+//! All connections are multiplexed onto a small worker pool blocking in
+//! `poll(2)` over nonblocking sockets ([`crate::event`] /
+//! [`crate::conn`]). A graceful shutdown sets the drain flag and writes
+//! every I/O thread's waker; the background schedulers wait on a
+//! condvar — nothing polls the flag on a timer.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -19,10 +19,11 @@ use asap_core::Asap;
 use asap_tsdb::obs::{self, MetricSample};
 use asap_tsdb::{
     pipeline_ingest, ApplyHook, ChainCheckpointReport, CheckpointChain, CompactionReport, Counter, Histogram, IngestConfig, IngestMetrics, IngestReport, ObsRegistry,
-    RangeQuery, RetentionPolicy, Schedule, Selector, ShardedDb, SnapshotError, StreamProgress,
-    TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
+    ProgressWatch, RangeQuery, RetentionPolicy, Schedule, Selector, ShardedDb, SnapshotError,
+    StreamProgress, TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
 };
 
+use crate::event::Waker;
 use crate::protocol::{self, Command};
 use crate::subscribe::{Registry, SubSession};
 use crate::{checkpoint, event, scheduler};
@@ -82,14 +83,10 @@ pub struct ServerConfig {
     /// directories are a start-up error), so no export name can resolve
     /// onto live durable state.
     pub snapshot_dir: Option<PathBuf>,
-    /// Event-loop sweep granularity — how long an idle worker or the
-    /// dispatcher parks, and so how fast idle paths notice new bytes
-    /// and the drain flag (default 25ms). Smaller values respond and
-    /// shut down faster at the cost of more idle wakeups.
-    pub poll_interval: Duration,
-    /// Worker threads of the event core (default 2). Each worker sweeps
-    /// its share of the connections; more workers add read/execute
-    /// parallelism, not connection capacity.
+    /// Worker threads of the event core (default 2). Each worker blocks
+    /// in `poll(2)` on its share of the connections and is woken by
+    /// their sockets; more workers add read/execute parallelism, not
+    /// connection capacity.
     pub event_workers: usize,
     /// Most bytes one connection may read per event-loop tick (default
     /// 64 KiB), so one firehose connection cannot starve its worker's
@@ -97,7 +94,9 @@ pub struct ServerConfig {
     pub read_budget: usize,
     /// How long a peer with pending response bytes may go without
     /// accepting any before it is disconnected (default 5s), releasing
-    /// its connection slot and queued output.
+    /// its connection slot and queued output. While such bytes are
+    /// pending this is the owning worker's `poll` timeout — the only
+    /// thing that wakes it for a peer that stays silent.
     pub write_deadline: Duration,
     /// Log one line per connection close / compaction error to stderr
     /// (default `false`; the `asap-server` binary turns it on).
@@ -142,7 +141,6 @@ impl Default for ServerConfig {
             wal: None,
             checkpoint: None,
             snapshot_dir: None,
-            poll_interval: Duration::from_millis(25),
             event_workers: 2,
             read_budget: 64 * 1024,
             write_deadline: Duration::from_secs(5),
@@ -454,10 +452,13 @@ pub(crate) struct ServerMetrics {
     /// Requests that crossed [`ServerConfig::slow_query`]
     /// (`query.slow_total`).
     pub slow_queries: Counter,
-    /// Event-core worker sweeps that made progress (`event.sweeps`) and
-    /// idle parks on the inbox (`event.parks`).
+    /// Event-core worker wake-ups that ticked at least one connection
+    /// (`event.sweeps`) and blocking waits entered (`event.parks`).
     pub event_sweeps: Counter,
     pub event_parks: Counter,
+    /// `accept` failures other than "nothing pending"
+    /// (`event.accept_errors`); each backs its listener off.
+    pub accept_errors: Counter,
     /// Background pass durations (`compaction.run_micros`,
     /// `checkpoint.run_micros`).
     pub compaction_run: Histogram,
@@ -484,6 +485,7 @@ impl ServerMetrics {
             slow_queries: registry.counter("query.slow_total"),
             event_sweeps: registry.counter("event.sweeps"),
             event_parks: registry.counter("event.parks"),
+            accept_errors: registry.counter("event.accept_errors"),
             compaction_run: registry.histogram("compaction.run_micros"),
             checkpoint_run: registry.histogram("checkpoint.run_micros"),
             scrape_runs: registry.counter("scrape.runs"),
@@ -543,7 +545,10 @@ pub(crate) struct Shared {
     /// acquires it per pass, so compaction pauses while a snapshot is
     /// being written (and vice versa).
     snapshot_gate: Mutex<()>,
-    live: Mutex<HashMap<u64, Arc<Mutex<StreamProgress>>>>,
+    /// Live counters of every open ingest connection, read on demand:
+    /// a connection idle on its socket is never ticked, while its
+    /// pipeline's writers may still be applying what it fed.
+    live: Mutex<HashMap<u64, ProgressWatch>>,
     finished: Mutex<IngestTotals>,
     active: AtomicUsize,
     query_active: AtomicUsize,
@@ -574,6 +579,9 @@ pub(crate) struct Shared {
     metrics: ServerMetrics,
     /// Pre-resolved ingest-stage histograms every pipeline shares.
     ingest_metrics: IngestMetrics,
+    /// The wake-up channels of the I/O threads: one per event worker,
+    /// then the dispatcher's.
+    wakers: Vec<Arc<Waker>>,
 }
 
 impl Shared {
@@ -583,6 +591,7 @@ impl Shared {
         wal: Option<Wal>,
         wal_replay: WalReplayReport,
         chain: Option<CheckpointChain>,
+        wakers: Vec<Arc<Waker>>,
     ) -> Self {
         let subscriptions = Arc::new(Registry::new(
             config.subscribe_window,
@@ -618,7 +627,13 @@ impl Shared {
             registry,
             metrics,
             ingest_metrics,
+            wakers,
         }
+    }
+
+    /// The waker of event worker `index`.
+    pub(crate) fn worker_waker(&self, index: usize) -> &Arc<Waker> {
+        &self.wakers[index]
     }
 
     pub(crate) fn db(&self) -> &ShardedDb {
@@ -748,6 +763,11 @@ impl Shared {
 
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::Release);
+        // The I/O threads block in `poll` with no timeout: only this
+        // write makes them look at the flag.
+        for waker in &self.wakers {
+            waker.wake();
+        }
         let mut guard = self.lifecycle.lock().expect("lifecycle poisoned");
         guard.shutdown_requested = true;
         guard.draining = true;
@@ -784,23 +804,17 @@ impl Shared {
         true
     }
 
-    pub(crate) fn register_connection(&self) -> u64 {
+    pub(crate) fn register_connection(&self, progress: ProgressWatch) -> u64 {
         let id = self.next_conn_id.fetch_add(1, Ordering::AcqRel);
         self.live
             .lock()
             .expect("live registry poisoned")
-            .insert(id, Arc::new(Mutex::new(StreamProgress::default())));
+            .insert(id, progress);
         self.finished
             .lock()
             .expect("ingest totals poisoned")
             .connections += 1;
         id
-    }
-
-    pub(crate) fn publish_progress(&self, id: u64, progress: StreamProgress) {
-        if let Some(slot) = self.live.lock().expect("live registry poisoned").get(&id) {
-            *slot.lock().expect("progress slot poisoned") = progress;
-        }
     }
 
     pub(crate) fn finish_connection(&self, id: u64, report: &IngestReport) {
@@ -843,12 +857,12 @@ impl Shared {
     }
 
     /// The aggregate ingest counters: closed-connection totals plus the
-    /// latest published progress of every live connection.
+    /// live counters of every open connection.
     fn ingest_totals(&self) -> IngestTotals {
         let live = self.live.lock().expect("live registry poisoned");
         let mut totals = *self.finished.lock().expect("ingest totals poisoned");
-        for slot in live.values() {
-            totals.add_progress(&slot.lock().expect("progress slot poisoned"));
+        for progress in live.values() {
+            totals.add_progress(&progress.get());
         }
         totals
     }
@@ -931,13 +945,6 @@ impl Server {
             return Err(TsdbError::InvalidParameter {
                 name: "max_query_connections",
                 message: "the query connection cap must be positive",
-            }
-            .into());
-        }
-        if config.poll_interval.is_zero() {
-            return Err(TsdbError::InvalidParameter {
-                name: "poll_interval",
-                message: "the shutdown poll interval must be positive",
             }
             .into());
         }
@@ -1059,9 +1066,9 @@ impl Server {
         }
         let ingest_listener = TcpListener::bind(&config.ingest_addr)?;
         let query_listener = TcpListener::bind(&config.query_addr)?;
-        // Nonblocking accept, polled at the drain granularity: the
-        // dispatcher must never park inside `accept()`, where only a
-        // successful inbound connection could wake it — a drain that
+        // Nonblocking accept: the dispatcher blocks in `poll` on both
+        // listeners *and its waker*, never inside `accept()`, where only
+        // a successful inbound connection could wake it — a drain that
         // relied on such a nudge would hang at join if the nudge
         // connect failed (e.g. fd exhaustion at shutdown time).
         ingest_listener.set_nonblocking(true)?;
@@ -1071,9 +1078,10 @@ impl Server {
         let compaction = config.compaction.clone();
         let checkpoint_config = config.checkpoint.clone();
         let self_scrape = config.self_scrape;
-        let shared = Arc::new(Shared::new(db, config, wal, wal_replay, chain));
+        let (wakers, wake_receivers) = event::wake_channels(config.event_workers + 1)?;
+        let shared = Arc::new(Shared::new(db, config, wal, wal_replay, chain, wakers));
 
-        let io_threads = event::start(ingest_listener, query_listener, &shared);
+        let io_threads = event::start(ingest_listener, query_listener, wake_receivers, &shared);
         let scheduler_thread = compaction.map(|cfg| {
             let s = Arc::clone(&shared);
             std::thread::spawn(move || scheduler::run(&s, &cfg))
@@ -1172,8 +1180,8 @@ impl Server {
     }
 
     fn drain(mut self) -> ServerReport {
-        // Ordering: (1) raise the drain flag — within one poll tick the
-        // dispatcher stops accepting and the event workers finalize
+        // Ordering: (1) raise the drain flag and wake the I/O threads —
+        // the dispatcher stops accepting and the event workers finalize
         // their connections (abort + flush reorder buffers); (2) join
         // the I/O threads (workers exit after finalizing); (3) the
         // scheduler observed the flag via the condvar — join it; (4) with

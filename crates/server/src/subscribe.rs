@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex};
 use asap_core::{AlertGate, DeviationAlerter, Frame, MultiStreamingAsap, StreamingConfig};
 use asap_tsdb::{Selector, SeriesKey};
 
+use crate::event::Waker;
 use crate::protocol;
 
 /// Deviant-run length (in smoothed points) an `ALERT k=<sigma>`
@@ -54,31 +55,68 @@ pub(crate) const OUTBOX_MAX_LINES: usize = 4096;
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
     queue: Mutex<VecDeque<String>>,
+    /// Wakes the worker that owns the consuming connection, which may be
+    /// blocked with this subscriber's socket silent. `None` only for an
+    /// outbox drained by hand (unit tests).
+    waker: Option<Arc<Waker>>,
 }
 
 impl Outbox {
+    pub(crate) fn new(waker: Arc<Waker>) -> Self {
+        Outbox {
+            queue: Mutex::default(),
+            waker: Some(waker),
+        }
+    }
+
     /// Queues one line; returns how many old lines were dropped to make
-    /// room (0 when the subscriber is keeping up).
+    /// room (0 when the subscriber is keeping up). The push that finds
+    /// the queue empty — and only that one — wakes the consumer: a burst
+    /// costs the producer one wake-up, not one per line, and a consumer
+    /// that left lines behind (output at its high-water mark) comes back
+    /// for them on its own.
     fn push(&self, line: String) -> usize {
         let mut queue = self.queue.lock().expect("outbox poisoned");
+        let was_empty = queue.is_empty();
         queue.push_back(line);
         let mut dropped = 0;
         while queue.len() > OUTBOX_MAX_LINES {
             queue.pop_front();
             dropped += 1;
         }
+        drop(queue);
+        if was_empty {
+            if let Some(waker) = &self.waker {
+                waker.wake();
+            }
+        }
         dropped
     }
 
-    /// Takes the oldest pending line, if any.
-    pub(crate) fn pop(&self) -> Option<String> {
-        self.queue.lock().expect("outbox poisoned").pop_front()
+    /// Hands the oldest pending lines to `sink`, under one lock, until
+    /// at least `budget` bytes were handed over or the queue is empty;
+    /// returns whether any line moved.
+    pub(crate) fn drain(&self, budget: usize, mut sink: impl FnMut(&str)) -> bool {
+        let mut queue = self.queue.lock().expect("outbox poisoned");
+        let mut moved = 0usize;
+        while moved < budget {
+            let Some(line) = queue.pop_front() else {
+                break;
+            };
+            moved += line.len();
+            sink(&line);
+        }
+        moved > 0
     }
 
     /// Lines currently queued (pushed but not yet drained by the
     /// owning connection).
     pub(crate) fn len(&self) -> usize {
         self.queue.lock().expect("outbox poisoned").len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -368,10 +406,10 @@ pub(crate) struct SubSession {
 }
 
 impl SubSession {
-    pub(crate) fn new(registry: Arc<Registry>) -> Self {
+    pub(crate) fn new(registry: Arc<Registry>, outbox: Outbox) -> Self {
         SubSession {
             registry,
-            outbox: Arc::new(Outbox::default()),
+            outbox: Arc::new(outbox),
             ids: Vec::new(),
         }
     }
@@ -440,6 +478,13 @@ mod tests {
         SeriesKey::metric(name)
     }
 
+    /// Empties an outbox by hand, oldest line first.
+    fn take(outbox: &Outbox) -> Vec<String> {
+        let mut lines = Vec::new();
+        outbox.drain(usize::MAX, |line| lines.push(line.to_owned()));
+        lines
+    }
+
     #[test]
     fn frames_fan_out_to_matching_subscribers_only() {
         let reg = registry();
@@ -451,16 +496,9 @@ mod tests {
             reg.on_point(&key("cpu"), (i as f64 / 20.0).sin());
             reg.on_point(&key("mem"), (i as f64 / 10.0).cos());
         }
-        let count = |outbox: &Outbox| {
-            let mut frames = 0;
-            while outbox.pop().is_some() {
-                frames += 1;
-            }
-            frames
-        };
         // Warm at 40, refresh every 50 → frames at 50, 100, 150, 200.
-        assert_eq!(count(&cpu), 4, "metric-selector sub sees cpu only");
-        assert_eq!(count(&all), 8, "wildcard sub sees both series");
+        assert_eq!(take(&cpu).len(), 4, "metric-selector sub sees cpu only");
+        assert_eq!(take(&all).len(), 8, "wildcard sub sees both series");
         let stats = reg.stats();
         assert_eq!(stats.frames_pushed, 12);
         assert_eq!(stats.series_tracked, 2, "one shared runtime for both subs");
@@ -542,10 +580,7 @@ mod tests {
         let stats = reg.stats();
         assert_eq!(stats.points_seen, n as u64, "every point still ingested");
         assert!(stats.frames_lagged > 0, "overflow counted as lag");
-        let mut queued = 0;
-        while outbox.pop().is_some() {
-            queued += 1;
-        }
+        let queued = take(&outbox).len();
         assert_eq!(queued, OUTBOX_MAX_LINES, "queue stays bounded");
         assert_eq!(
             stats.frames_pushed - stats.frames_lagged,
@@ -555,10 +590,35 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_wakes_the_consumer_once_and_leftovers_do_not() {
+        let (wakers, receivers) = crate::event::wake_channels(1).unwrap();
+        let outbox = Outbox::new(Arc::clone(&wakers[0]));
+        for i in 0..5 {
+            outbox.push(format!("line {i}\n"));
+        }
+        assert_eq!(receivers[0].drain(), 1, "five pushes, one empty -> non-empty edge");
+
+        // A consumer at its high-water mark takes what fits and leaves
+        // the rest: the queue never went empty, so later pushes stay
+        // silent — the consumer returns for the leftovers by itself.
+        let mut taken = Vec::new();
+        assert!(outbox.drain(1, |line| taken.push(line.to_owned())));
+        assert_eq!(taken, ["line 0\n"]);
+        outbox.push("line 5\n".to_owned());
+        assert_eq!(receivers[0].drain(), 0);
+
+        // Emptied: the next push is an edge again.
+        assert_eq!(take(&outbox).len(), 5);
+        assert!(!outbox.drain(usize::MAX, |_| unreachable!("the outbox is empty")));
+        outbox.push("line 6\n".to_owned());
+        assert_eq!(receivers[0].drain(), 1);
+    }
+
+    #[test]
     fn session_drop_tears_down_its_subscriptions() {
         let reg = registry();
         {
-            let mut session = SubSession::new(Arc::clone(&reg));
+            let mut session = SubSession::new(Arc::clone(&reg), Outbox::default());
             session.subscribe(Selector::any(), None, None).unwrap();
             session.subscribe(Selector::metric("cpu"), Some(10), None).unwrap();
             assert_eq!(reg.stats().active, 2);
@@ -570,9 +630,9 @@ mod tests {
     #[test]
     fn session_unsubscribe_owns_its_ids_only() {
         let reg = registry();
-        let mut theirs = SubSession::new(Arc::clone(&reg));
+        let mut theirs = SubSession::new(Arc::clone(&reg), Outbox::default());
         let (their_id, _) = theirs.subscribe(Selector::any(), None, None).unwrap();
-        let mut mine = SubSession::new(Arc::clone(&reg));
+        let mut mine = SubSession::new(Arc::clone(&reg), Outbox::default());
         let (my_id, _) = mine.subscribe(Selector::any(), None, None).unwrap();
 
         let err = mine.unsubscribe(Some(their_id)).unwrap_err();
@@ -597,7 +657,7 @@ mod tests {
         }
         let mut frames = 0;
         let mut alerts = Vec::new();
-        while let Some(line) = outbox.pop() {
+        for line in take(&outbox) {
             if line.starts_with("ALERT ") {
                 alerts.push(line);
             } else {

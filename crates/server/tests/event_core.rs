@@ -3,8 +3,11 @@
 //! oracle), `BATCH` framing end-to-end (framed ≡ plain ≡ oracle, frame
 //! boundaries crossing line boundaries, one-byte trickle), cap
 //! refusals on both ports, pipelined requests answered in full after a
-//! half-close, and the stalled-reader walls (drain bounded by the poll
-//! interval; slot released at the write deadline).
+//! half-close, the stalled-reader walls (drain bounded by a wake-up;
+//! slot released at the write deadline), and the readiness walls (an
+//! idle connection answers at once, an idle server does not wake, a
+//! quiet feed reaches the store, a dead half-closed subscriber frees
+//! its slot).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -101,7 +104,6 @@ fn event_core_serves_1024_mostly_idle_connections_byte_identically() {
         ServerConfig {
             event_workers: 2,
             max_query_connections: CONNECTIONS + 8,
-            poll_interval: Duration::from_millis(5),
             ..ServerConfig::default()
         },
     )
@@ -191,10 +193,7 @@ fn batch_framed_ingest_matches_the_plain_oracle() {
 
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(3, 32)),
-        ServerConfig {
-            poll_interval: Duration::from_millis(5),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
 
@@ -235,7 +234,7 @@ fn batch_framed_ingest_matches_the_plain_oracle() {
     server.shutdown();
 }
 
-/// The slowest possible client: one byte per poll interval, with a
+/// The slowest possible client: one byte every few milliseconds, with a
 /// `BATCH` frame whose payload ends mid-line so the line must continue
 /// seamlessly into the plain stream. Every framing and accumulator
 /// state is hit with maximal fragmentation.
@@ -243,10 +242,7 @@ fn batch_framed_ingest_matches_the_plain_oracle() {
 fn trickled_bytes_across_a_batch_frame_boundary_ingest_exactly() {
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(2, 16)),
-        ServerConfig {
-            poll_interval: Duration::from_millis(3),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
 
@@ -297,7 +293,6 @@ fn cap_refusals_are_counted_per_port() {
         ServerConfig {
             max_ingest_connections: 1,
             max_query_connections: 1,
-            poll_interval: Duration::from_millis(5),
             ..ServerConfig::default()
         },
     )
@@ -378,10 +373,7 @@ fn pipelined_requests_are_all_answered_after_a_half_close() {
 
     let server = Server::start(
         db,
-        ServerConfig {
-            poll_interval: Duration::from_millis(5),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
     let mut conn = TcpStream::connect(server.query_addr()).unwrap();
@@ -421,7 +413,6 @@ fn server_with_stalled_reader(write_deadline: Duration) -> (Server, TcpStream) {
         db,
         ServerConfig {
             write_deadline,
-            poll_interval: Duration::from_millis(10),
             ..ServerConfig::default()
         },
     )
@@ -445,11 +436,12 @@ fn server_with_stalled_reader(write_deadline: Duration) -> (Server, TcpStream) {
     (server, conn)
 }
 
-/// Drain with a stalled reader is bounded by the poll interval, not the
-/// write deadline: with a 60s deadline the drain must still finish in
-/// seconds.
+/// Drain with a stalled reader is bounded by a wake-up, not the write
+/// deadline: with a 60s deadline — the owning worker's `poll` timeout,
+/// and no traffic to end it sooner — the drain must still finish in
+/// seconds, which only the drain's write to the worker's waker can do.
 #[test]
-fn event_drain_is_bounded_by_the_poll_interval_not_the_client() {
+fn event_drain_is_bounded_by_a_wake_up_not_the_client() {
     let (server, conn) = server_with_stalled_reader(Duration::from_secs(60));
     let started = Instant::now();
     let report = server.shutdown();
@@ -493,5 +485,145 @@ fn stalled_range_reader_is_disconnected_at_the_write_deadline() {
     let _ = (&conn).read_to_end(&mut rest);
     let ends = rest.windows(4).filter(|w| w == b"END\n").count();
     assert!(ends < 4, "all four responses arrived; the reader never stalled");
+    server.shutdown();
+}
+
+/// Polls `STATS` (a fresh connection each time) until `ready` holds.
+fn wait_for_stats(addr: SocketAddr, what: &str, ready: impl Fn(&str) -> bool) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = query(addr, "STATS");
+        if ready(&stats) {
+            return stats;
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {what}:\n{stats}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A request on an idle connection is answered when it arrives, not at
+/// the next tick of a timer: under the default configuration 40 round
+/// trips, each sent after the worker has gone back to sleep, take a few
+/// milliseconds in total (with the 25 ms park this replaced: a second).
+#[test]
+fn round_trips_on_an_idle_connection_do_not_wait_for_a_timer() {
+    let server = Server::start(ShardedDb::new(), ServerConfig::default()).unwrap();
+    let conn = TcpStream::connect(server.query_addr()).unwrap();
+    let mut reader = BufReader::new(&conn);
+    let mut waited = Duration::ZERO;
+    for _ in 0..40 {
+        // Long enough for the worker to block again, so every request
+        // has to wake it.
+        std::thread::sleep(Duration::from_millis(2));
+        let sent = Instant::now();
+        (&conn).write_all(b"HEALTH\n").unwrap();
+        assert!(read_response(&mut reader).starts_with("OK healthy"));
+        waited += sent.elapsed();
+    }
+    assert!(
+        waited < Duration::from_millis(250),
+        "40 idle round trips took {waited:?}"
+    );
+    server.shutdown();
+}
+
+/// How many blocking waits and ticking wake-ups the whole worker pool
+/// went through across a 300 ms gap, read over one standing connection
+/// (whose own two requests account for a handful).
+fn wake_ups_across_a_quiet_gap(probe: &TcpStream) -> (i64, i64) {
+    let mut reader = BufReader::new(probe);
+    let mut snapshot = || {
+        let mut writer = probe;
+        writer.write_all(b"STATS\n").unwrap();
+        let stats = read_response(&mut reader);
+        (stat(&stats, "event.parks"), stat(&stats, "event.sweeps"))
+    };
+    let (parks, sweeps) = snapshot();
+    std::thread::sleep(Duration::from_millis(300));
+    let (parks_after, sweeps_after) = snapshot();
+    (parks_after - parks, sweeps_after - sweeps)
+}
+
+/// Nothing to do means nothing done: with no traffic the workers stay
+/// blocked — alone, with a full house of idle connections, and with a
+/// standing subscriber that half-closed and receives nothing. The last
+/// is the spin guard: its socket is readable (end of stream) for good,
+/// so a worker that kept read interest in it would never block again.
+#[test]
+fn an_idle_server_does_not_wake() {
+    const IDLE: usize = 64;
+    let server = Server::start(
+        ShardedDb::new(),
+        ServerConfig {
+            max_query_connections: IDLE + 8,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.query_addr();
+    let probe = TcpStream::connect(addr).unwrap();
+    let quiet = |what: &str| {
+        let (parks, sweeps) = wake_ups_across_a_quiet_gap(&probe);
+        assert!(
+            parks <= 4 && sweeps <= 4,
+            "{what}: {parks} blocking waits and {sweeps} ticking wake-ups in 300 ms of silence"
+        );
+    };
+    quiet("no other connections");
+
+    let idle: Vec<TcpStream> = (0..IDLE).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    wait_for_stats(addr, "the idle fleet to be registered", |stats| {
+        stat(stats, "query.active_connections") >= IDLE as i64 + 2
+    });
+    quiet("64 idle connections held");
+    drop(idle);
+    wait_for_stats(addr, "the idle fleet to be released", |stats| {
+        stat(stats, "query.active_connections") == 2
+    });
+
+    let sub = TcpStream::connect(addr).unwrap();
+    (&sub).write_all(b"SUBSCRIBE nothing.v\n").unwrap();
+    let mut ack = String::new();
+    BufReader::new(&sub).read_line(&mut ack).unwrap();
+    assert!(ack.starts_with("OK subscribed"), "{ack}");
+    sub.shutdown(Shutdown::Write).unwrap();
+    quiet("a half-closed subscriber standing by");
+    let stats = query(addr, "STATS");
+    assert_eq!(stat(&stats, "subscriptions.active"), 1, "push-only mode keeps it");
+
+    drop(sub);
+    server.shutdown();
+}
+
+/// Lines fed on a connection that then goes quiet — and stays open —
+/// reach the store: a read pass that drains the socket hands the lines
+/// short of a full chunk to the pipeline instead of holding them until
+/// 256 have accumulated or the stream ends. `ingest.points` follows,
+/// though the idle connection is never ticked again.
+#[test]
+fn lines_on_a_quiet_open_connection_reach_the_store() {
+    let server = Server::start(ShardedDb::new(), ServerConfig::default()).unwrap();
+    let addr = server.query_addr();
+    let feed = TcpStream::connect(server.ingest_addr()).unwrap();
+    let mut sent = 0;
+    for burst in [10, 300] {
+        let lines: String = (sent..sent + burst)
+            .map(|t| format!("quiet v={t} {t}\n"))
+            .collect();
+        (&feed).write_all(lines.as_bytes()).unwrap();
+        sent += burst;
+        wait_for_stats(addr, "every line sent so far to be stored", |stats| {
+            stat(stats, "store.points") == sent && stat(stats, "ingest.points") == sent
+        });
+    }
+    assert_eq!(
+        server
+            .db()
+            .query(&SeriesKey::metric("quiet.v"), full())
+            .unwrap()
+            .len(),
+        310
+    );
+    drop(feed);
     server.shutdown();
 }

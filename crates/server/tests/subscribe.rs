@@ -28,7 +28,6 @@ fn server(lateness: Option<i64>) -> Server {
     Server::start(
         ShardedDb::with_config(ShardedConfig::new(4, 64)),
         ServerConfig {
-            poll_interval: Duration::from_millis(5),
             subscribe_window: SUB_WINDOW,
             subscribe_resolution: SUB_RESOLUTION,
             ingest: IngestConfig {
@@ -154,6 +153,13 @@ fn oracle_frames(server: &Server, every: usize) -> BTreeMap<String, Vec<String>>
 /// documents — a frame stream byte-identical to replaying the stored
 /// points through the same streaming template serially. Frames ride the
 /// ingest apply path post-reorder, so subscription order ≡ store order.
+///
+/// This is also the wall for the outbox wake-up: after its
+/// acknowledgment the subscriber's connection is silent and its worker
+/// blocked in `poll` with no timeout, so the only thing that can get a
+/// pushed `FRAME` onto the wire is the outbox writing that worker's
+/// waker. There is no timer left to rescue a missed wake-up — it would
+/// show here as a read timeout, not as latency.
 #[test]
 fn event_push_stream_matches_the_poll_oracle() {
     const POINTS: i64 = 500;
@@ -262,7 +268,6 @@ fn event_stalled_subscriber_never_wedges_ingest_or_drain() {
     let server = Server::start(
         ShardedDb::with_config(ShardedConfig::new(2, 64)),
         ServerConfig {
-            poll_interval: Duration::from_millis(10),
             write_deadline: Duration::from_millis(500),
             subscribe_window: SUB_WINDOW,
             subscribe_resolution: SUB_RESOLUTION,
@@ -314,6 +319,50 @@ fn event_stalled_subscriber_never_wedges_ingest_or_drain() {
         "drain took {elapsed:?} with a stalled subscriber"
     );
     drop(sub);
+}
+
+/// A `watch`-style subscriber half-closes after subscribing and stays in
+/// push-only mode; when it then dies, the server must notice without
+/// being told by a failed frame write — no ingest runs here, so nothing
+/// is ever written to it. Its worker is not reading the socket (the
+/// stream already ended), so the reset shows only as `POLLHUP`/`POLLERR`
+/// on a connection with no read interest, which must close it and
+/// release its slot and its subscriptions.
+#[test]
+fn a_half_closed_subscriber_that_dies_releases_its_slot_without_ingest() {
+    let server = server(None);
+    let sub = TcpStream::connect(server.query_addr()).unwrap();
+    (&sub).write_all(b"SUBSCRIBE * EVERY 10\n").unwrap();
+    // Wait for the acknowledgment without consuming it: closing a
+    // socket with unread bytes resets the connection, which is how a
+    // killed client looks from the server (a clean close after a
+    // half-close sends nothing more at all).
+    let mut first = [0u8; 1];
+    assert_eq!(sub.peek(&mut first).unwrap(), 1);
+    sub.shutdown(Shutdown::Write).unwrap();
+    let stats = query(server.query_addr(), "STATS");
+    assert_eq!(stat(&stats, "subscriptions.active"), 1, "push-only mode keeps it");
+    // Let the server see the end of stream before the reset: either
+    // order must release the slot, this one is the one nothing else did.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(sub);
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        // Each STATS poll counts its own connection, hence the 1.
+        let stats = query(server.query_addr(), "STATS");
+        if stat(&stats, "subscriptions.active") == 0
+            && stat(&stats, "query.active_connections") == 1
+        {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the dead subscriber still holds its slot:\n{stats}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    server.shutdown();
 }
 
 /// A wildcard subscription starts pushing for series that did not exist

@@ -458,6 +458,39 @@ impl Shared {
             pending_reorder: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
+
+    fn snapshot(&self) -> StreamProgress {
+        let chunks = self.chunks.load(Ordering::Acquire);
+        let applied = self.progress.min_applied().min(chunks);
+        StreamProgress {
+            lines: self.lines.load(Ordering::Acquire),
+            points: self.points.load(Ordering::Acquire),
+            reordered: self.reordered.load(Ordering::Acquire),
+            dropped_late: self.dropped_late.load(Ordering::Acquire),
+            dropped_duplicate: self.dropped_duplicate.load(Ordering::Acquire),
+            parse_failures: self.parse_failed.load(Ordering::Acquire),
+            write_failures: self.write_failed.load(Ordering::Acquire),
+            in_flight_chunks: chunks - applied,
+            pending_reorder: self
+                .pending_reorder
+                .iter()
+                .map(|p| p.load(Ordering::Acquire))
+                .sum(),
+        }
+    }
+}
+
+/// A cloneable reader of one [`StreamIngestor`]'s live counters (see
+/// [`StreamIngestor::watch_progress`]); outlives the ingestor, after
+/// which it reads the final counts.
+#[derive(Debug, Clone)]
+pub struct ProgressWatch(Arc<Shared>);
+
+impl ProgressWatch {
+    /// The counters right now.
+    pub fn get(&self) -> StreamProgress {
+        self.0.snapshot()
+    }
 }
 
 /// Write-only handle to one shard of the engine — the sink each writer's
@@ -706,7 +739,7 @@ impl StreamIngestor {
 
     /// Offers backlogged chunks to the pipeline without blocking.
     /// Returns `true` once the backlog is empty, `false` if the bounded
-    /// work queue is still full (retry after a poll interval — parser
+    /// work queue is still full (retry shortly — parser
     /// progress, not new input, is what frees a slot).
     ///
     /// # Panics
@@ -733,26 +766,29 @@ impl StreamIngestor {
         true
     }
 
+    /// Seals the lines accumulated toward the next chunk as a short
+    /// chunk and offers the backlog to the pipeline, like
+    /// [`StreamIngestor::try_pump`] (whose return value and panic this
+    /// shares). For a source that has gone quiet: without it, lines
+    /// short of a full chunk would wait for later input — or the end of
+    /// the stream — before reaching the store. Where chunks are cut
+    /// never changes what is ingested; an unterminated trailing line
+    /// stays with the assembler.
+    pub fn try_flush(&mut self) -> bool {
+        self.seal_chunk();
+        self.try_pump()
+    }
+
     /// A live snapshot of the pipeline's counters.
     pub fn progress(&self) -> StreamProgress {
-        let chunks = self.shared.chunks.load(Ordering::Acquire);
-        let applied = self.shared.progress.min_applied().min(chunks);
-        StreamProgress {
-            lines: self.shared.lines.load(Ordering::Acquire),
-            points: self.shared.points.load(Ordering::Acquire),
-            reordered: self.shared.reordered.load(Ordering::Acquire),
-            dropped_late: self.shared.dropped_late.load(Ordering::Acquire),
-            dropped_duplicate: self.shared.dropped_duplicate.load(Ordering::Acquire),
-            parse_failures: self.shared.parse_failed.load(Ordering::Acquire),
-            write_failures: self.shared.write_failed.load(Ordering::Acquire),
-            in_flight_chunks: chunks - applied,
-            pending_reorder: self
-                .shared
-                .pending_reorder
-                .iter()
-                .map(|p| p.load(Ordering::Acquire))
-                .sum(),
-        }
+        self.shared.snapshot()
+    }
+
+    /// A handle reading the same live counters from any thread, for an
+    /// observer that must not wait for the feeding thread's next call —
+    /// writers keep applying (and counting) after the feeder goes idle.
+    pub fn watch_progress(&self) -> ProgressWatch {
+        ProgressWatch(Arc::clone(&self.shared))
     }
 
     /// Ends the stream after a source failure: every *complete* line

@@ -101,7 +101,7 @@ pub use error::TsdbError;
 pub use gorilla::{CompressedChunk, GorillaDecoder, GorillaEncoder};
 pub use ingest::{
     ingest_reader, pipeline_ingest, ApplyHook, IngestConfig, IngestReport, ParseFailure,
-    StreamIngestor, StreamProgress, WriteFailure,
+    ProgressWatch, StreamIngestor, StreamProgress, WriteFailure,
 };
 pub use line_protocol::{ingest, parse, ParsedPoint};
 pub use obs::{
