@@ -5,13 +5,13 @@
 //! the Algorithm 2 binary refinement independently, reporting candidate
 //! counts and achieved roughness across the Table 2 datasets.
 //!
-//! Run: `cargo run --release -p asap-bench --bin ablation_pruning`
+//! Run: `cargo run --release -p asap-bench --bin figures -- ablation_pruning`
 
 use asap_core::search::ablation::{search_ablated, AblationFlags};
 use asap_core::{preaggregate, AsapConfig, SearchStrategy};
 use asap_eval::{report, Table};
 
-fn main() {
+pub fn run() {
     println!("== Ablation: Algorithm 1/2 mechanisms, 1200 px ==\n");
     let variants: [(&str, AblationFlags); 5] = [
         ("full ASAP", AblationFlags::all()),

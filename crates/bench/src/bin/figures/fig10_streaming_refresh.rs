@@ -4,13 +4,13 @@
 //! Paper: throughput is linear in the refresh interval — refreshing half
 //! as often doubles the points processed per second.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig10_streaming_refresh`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig10_streaming_refresh`
 
 use asap_core::{StreamingAsap, StreamingConfig};
 use asap_eval::{report, Table};
 use std::time::Instant;
 
-fn run(series_values: &[f64], resolution: usize, interval: usize) -> f64 {
+fn throughput(series_values: &[f64], resolution: usize, interval: usize) -> f64 {
     let config = StreamingConfig::new(series_values.len(), resolution, interval);
     let mut op = StreamingAsap::new(config);
     let start = Instant::now();
@@ -20,7 +20,7 @@ fn run(series_values: &[f64], resolution: usize, interval: usize) -> f64 {
     series_values.len() as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }
 
-fn main() {
+pub fn run() {
     println!("== Figure 10: throughput vs refresh interval (2000 px) ==\n");
     let datasets = [asap_data::traffic_data(), asap_data::machine_temp()];
     // Refresh intervals in preaggregated points, converted to raw points by
@@ -38,7 +38,7 @@ fn main() {
         let mut tps = Vec::new();
         for d in &datasets {
             let ratio = asap_core::point_to_pixel_ratio(d.len(), 2000);
-            let tp = run(d.values(), 2000, iv * ratio.max(1));
+            let tp = throughput(d.values(), 2000, iv * ratio.max(1));
             row.push(report::eng(tp));
             tps.push(tp);
         }

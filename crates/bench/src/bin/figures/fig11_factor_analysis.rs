@@ -6,13 +6,13 @@
 //! end-to-end streaming ASAP is ~7 orders of magnitude over the baseline;
 //! removing any one optimization costs 2–3 orders of magnitude.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig11_factor_analysis`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig11_factor_analysis`
 
 use asap_eval::factor::{run_variant, CUMULATIVE, LESION};
 use asap_eval::{report, Table};
 use std::time::Duration;
 
-fn main() {
+pub fn run() {
     println!("== Figure 11: factor analysis & lesion study (machine_temp) ==\n");
     let series = asap_data::machine_temp();
     // One day of 5-minute points, the paper's lazy refresh interval.

@@ -5,7 +5,7 @@
 //! plus the roughness/kurtosis before and after — the numbers behind the
 //! case-study plots.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig1_smoothing_gallery`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig1_smoothing_gallery`
 
 use asap_bench::sparkline;
 use asap_core::Asap;
@@ -25,7 +25,7 @@ fn human_duration(secs: f64) -> String {
     }
 }
 
-fn main() {
+pub fn run() {
     println!("== Figures 1-3 & C.1-C.3: raw vs ASAP gallery (1200 px targets) ==\n");
     let asap = Asap::builder().resolution(1200).build();
     let mut datasets = asap_bench::sweep_datasets();

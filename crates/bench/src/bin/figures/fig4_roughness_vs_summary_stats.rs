@@ -2,12 +2,12 @@
 //! (1) but visibly different smoothness — the motivation for the
 //! roughness measure. The paper reports roughness 2.04, 0.4 and 0.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig4_roughness_vs_summary_stats`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig4_roughness_vs_summary_stats`
 
 use asap_bench::sparkline;
 use asap_timeseries::{moments, roughness, zscore};
 
-fn main() {
+pub fn run() {
     println!("== Figure 4: summary statistics miss visual smoothness ==\n");
 
     let n = 60usize;

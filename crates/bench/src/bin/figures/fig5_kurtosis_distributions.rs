@@ -2,7 +2,7 @@
 //! variance (2) but different kurtosis (3 vs 6) — kurtosis captures the
 //! tendency to produce outliers.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig5_kurtosis_distributions`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig5_kurtosis_distributions`
 
 use asap_data::generators::{iid_laplace, iid_normal};
 use asap_timeseries::moments;
@@ -23,7 +23,7 @@ fn histogram(data: &[f64], bins: usize, lo: f64, hi: f64) -> String {
         .collect()
 }
 
-fn main() {
+pub fn run() {
     println!("== Figure 5: kurtosis separates normal from Laplace ==\n");
     let n = 500_000usize;
     let normal = iid_normal(n, 0.0, 2.0f64.sqrt(), 42);

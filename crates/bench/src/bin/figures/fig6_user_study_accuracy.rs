@@ -7,11 +7,11 @@
 //! in DESIGN.md): ASAP leads on accuracy and response time except on Temp,
 //! where the oversmoothed plot best shows the decades-long warming trend.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig6_user_study_accuracy`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig6_user_study_accuracy`
 
 use asap_eval::{ObserverModel, Table, Technique};
 
-fn main() {
+pub fn run() {
     println!("== Figure 6: accuracy (%) and response time (s), 50 simulated trials/cell ==\n");
     let model = ObserverModel::default();
     let datasets = asap_data::user_study_datasets();

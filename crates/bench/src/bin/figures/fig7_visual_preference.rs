@@ -6,11 +6,11 @@
 //! Power; 60% on Sine), but 70% prefer the oversmoothed plot on Temp,
 //! whose anomaly is a multi-decade trend.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig7_visual_preference`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig7_visual_preference`
 
 use asap_eval::{ObserverModel, Table, Technique};
 
-fn main() {
+pub fn run() {
     println!("== Figure 7: preference fractions (%), 50 simulated trials/dataset ==\n");
     let model = ObserverModel::default();
     let techniques = Technique::figure7();

@@ -6,13 +6,13 @@
 //! roughness; binary search is comparable in speed but up to 7.5× rougher;
 //! Grid2 matches quality but doesn't scale; Grid10 is worst overall.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig8_search_strategies`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig8_search_strategies`
 //! (averages over the 7 largest datasets; ASAP_FAST=1 skips gas_sensor)
 
 use asap_core::SearchStrategy;
 use asap_eval::{perf, report, Table};
 
-fn main() {
+pub fn run() {
     println!("== Figure 8: search strategies vs exhaustive (preaggregated) ==\n");
     let strategies = [
         SearchStrategy::Grid { step: 2 },

@@ -8,7 +8,7 @@
 //! *as rendered*: every variant's smoothed output is reduced to the same
 //! target resolution before measuring roughness.
 //!
-//! Run: `cargo run --release -p asap-bench --bin fig9_preaggregation`
+//! Run: `cargo run --release -p asap-bench --bin figures -- fig9_preaggregation`
 //! (uses gas_sensor, 4.2M points; ASAP_FAST=1 switches to machine_temp)
 
 use asap_core::{preaggregate, AsapConfig, SearchStrategy};
@@ -22,7 +22,7 @@ fn rendered_roughness(smoothed: &[f64], resolution: usize) -> f64 {
     roughness(&view).unwrap_or(f64::NAN)
 }
 
-fn main() {
+pub fn run() {
     println!("== Figure 9: preaggregation on/off vs raw-exhaustive baseline ==\n");
     let series = if std::env::var("ASAP_FAST").is_ok() {
         asap_data::machine_temp()

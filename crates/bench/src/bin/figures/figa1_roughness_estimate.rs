@@ -5,13 +5,13 @@
 //! sharp roughness drops at windows that are multiples of the annual
 //! period.
 //!
-//! Run: `cargo run --release -p asap-bench --bin figa1_roughness_estimate`
+//! Run: `cargo run --release -p asap-bench --bin figures -- figa1_roughness_estimate`
 
 use asap_core::estimate::roughness_estimate;
 use asap_dsp::autocorrelation;
 use asap_timeseries::{roughness, sma, stddev};
 
-fn main() {
+pub fn run() {
     println!("== Figure A.1: Eq. 5 roughness estimate on Temp ==\n");
     let series = asap_data::temperature();
     let data = series.values();

@@ -6,13 +6,13 @@
 //! ASAP(agg) 5.9M/4.7M points/sec — i.e. preaggregated ASAP is ~5 orders
 //! of magnitude above raw exhaustive.
 //!
-//! Run: `cargo run --release -p asap-bench --bin figa2_preagg_throughput`
+//! Run: `cargo run --release -p asap-bench --bin figures -- figa2_preagg_throughput`
 
 use asap_core::{preaggregate, AsapConfig, SearchStrategy};
 use asap_eval::{perf, report, Table};
 use std::time::{Duration, Instant};
 
-fn main() {
+pub fn run() {
     println!("== Figure A.2: preaggregation throughput, 1200 px ==\n");
     let datasets = [asap_data::machine_temp(), asap_data::traffic_data()];
     let mut table = Table::new(

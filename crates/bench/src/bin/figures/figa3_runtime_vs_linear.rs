@@ -5,7 +5,7 @@
 //! completing in 72.9 ms on average vs 33.4 / 35.9 ms — same order of
 //! magnitude despite doing a search instead of a single pass.
 //!
-//! Run: `cargo run --release -p asap-bench --bin figa3_runtime_vs_linear`
+//! Run: `cargo run --release -p asap-bench --bin figures -- figa3_runtime_vs_linear`
 
 use asap_baselines::{m4::m4_aggregate, paa::paa};
 use asap_core::Asap;
@@ -25,7 +25,7 @@ fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
         .fold(f64::MAX, f64::min)
 }
 
-fn main() {
+pub fn run() {
     println!("== Figure A.3: runtime (ms) of ASAP vs PAA vs M4, 1200 px ==\n");
     let mut table = Table::new(vec!["Dataset", "ASAP", "PAA", "M4", "ASAP/PAA"]);
     let asap = Asap::builder().resolution(1200).build();

@@ -6,7 +6,7 @@
 //! 78.6%/79.8% at 2x/½x); ASAP's own configuration achieves the best
 //! accuracy and lowest time; kurtosis matters less than roughness.
 //!
-//! Run: `cargo run --release -p asap-bench --bin figb1_sensitivity`
+//! Run: `cargo run --release -p asap-bench --bin figures -- figb1_sensitivity`
 
 use asap_eval::observer::{ObserverModel, REGIONS};
 use asap_eval::sensitivity::{kurtosis_variants, roughness_variants};
@@ -37,7 +37,7 @@ fn rendering_of(smoothed: &[f64], columns: usize) -> Option<Rendering> {
     })
 }
 
-fn main() {
+pub fn run() {
     println!("== Figure B.1: roughness & kurtosis sensitivity (simulated study) ==\n");
     let model = ObserverModel::default();
     let datasets = asap_data::user_study_datasets();

@@ -6,13 +6,13 @@
 //! Paper (relative to SMA=1.0): FFT-dominant 31–316x and minmax 38–316x
 //! (very rough); FFT-low 0.03–0.36x, SG1 0.6–8.3x, SG4 1.0–23.9x.
 //!
-//! Run: `cargo run --release -p asap-bench --bin figb2_alt_smoothers`
+//! Run: `cargo run --release -p asap-bench --bin figures -- figb2_alt_smoothers`
 
 use asap_core::alt_smoothers::{select, SmootherKind};
 use asap_core::{preaggregate, AsapConfig};
 use asap_eval::{report, Table};
 
-fn main() {
+pub fn run() {
     println!("== Figure B.2: alternative smoothers, roughness relative to SMA ==\n");
     let kinds = [
         SmootherKind::FftLow,

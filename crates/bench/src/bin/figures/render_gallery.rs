@@ -6,14 +6,14 @@
 //! are highlighted where the paper calls them out (Taxi's Thanksgiving
 //! week in Fig. 1).
 //!
-//! Run: `cargo run --release -p asap-bench --bin render_gallery`
+//! Run: `cargo run --release -p asap-bench --bin figures -- render_gallery`
 
 use asap_baselines::oversmooth::oversmooth;
 use asap_core::Asap;
 use asap_timeseries::zscore;
 use asap_viz::{Figure, SvgChart, SvgSeries};
 
-fn main() {
+pub fn run() {
     let out_dir = std::path::Path::new("target/figures");
     std::fs::create_dir_all(out_dir).expect("create target/figures");
     let asap = Asap::builder().resolution(1200).build();

@@ -1,12 +1,12 @@
 //! Table 1: device resolutions and the search-space reduction pixel-aware
 //! preaggregation achieves on a 1M-point series.
 //!
-//! Run: `cargo run --release -p asap-bench --bin table1_devices`
+//! Run: `cargo run --release -p asap-bench --bin figures -- table1_devices`
 
 use asap_core::DEVICES;
 use asap_eval::Table;
 
-fn main() {
+pub fn run() {
     println!("== Table 1: pixel-aware preaggregation, 1M-point series ==\n");
     let mut table = Table::new(vec!["Device", "Resolution", "Reduction on 1M pts"]);
     const N: usize = 1_000_000;

@@ -4,12 +4,12 @@
 //! The headline: ASAP finds the same smoothing parameter as exhaustive
 //! search while checking ~13× fewer candidates.
 //!
-//! Run: `cargo run --release -p asap-bench --bin table2_batch_results`
+//! Run: `cargo run --release -p asap-bench --bin figures -- table2_batch_results`
 //! (set ASAP_FAST=1 to skip the 4.2M-point gas sensor)
 
 use asap_eval::{table2, Table};
 
-fn main() {
+pub fn run() {
     println!("== Table 2: exhaustive vs ASAP, 1200 px ==\n");
     let datasets = asap_bench::sweep_datasets();
     let rows = table2::run_all(&datasets, 1200);

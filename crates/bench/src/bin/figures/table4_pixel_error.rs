@@ -5,11 +5,11 @@
 //! Paper: ASAP ~0.92–0.94 (by design — it redraws the plot), M4 ~0–0.04,
 //! line simplification 0–0.21, PAA800 0–0.61.
 //!
-//! Run: `cargo run --release -p asap-bench --bin table4_pixel_error`
+//! Run: `cargo run --release -p asap-bench --bin figures -- table4_pixel_error`
 
 use asap_eval::{report, technique_pixel_error, Table, Technique};
 
-fn main() {
+pub fn run() {
     println!("== Table 4: pixel error vs raw rendering (800 x 240 px) ==\n");
     let techniques = [
         Technique::Asap,

@@ -1,6 +1,8 @@
-//! Shared glue for the benchmark binaries that regenerate the paper's
-//! tables and figures. See `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! Shared glue for `figures`, the binary that regenerates the paper's
+//! tables and figures one subcommand each. See `DESIGN.md` for the
+//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
+//! results. The crate's other binary, `benchmark`, is the end-to-end
+//! ledger `BENCHMARK.json` declares; it shares nothing with this library.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -33,11 +33,9 @@
 pub mod alert;
 pub mod alt_smoothers;
 pub mod candidates;
-pub mod fleet;
 pub mod config;
 pub mod devices;
 pub mod estimate;
-pub mod incremental;
 pub mod metrics;
 pub mod preagg;
 pub mod problem;
@@ -48,7 +46,6 @@ pub mod streaming;
 pub use config::{AsapBuilder, AsapConfig};
 pub use devices::{Device, DEVICES};
 pub use preagg::{preaggregate, point_to_pixel_ratio};
-pub use incremental::{SlidingMoments, SlidingRoughness};
 pub use pyramid::ZoomPyramid;
 pub use problem::{SearchOutcome, SmoothingResult};
 pub use search::{binary, exhaustive, grid, SearchStrategy};

@@ -219,10 +219,8 @@ impl Operator<f64, Frame> for StreamingAsap {
 /// cross-key operation ([`MultiStreamingAsap::refresh_all`],
 /// [`MultiStreamingAsap::keys`]) is in deterministic key order.
 ///
-/// The key type is generic: monitoring backends use metric names
-/// (see [`crate::fleet::Fleet`], a thin wrapper over
-/// `MultiStreamingAsap<String>`), while storage layers can drive it with
-/// richer series identities.
+/// The key type is generic: monitoring backends use metric names, while
+/// storage layers can drive it with richer series identities.
 #[derive(Debug)]
 pub struct MultiStreamingAsap<K: Ord + Clone> {
     template: StreamingConfig,

@@ -22,12 +22,13 @@ use std::os::fd::{AsFd, BorrowedFd};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use asap_tsdb::line_protocol::MAX_LINE_BYTES;
 use asap_tsdb::{obs, StreamIngestor};
 use nix::poll::PollFlags;
 
 use crate::event::Waker;
 use crate::protocol;
-use crate::server::{execute, ActiveGuard, Shared, MAX_REQUEST_LINE};
+use crate::server::{execute, ActiveGuard, Shared};
 use crate::subscribe::{Outbox, SubSession};
 
 /// Stop reading new requests from a query connection while more than
@@ -634,7 +635,7 @@ impl QueryConn {
                     Ok(n) => {
                         budget -= n;
                         self.acc.extend_from_slice(&scratch[..n]);
-                        if self.acc.len() > MAX_REQUEST_LINE {
+                        if self.acc.len() > MAX_LINE_BYTES {
                             break;
                         }
                     }
@@ -676,9 +677,9 @@ impl QueryConn {
         // A newline-free request past the line cap is fatal: answer
         // with one ERR and disconnect (remote input must not grow
         // server memory).
-        if !self.close_after_flush && !self.requests_queued && self.acc.len() > MAX_REQUEST_LINE {
+        if !self.close_after_flush && !self.requests_queued && self.acc.len() > MAX_LINE_BYTES {
             self.out.push(
-                protocol::render_error(&format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
+                protocol::render_error(&format!("request line exceeds {MAX_LINE_BYTES} bytes"))
                     .as_bytes(),
             );
             self.last_write_progress = Instant::now();

@@ -1268,11 +1268,6 @@ fn scrape_loop(shared: &Shared, interval: Duration) {
     }
 }
 
-/// Longest accepted request line on the query port. Remote input must
-/// not grow server memory: a client that streams bytes without ever
-/// sending a newline gets one `ERR` and is disconnected.
-pub(crate) const MAX_REQUEST_LINE: usize = 64 * 1024;
-
 /// Largest bucketed grid a remote query may materialize. The engine
 /// allocates one slot per grid bucket, so client-chosen
 /// `(start, end, bucket)` must not size server memory — a span/bucket

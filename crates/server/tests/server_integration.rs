@@ -396,6 +396,54 @@ fn drain_discards_the_partial_trailing_line_of_open_connections() {
     drop(conn);
 }
 
+/// A line on the ingest port is bounded like one on the query port:
+/// 8 MiB without a newline — a well-formed record but for its length,
+/// so an unbounded assembler would buffer it whole and store it — is
+/// discarded as it arrives and counted as one parse failure, and the
+/// same connection keeps ingesting.
+#[test]
+fn an_unbounded_ingest_line_is_one_parse_failure_and_the_connection_lives() {
+    let server = Server::start(
+        ShardedDb::with_config(ShardedConfig::new(2, 16)),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let failures_before = stat(
+        &query(server.query_addr(), "STATS"),
+        "ingest.parse_failures",
+    );
+
+    let mut conn = TcpStream::connect(server.ingest_addr()).unwrap();
+    conn.write_all(b"m,t=").unwrap();
+    for _ in 0..128 {
+        conn.write_all(&[b'x'; 64 * 1024]).unwrap();
+    }
+    conn.write_all(b" v=9 9").unwrap();
+    conn.write_all(b"\nm v=1 1\n").unwrap();
+    let stats = wait_for_stats(
+        server.query_addr(),
+        "the record after the long line",
+        |stats| stat(stats, "ingest.points") >= 1,
+    );
+    assert_eq!(stat(&stats, "ingest.lines"), 2);
+    assert_eq!(stat(&stats, "ingest.parse_failures"), failures_before + 1);
+    assert_eq!(
+        query(server.query_addr(), "RANGE * 0 10"),
+        "OK 1\nSERIES m.v 1\n1 1\nEND\n",
+        "only the short record is stored"
+    );
+
+    conn.write_all(b"m v=2 2\n").unwrap();
+    conn.shutdown(Shutdown::Write).unwrap();
+    let mut report = String::new();
+    conn.read_to_string(&mut report).unwrap();
+    assert!(
+        report.starts_with("lines=3 points=2 ") && report.contains(" parse_failures=1 "),
+        "report: {report}"
+    );
+    server.shutdown();
+}
+
 /// Connections over the cap are refused with one `ERR` line and
 /// counted; the accepted connection is unaffected.
 #[test]

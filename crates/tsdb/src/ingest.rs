@@ -23,7 +23,10 @@
 //!   pieces (reader chunks may split mid-float, mid-escape, or mid-UTF-8
 //!   code point — see [`crate::line_protocol`]'s `LineAssembler`) and
 //!   groups them into owned chunks of [`IngestConfig::chunk_lines`]
-//!   lines, each tagged with its global starting line index;
+//!   lines, each tagged with its global starting line index; a line past
+//!   [`crate::line_protocol::MAX_LINE_BYTES`] is discarded as it arrives
+//!   and reported as one [`ParseFailure`] at its own line number, so a
+//!   newline-free stream cannot grow the chunker;
 //! * chunks flow through a bounded **work queue** to the parser workers
 //!   (shared queue — any idle worker takes the next chunk, replacing the
 //!   old static chunk assignment that required knowing the whole document
@@ -79,7 +82,9 @@ use std::time::Instant;
 use crossbeam::channel::{Receiver, Sender};
 
 use crate::error::TsdbError;
-use crate::line_protocol::{fallback_ts, parse_line, LineAssembler, ParsedPoint};
+use crate::line_protocol::{
+    fallback_ts, parse_line, Line, LineAssembler, ParsedPoint, LINE_TOO_LONG,
+};
 use crate::obs::IngestMetrics;
 use crate::point::DataPoint;
 use crate::query::SeriesWriter;
@@ -357,7 +362,7 @@ struct Chunk {
     /// Global 0-based line index of `lines[0]` (line numbers and
     /// fallback timestamps are derived from it).
     start_line: usize,
-    lines: Vec<String>,
+    lines: Vec<Line>,
 }
 
 /// One chunk's points for one shard. Every chunk sends exactly one batch
@@ -602,7 +607,7 @@ pub struct StreamIngestor {
     assembler: LineAssembler,
     chunk_lines: usize,
     /// Lines accumulated toward the next chunk.
-    pending_lines: Vec<String>,
+    pending_lines: Vec<Line>,
     /// Global 0-based line index of `pending_lines[0]`.
     chunk_start: usize,
     line_count: usize,
@@ -619,7 +624,7 @@ pub struct StreamIngestor {
     writers: Vec<JoinHandle<(usize, Vec<WriteFailure>)>>,
     shared: Arc<Shared>,
     /// Scratch for lines completed by one `feed` call.
-    scratch: Vec<String>,
+    scratch: Vec<Line>,
     /// Assemble-stage histogram handle (`None` → no timing at all).
     metrics: Option<IngestMetrics>,
 }
@@ -871,7 +876,7 @@ impl StreamIngestor {
     /// skipped entirely otherwise — the uninstrumented path pays
     /// nothing). Backpressure waits in `feed` happen outside this, so
     /// the histogram reflects reassembly cost, not queue waits.
-    fn assemble(&mut self, bytes: &[u8], completed: &mut Vec<String>) {
+    fn assemble(&mut self, bytes: &[u8], completed: &mut Vec<Line>) {
         match &self.metrics {
             None => self.assembler.push(bytes, completed),
             Some(metrics) => {
@@ -882,7 +887,7 @@ impl StreamIngestor {
         }
     }
 
-    fn push_line(&mut self, line: String) {
+    fn push_line(&mut self, line: Line) {
         if self.pending_lines.is_empty() {
             self.chunk_start = self.line_count;
         }
@@ -969,11 +974,20 @@ fn parse_worker(
         for (offset, raw) in chunk.lines.iter().enumerate() {
             let idx = chunk.start_line + offset;
             let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match parse_line(line, line_no, fallback_ts(default_ts, idx)) {
+            let parsed = match raw {
+                Line::Text(text) => {
+                    let line = text.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        continue;
+                    }
+                    parse_line(line, line_no, fallback_ts(default_ts, idx))
+                }
+                Line::TooLong => Err(TsdbError::Parse {
+                    line: line_no,
+                    reason: LINE_TOO_LONG,
+                }),
+            };
+            match parsed {
                 Ok(points) => {
                     for point in points {
                         per_shard[db.shard_of(&point.key)].push((line_no, point));
@@ -1355,6 +1369,27 @@ mod tests {
             db.query(&key, RangeQuery::raw(0, 10)).unwrap().len(),
             3
         );
+    }
+
+    #[test]
+    fn an_overlong_line_fails_alone_at_its_own_line_number() {
+        let long = "x".repeat(crate::line_protocol::MAX_LINE_BYTES + 1);
+        let text = format!("cpu v=1 1\n{long}\ncpu v=2 2\ncpu v=3\n");
+        let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
+        let report = pipeline_ingest(&db, &text, 100, &IngestConfig::default()).unwrap();
+        assert_eq!((report.lines, report.points), (4, 3));
+        assert_eq!(
+            report.parse_failures,
+            vec![ParseFailure {
+                line: 2,
+                reason: "line exceeds 65536 bytes"
+            }]
+        );
+        // Line 4 takes its fallback timestamp from its own line index.
+        let stored = db
+            .query(&SeriesKey::metric("cpu.v"), RangeQuery::raw(0, 200))
+            .unwrap();
+        assert_eq!(stored.last().map(|p| p.timestamp), Some(103));
     }
 
     #[test]

@@ -50,6 +50,27 @@ pub(crate) fn fallback_ts(default_ts: i64, idx: usize) -> i64 {
     default_ts.saturating_add(i64::try_from(idx).unwrap_or(i64::MAX))
 }
 
+/// Longest line either server port accepts: the bytes before a `\n` (a
+/// `\r` in front of it included). Remote input must not grow server
+/// memory, so the ingest port's line assembler and the query port's
+/// request buffer both stop holding a line at this length.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The [`crate::ingest::ParseFailure`] reason of a line past
+/// [`MAX_LINE_BYTES`] (reasons are `&'static str`; a unit test keeps the
+/// number in step with the constant).
+pub(crate) const LINE_TOO_LONG: &str = "line exceeds 65536 bytes";
+
+/// One line out of the [`LineAssembler`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Line {
+    /// The line's text, terminator stripped.
+    Text(String),
+    /// A line longer than [`MAX_LINE_BYTES`]: its bytes were discarded,
+    /// it keeps its place in the line numbering and is never parsed.
+    TooLong,
+}
+
 /// Reassembles complete lines out of an arbitrary byte stream.
 ///
 /// The streaming ingest pipeline ([`mod@crate::ingest`]) receives the
@@ -67,10 +88,17 @@ pub(crate) fn fallback_ts(default_ts: i64, idx: usize) -> i64 {
 /// * completed lines are decoded with `String::from_utf8_lossy` — for
 ///   valid UTF-8 input (any document that ever existed as a `&str`) this
 ///   is exact, and chunk boundaries inside a multi-byte code point cannot
-///   corrupt it because decoding happens only on complete lines.
+///   corrupt it because decoding happens only on complete lines;
+/// * a line past [`MAX_LINE_BYTES`] comes out as [`Line::TooLong`]: the
+///   buffer is dropped the moment the bound is crossed and the bytes up
+///   to the next `\n` are discarded, so a newline-free stream holds at
+///   most the bound in memory. Only the line's length decides, so the
+///   output is the same at any split of the input.
 #[derive(Debug, Default)]
 pub(crate) struct LineAssembler {
     partial: Vec<u8>,
+    /// The current line already crossed the bound; discard to its `\n`.
+    too_long: bool,
 }
 
 impl LineAssembler {
@@ -80,11 +108,17 @@ impl LineAssembler {
     }
 
     /// Feeds bytes, appending every newly completed line to `out`.
-    pub(crate) fn push(&mut self, bytes: &[u8], out: &mut Vec<String>) {
+    pub(crate) fn push(&mut self, bytes: &[u8], out: &mut Vec<Line>) {
         let mut rest = bytes;
         while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
             let (head, tail) = rest.split_at(pos);
             rest = &tail[1..]; // skip the newline itself
+            if self.too_long || self.partial.len() + head.len() > MAX_LINE_BYTES {
+                self.too_long = false;
+                self.partial.clear();
+                out.push(Line::TooLong);
+                continue;
+            }
             let line = if self.partial.is_empty() {
                 strip_cr(head).to_vec()
             } else {
@@ -95,18 +129,25 @@ impl LineAssembler {
                 }
                 line
             };
-            out.push(String::from_utf8_lossy(&line).into_owned());
+            out.push(Line::Text(String::from_utf8_lossy(&line).into_owned()));
         }
-        self.partial.extend_from_slice(rest);
+        if self.too_long || self.partial.len() + rest.len() > MAX_LINE_BYTES {
+            self.too_long = true;
+            self.partial = Vec::new();
+        } else {
+            self.partial.extend_from_slice(rest);
+        }
     }
 
     /// Emits the trailing unterminated line, if any bytes are pending.
-    pub(crate) fn finish(&mut self, out: &mut Vec<String>) {
-        if !self.partial.is_empty() {
+    pub(crate) fn finish(&mut self, out: &mut Vec<Line>) {
+        if std::mem::take(&mut self.too_long) {
+            out.push(Line::TooLong);
+        } else if !self.partial.is_empty() {
             let line = std::mem::take(&mut self.partial);
             // No trailing `\n`, so a final `\r` is content (as in
             // `str::lines`).
-            out.push(String::from_utf8_lossy(&line).into_owned());
+            out.push(Line::Text(String::from_utf8_lossy(&line).into_owned()));
         }
     }
 }
@@ -379,7 +420,7 @@ mod tests {
 
     /// Collects the assembler's output for one split of `doc` into
     /// byte pieces.
-    fn assemble(doc: &[u8], piece: usize) -> Vec<String> {
+    fn assemble(doc: &[u8], piece: usize) -> Vec<Line> {
         let mut asm = LineAssembler::new();
         let mut out = Vec::new();
         for chunk in doc.chunks(piece.max(1)) {
@@ -387,6 +428,10 @@ mod tests {
         }
         asm.finish(&mut out);
         out
+    }
+
+    fn text(line: &str) -> Line {
+        Line::Text(line.to_owned())
     }
 
     #[test]
@@ -403,7 +448,7 @@ mod tests {
             "a\n\n\nb",
         ];
         for doc in docs {
-            let want: Vec<String> = doc.lines().map(str::to_owned).collect();
+            let want: Vec<Line> = doc.lines().map(text).collect();
             // Every piece size, down to one byte — splits land mid-UTF-8.
             for piece in 1..=doc.len().max(1) {
                 assert_eq!(
@@ -422,9 +467,87 @@ mod tests {
         asm.push(b"tail\r", &mut out);
         assert!(out.is_empty(), "no newline yet");
         asm.finish(&mut out);
-        assert_eq!(out, vec!["tail\r".to_owned()], "EOF \\r is content");
+        assert_eq!(out, vec![text("tail\r")], "EOF \\r is content");
         asm.finish(&mut out);
         assert_eq!(out.len(), 1, "second finish emits nothing");
+    }
+
+    #[test]
+    fn a_newline_free_stream_holds_at_most_the_bound() {
+        assert!(LINE_TOO_LONG.contains(&MAX_LINE_BYTES.to_string()));
+        // One read buffer at a time, then the whole MiB in one push.
+        for piece in [16 * 1024, 1 << 20] {
+            let mut asm = LineAssembler::new();
+            let mut out = Vec::new();
+            for chunk in vec![b'x'; 1 << 20].chunks(piece) {
+                asm.push(chunk, &mut out);
+                assert!(asm.partial.capacity() <= MAX_LINE_BYTES + piece);
+            }
+            assert!(out.is_empty(), "no newline yet");
+            asm.push(b"\nm v=1 1\n", &mut out);
+            assert_eq!(out, vec![Line::TooLong, text("m v=1 1")]);
+            assert_eq!(asm.partial.capacity(), 0);
+        }
+        // Unterminated at end of stream: still one line, still too long.
+        let mut doc = vec![b'x'; MAX_LINE_BYTES + 1];
+        assert_eq!(assemble(&doc, 4096), vec![Line::TooLong]);
+        doc.pop();
+        assert!(matches!(assemble(&doc, 4096)[..], [Line::Text(_)]));
+    }
+
+    #[test]
+    fn an_overlong_line_is_one_failure_wherever_the_stream_splits() {
+        for excess in [1, 2, 1000] {
+            let mut doc = b"a v=1 1\n".to_vec();
+            let long_start = doc.len();
+            doc.resize(long_start + MAX_LINE_BYTES + excess, b'x');
+            doc.extend_from_slice(b"\r\nb v=2 2\nc v=3 3");
+            let want = vec![
+                text("a v=1 1"),
+                Line::TooLong,
+                text("b v=2 2"),
+                text("c v=3 3"),
+            ];
+            // Two pieces, cut at every offset around the bound and
+            // around the terminator; then fixed piece sizes.
+            let bound = long_start + MAX_LINE_BYTES;
+            for cut in (bound - 3..=bound + 3).chain(doc.len() - 24..doc.len()) {
+                let mut asm = LineAssembler::new();
+                let mut out = Vec::new();
+                asm.push(&doc[..cut], &mut out);
+                asm.push(&doc[cut..], &mut out);
+                asm.finish(&mut out);
+                assert_eq!(out, want, "excess {excess}, cut at {cut}");
+            }
+            for piece in [1, 7, 4096, MAX_LINE_BYTES, doc.len()] {
+                assert_eq!(
+                    assemble(&doc, piece),
+                    want,
+                    "excess {excess}, pieces of {piece}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_of_exactly_the_bound_still_parses() {
+        let mut record = "m,t=".to_owned();
+        record.push_str(&"x".repeat(MAX_LINE_BYTES - "m,t= v=1 7".len()));
+        record.push_str(" v=1 7");
+        assert_eq!(record.len(), MAX_LINE_BYTES);
+        for piece in [1, 4096, usize::MAX] {
+            let lines = assemble(format!("{record}\n").as_bytes(), piece);
+            let [Line::Text(line)] = &lines[..] else {
+                panic!("pieces of {piece}: {} lines, or too long", lines.len());
+            };
+            let points = parse_line(line, 1, 0).unwrap();
+            assert_eq!(points[0].point, DataPoint::new(7, 1.0));
+        }
+        // One more byte — even a `\r` the terminator would strip — is over.
+        assert_eq!(
+            assemble(format!("{record}\r\n").as_bytes(), 4096),
+            vec![Line::TooLong]
+        );
     }
 
     use proptest::prelude::*;

@@ -264,54 +264,6 @@ fn roughness_estimate_tracks_truth_on_stationary_inputs() {
 }
 
 proptest! {
-    /// Incremental sliding moments equal the batch kernel on the window
-    /// tail at every step (amortized-O(1) path vs O(n) recompute).
-    #[test]
-    fn sliding_moments_equal_batch(data in varied_series(), window in 2usize..64) {
-        use asap::core::SlidingMoments;
-        let mut sk = SlidingMoments::new(window).unwrap();
-        for (i, &x) in data.iter().enumerate() {
-            sk.push(x);
-            let lo = (i + 1).saturating_sub(window);
-            let tail = &data[lo..=i];
-            if tail.len() >= 2 {
-                let m = asap::timeseries::mean(tail).unwrap();
-                let v = asap::timeseries::variance(tail).unwrap();
-                let tol = 1e-9 * (1.0 + m.abs() + v.abs());
-                prop_assert!((sk.mean().unwrap() - m).abs() < tol);
-                prop_assert!((sk.variance().unwrap() - v).abs() < tol);
-                // Fourth powers of ±1e3 inputs amplify rounding; only
-                // check kurtosis where the variance is well-conditioned,
-                // at a tolerance matched to the conditioning.
-                if v > 1e-6 {
-                    let k = kurtosis(tail).unwrap();
-                    prop_assert!(
-                        (sk.kurtosis().unwrap() - k).abs() < 5e-3 * (1.0 + k.abs()),
-                        "kurtosis {} vs {}", sk.kurtosis().unwrap(), k
-                    );
-                }
-            }
-        }
-    }
-
-    /// Incremental sliding roughness equals the batch kernel on the tail.
-    #[test]
-    fn sliding_roughness_equals_batch(data in varied_series(), window in 3usize..64) {
-        use asap::core::SlidingRoughness;
-        let mut sr = SlidingRoughness::new(window).unwrap();
-        for (i, &x) in data.iter().enumerate() {
-            sr.push(x);
-            let lo = (i + 1).saturating_sub(window);
-            let tail = &data[lo..=i];
-            if tail.len() >= 3 {
-                let want = roughness(tail).unwrap();
-                let got = sr.roughness().unwrap();
-                // Absolute tolerance scaled to the ±1e3 input magnitude.
-                prop_assert!((got - want).abs() < 1e-5, "{got} vs {want}");
-            }
-        }
-    }
-
     /// Every pyramid level holds the exact factor-2^k bucket means of the
     /// raw series, and any render covers its requested range with the
     /// advertised aggregation factor.
