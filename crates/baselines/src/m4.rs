@@ -66,12 +66,6 @@ pub fn m4_aggregate(data: &[f64], width: usize) -> Result<Vec<M4Point>, TimeSeri
     Ok(out)
 }
 
-/// Convenience: the M4 values only (time order), for metrics that operate
-/// on plain series.
-pub fn m4_values(data: &[f64], width: usize) -> Result<Vec<f64>, TimeSeriesError> {
-    Ok(m4_aggregate(data, width)?.into_iter().map(|p| p.value).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +128,7 @@ mod tests {
         let data: Vec<f64> = (0..800)
             .map(|i| (i as f64 * 0.1).sin() + if i % 2 == 0 { 0.6 } else { -0.6 })
             .collect();
-        let m4 = m4_values(&data, 100).unwrap();
+        let m4: Vec<f64> = m4_aggregate(&data, 100).unwrap().iter().map(|p| p.value).collect();
         let sma = asap_timeseries::sma(&data, 8).unwrap();
         let r_m4 = asap_timeseries::roughness(&m4).unwrap();
         let r_sma = asap_timeseries::roughness(&sma).unwrap();

@@ -21,20 +21,16 @@ pub fn oversmooth(data: &[f64]) -> Result<Vec<f64>, TimeSeriesError> {
     sma(data, window)
 }
 
-/// The window the oversmoothing policy would use for a series of `n`
-/// points.
-pub fn oversmooth_window(n: usize) -> usize {
-    (n / 4).max(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn window_is_a_quarter_of_length() {
-        assert_eq!(oversmooth_window(800), 200);
-        assert_eq!(oversmooth_window(9), 2);
+        // SMA output has n − window + 1 points: window 200 at n = 800, 2 at
+        // n = 9.
+        assert_eq!(oversmooth(&[0.0; 800]).unwrap().len(), 800 - 200 + 1);
+        assert_eq!(oversmooth(&[0.0; 9]).unwrap().len(), 9 - 2 + 1);
     }
 
     #[test]

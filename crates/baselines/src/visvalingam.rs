@@ -124,11 +124,6 @@ pub fn visvalingam(data: &[f64], target: usize) -> Result<Vec<SimplifiedPoint>, 
         .collect())
 }
 
-/// Convenience: simplified values only (time order).
-pub fn visvalingam_values(data: &[f64], target: usize) -> Result<Vec<f64>, TimeSeriesError> {
-    Ok(visvalingam(data, target)?.into_iter().map(|p| p.value).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,7 +188,7 @@ mod tests {
         let data: Vec<f64> = (0..1000)
             .map(|i| (std::f64::consts::TAU * i as f64 / 250.0).sin())
             .collect();
-        let vals = visvalingam_values(&data, 50).unwrap();
+        let vals: Vec<f64> = visvalingam(&data, 50).unwrap().iter().map(|p| p.value).collect();
         let max = vals.iter().cloned().fold(f64::MIN, f64::max);
         let min = vals.iter().cloned().fold(f64::MAX, f64::min);
         assert!(max > 0.95 && min < -0.95);

@@ -40,7 +40,7 @@ pub fn run() {
     ];
 
     let mut cand_table = Table::new(vec!["Variant", "avg candidates", "avg roughness ratio"]);
-    let datasets: Vec<(String, Vec<f64>)> = asap_bench::sweep_datasets()
+    let datasets: Vec<(String, Vec<f64>)> = crate::common::sweep_datasets()
         .iter()
         .filter(|d| d.n_points <= 100_000)
         .map(|d| (d.name.to_string(), d.generate().into_values()))

@@ -1,13 +1,13 @@
-//! Shared glue for `figures`, the binary that regenerates the paper's
-//! tables and figures one subcommand each. See `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
-//! results. The crate's other binary, `benchmark`, is the end-to-end
-//! ledger `BENCHMARK.json` declares; it shares nothing with this library.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! Glue shared by several figures: the dataset sweeps, the `ASAP_FAST`
+//! switch and the gallery sparkline.
 
 use asap_data::DatasetInfo;
+
+/// Whether `ASAP_FAST` is set: sweeps skip the 4.2M-point gas sensor and
+/// Figure 11 spends a shorter per-variant budget.
+pub fn fast() -> bool {
+    std::env::var("ASAP_FAST").is_ok()
+}
 
 /// The "seven largest datasets" of Figure 8 (Table 2 rows 1–7).
 pub fn seven_largest() -> Vec<DatasetInfo> {
@@ -15,9 +15,9 @@ pub fn seven_largest() -> Vec<DatasetInfo> {
 }
 
 /// Datasets small enough for quick sweeps (excludes the 4.2M-point gas
-/// sensor when `fast` is set via the ASAP_FAST env var).
+/// sensor under [`fast`]).
 pub fn sweep_datasets() -> Vec<DatasetInfo> {
-    let fast = std::env::var("ASAP_FAST").is_ok();
+    let fast = fast();
     asap_data::all_datasets()
         .into_iter()
         .filter(move |d| !fast || d.n_points <= 100_000)

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p asap-bench --bin figures -- fig1_smoothing_gallery`
 
-use asap_bench::sparkline;
+use crate::common::sparkline;
 use asap_core::Asap;
 use asap_timeseries::{kurtosis, roughness};
 
@@ -28,7 +28,7 @@ fn human_duration(secs: f64) -> String {
 pub fn run() {
     println!("== Figures 1-3 & C.1-C.3: raw vs ASAP gallery (1200 px targets) ==\n");
     let asap = Asap::builder().resolution(1200).build();
-    let mut datasets = asap_bench::sweep_datasets();
+    let mut datasets = crate::common::sweep_datasets();
     // Include the Figure 2 case study.
     let cpu = asap_data::cpu_cluster();
 

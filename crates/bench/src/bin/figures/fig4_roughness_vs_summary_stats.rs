@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p asap-bench --bin figures -- fig4_roughness_vs_summary_stats`
 
-use asap_bench::sparkline;
+use crate::common::sparkline;
 use asap_timeseries::{moments, roughness, zscore};
 
 pub fn run() {

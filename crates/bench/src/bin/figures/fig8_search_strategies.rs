@@ -20,9 +20,9 @@ pub fn run() {
         SearchStrategy::Binary,
         SearchStrategy::Asap,
     ];
-    let datasets: Vec<_> = asap_bench::seven_largest()
+    let datasets: Vec<_> = crate::common::seven_largest()
         .into_iter()
-        .filter(|d| std::env::var("ASAP_FAST").is_err() || d.n_points <= 100_000)
+        .filter(|d| !crate::common::fast() || d.n_points <= 100_000)
         .collect();
     let resolutions = [1000usize, 2000, 3000, 4000, 5000];
 

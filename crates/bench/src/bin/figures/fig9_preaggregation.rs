@@ -24,7 +24,7 @@ fn rendered_roughness(smoothed: &[f64], resolution: usize) -> f64 {
 
 pub fn run() {
     println!("== Figure 9: preaggregation on/off vs raw-exhaustive baseline ==\n");
-    let series = if std::env::var("ASAP_FAST").is_ok() {
+    let series = if crate::common::fast() {
         asap_data::machine_temp()
     } else {
         asap_data::gas_sensor()

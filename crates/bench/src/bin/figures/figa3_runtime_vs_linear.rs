@@ -32,7 +32,7 @@ pub fn run() {
 
     let mut sums = [0.0f64; 3];
     let mut count = 0usize;
-    for info in asap_bench::sweep_datasets() {
+    for info in crate::common::sweep_datasets() {
         let series = info.generate();
         let data = series.values();
 

@@ -8,10 +8,12 @@
 //! ```
 //!
 //! `ASAP_FAST=1` (the only switch) skips the 4.2M-point gas-sensor
-//! dataset. The figures print to stdout and record nothing; numbers that
-//! back a claim come from the `benchmark` binary beside this one.
+//! dataset and cuts Figure 11's per-variant budget from 8 s to 1 s. The
+//! figures print to stdout and record nothing; numbers that back a claim
+//! come from the `benchmark` binary beside this one.
 
 mod ablation_pruning;
+mod common;
 mod fig10_streaming_refresh;
 mod fig11_factor_analysis;
 mod fig1_smoothing_gallery;

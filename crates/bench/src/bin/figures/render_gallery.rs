@@ -19,7 +19,7 @@ pub fn run() {
     let asap = Asap::builder().resolution(1200).build();
 
     let mut rendered = Vec::new();
-    for info in asap_bench::sweep_datasets() {
+    for info in crate::common::sweep_datasets() {
         let series = info.generate();
         let name = series.name().to_string();
         match render_dataset(&name, series.values(), &asap, out_dir) {

@@ -11,7 +11,7 @@ use asap_eval::{table2, Table};
 
 pub fn run() {
     println!("== Table 2: exhaustive vs ASAP, 1200 px ==\n");
-    let datasets = asap_bench::sweep_datasets();
+    let datasets = crate::common::sweep_datasets();
     let rows = table2::run_all(&datasets, 1200);
 
     let mut table = Table::new(vec![

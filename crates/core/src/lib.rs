@@ -39,14 +39,12 @@ pub mod estimate;
 pub mod metrics;
 pub mod preagg;
 pub mod problem;
-pub mod pyramid;
 pub mod search;
 pub mod streaming;
 
 pub use config::{AsapBuilder, AsapConfig};
 pub use devices::{Device, DEVICES};
 pub use preagg::{preaggregate, point_to_pixel_ratio};
-pub use pyramid::ZoomPyramid;
 pub use problem::{SearchOutcome, SmoothingResult};
 pub use search::{binary, exhaustive, grid, SearchStrategy};
 pub use alert::{Alert, AlertGate, DeviationAlerter, Direction};
@@ -122,30 +120,7 @@ impl Asap {
             aggregated,
         })
     }
-
-    /// Re-renders a sub-range of the series — the zoom / scroll interaction
-    /// of §2 ("when ASAP users change the range of time series to
-    /// visualize, ASAP re-renders its output in accordance with the new
-    /// range").
-    ///
-    /// Equivalent to `smooth(&data[range])`: the window search reruns on
-    /// the new interval, because a high-quality window for one zoom level
-    /// may over- or under-smooth another.
-    pub fn smooth_range(
-        &self,
-        data: &[f64],
-        range: std::ops::Range<usize>,
-    ) -> Result<SmoothingResult, TimeSeriesError> {
-        if range.start >= range.end || range.end > data.len() {
-            return Err(TimeSeriesError::InvalidParameter {
-                name: "range",
-                message: "zoom range must be non-empty and within the series",
-            });
-        }
-        self.smooth(&data[range])
-    }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -206,30 +181,5 @@ mod tests {
         ));
         data[42] = f64::INFINITY;
         assert!(Asap::default().smooth(&data).is_err());
-    }
-
-    #[test]
-    fn zooming_reruns_the_search_on_the_sub_range() {
-        let data = periodic_noisy(8000, 200);
-        let asap = Asap::builder().resolution(500).build();
-        let full = asap.smooth(&data).unwrap();
-        let zoomed = asap.smooth_range(&data, 0..2000).unwrap();
-        // A quarter of the data at the same resolution: the pixel ratio
-        // shrinks 4x, so the window (in raw points) adapts.
-        assert_eq!(full.pixel_ratio, 16);
-        assert_eq!(zoomed.pixel_ratio, 4);
-        assert!(zoomed.smoothed.len() <= 501);
-    }
-
-    #[test]
-    fn invalid_zoom_ranges_error() {
-        let data = periodic_noisy(100, 10);
-        let asap = Asap::default();
-        assert!(asap.smooth_range(&data, 10..10).is_err());
-        #[allow(clippy::reversed_empty_ranges)] // the error path under test
-        {
-            assert!(asap.smooth_range(&data, 50..20).is_err());
-        }
-        assert!(asap.smooth_range(&data, 0..101).is_err());
     }
 }

@@ -14,13 +14,17 @@
 //! Each refresh emits a [`Frame`] — the smoothed series to render plus the
 //! chosen window — which is also the unit Figure 10 measures throughput
 //! over.
+//!
+//! The three building blocks — [`PaneAggregator`], [`SlidingWindow`] and
+//! [`RefreshClock`] — are public so the Figure 11 factor analysis can
+//! replay a series through the same machinery with each optimization
+//! toggled.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::AsapConfig;
 use crate::problem::SearchOutcome;
 use crate::search::asap;
-use asap_stream::{Operator, PaneAggregator, RefreshClock, SlidingWindow};
 use asap_timeseries::TimeSeriesError;
 
 /// Minimum panes in the sliding window before a refresh is meaningful
@@ -105,10 +109,10 @@ impl StreamingAsap {
         let pane_size = config.pane_size();
         let capacity = config.window_points.div_ceil(pane_size).max(2);
         // A window that cannot ever hold MIN_WARM_PANES panes would never
-        // warm up: every push returns Ok(None) forever and finish() emits
-        // nothing — silent total frame suppression. Reject the degenerate
-        // config here instead (happens when resolution or window_points
-        // is below MIN_WARM_PANES).
+        // warm up: every push returns Ok(None) forever — silent total
+        // frame suppression. Reject the degenerate config here instead
+        // (happens when resolution or window_points is below
+        // MIN_WARM_PANES).
         assert!(
             capacity >= MIN_WARM_PANES,
             "window covers only {capacity} panes but refresh needs {MIN_WARM_PANES}: \
@@ -190,22 +194,6 @@ impl StreamingAsap {
             outcome,
             points_ingested: self.points,
         })
-    }
-}
-
-impl Operator<f64, Frame> for StreamingAsap {
-    fn process(&mut self, input: f64, out: &mut Vec<Frame>) {
-        if let Ok(Some(frame)) = self.push(input) {
-            out.push(frame);
-        }
-    }
-
-    fn finish(&mut self, out: &mut Vec<Frame>) {
-        if self.is_warm() {
-            if let Ok(frame) = self.refresh() {
-                out.push(frame);
-            }
-        }
     }
 }
 
@@ -374,6 +362,143 @@ impl<K: Ord + Clone> MultiStreamingAsap<K> {
     }
 }
 
+/// Constant-size summary of one disjoint segment of the stream ("no pane,
+/// no gain", Li et al. 2005, cited in §4.5).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Pane {
+    /// Sum of the points in the pane.
+    pub sum: f64,
+    /// Number of points aggregated.
+    pub count: usize,
+}
+
+impl Pane {
+    /// The pane's mean value — the value ASAP's preaggregation emits.
+    #[inline]
+    pub fn mean(&self) -> f64 {
+        self.sum / self.count as f64
+    }
+}
+
+/// Accumulates raw points into fixed-size panes, emitting each pane as it
+/// completes. With one pane per point-to-pixel group, downstream work
+/// depends on the display resolution, not the data rate.
+#[derive(Debug, Clone)]
+pub struct PaneAggregator {
+    pane_size: usize,
+    current: Pane,
+}
+
+impl PaneAggregator {
+    /// Creates an aggregator producing one pane per `pane_size` points.
+    ///
+    /// # Panics
+    /// Panics if `pane_size == 0`.
+    pub fn new(pane_size: usize) -> Self {
+        assert!(pane_size > 0, "pane size must be positive");
+        PaneAggregator {
+            pane_size,
+            current: Pane::default(),
+        }
+    }
+
+    /// Ingests one point; returns the completed pane when this point filled
+    /// it.
+    #[inline]
+    pub fn push(&mut self, value: f64) -> Option<Pane> {
+        self.current.sum += value;
+        self.current.count += 1;
+        if self.current.count == self.pane_size {
+            Some(std::mem::take(&mut self.current))
+        } else {
+            None
+        }
+    }
+}
+
+/// The most recent `capacity` panes, oldest first: the "linked list of all
+/// subaggregations in the window" of §4.5, evicting the oldest pane as
+/// data transits the visualized interval.
+#[derive(Debug, Clone)]
+pub struct SlidingWindow {
+    panes: VecDeque<Pane>,
+    capacity: usize,
+}
+
+impl SlidingWindow {
+    /// Creates a window holding at most `capacity` panes.
+    ///
+    /// # Panics
+    /// Panics if `capacity == 0`.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be positive");
+        SlidingWindow {
+            panes: VecDeque::with_capacity(capacity + 1),
+            capacity,
+        }
+    }
+
+    /// Inserts a completed pane, evicting the oldest when full.
+    pub fn push(&mut self, pane: Pane) {
+        self.panes.push_back(pane);
+        if self.panes.len() > self.capacity {
+            self.panes.pop_front();
+        }
+    }
+
+    /// Number of panes currently held.
+    pub fn len(&self) -> usize {
+        self.panes.len()
+    }
+
+    /// True when no panes are held.
+    pub fn is_empty(&self) -> bool {
+        self.panes.is_empty()
+    }
+
+    /// The per-pane mean values, oldest first — the preaggregated series
+    /// ASAP's search runs over.
+    pub fn pane_means(&self) -> Vec<f64> {
+        self.panes.iter().map(Pane::mean).collect()
+    }
+}
+
+/// Counts arriving points and fires every `interval` of them — §4.5's
+/// on-demand refresh: humans perceive at most ~60 events/second, so the
+/// search re-runs on that timescale, not per point (Figure 10 sweeps the
+/// interval).
+#[derive(Debug, Clone)]
+pub struct RefreshClock {
+    interval: usize,
+    since_last: usize,
+}
+
+impl RefreshClock {
+    /// Creates a clock firing once every `interval` arrivals.
+    ///
+    /// # Panics
+    /// Panics if `interval == 0`.
+    pub fn new(interval: usize) -> Self {
+        assert!(interval > 0, "refresh interval must be positive");
+        RefreshClock {
+            interval,
+            since_last: 0,
+        }
+    }
+
+    /// Registers one arrival; returns `true` when a refresh is due.
+    #[inline]
+    pub fn tick(&mut self) -> bool {
+        self.since_last += 1;
+        if self.since_last >= self.interval {
+            self.since_last = 0;
+            true
+        } else {
+            false
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,15 +577,6 @@ mod tests {
         let batch = crate::search::asap::search(&agg, &config.asap).unwrap();
         assert_eq!(frame.outcome.window, batch.window);
         assert!(frame.outcome.window >= 5, "period should be smoothed over");
-    }
-
-    #[test]
-    fn operator_finish_flushes_a_final_frame() {
-        let op = StreamingAsap::new(StreamingConfig::new(1_000, 50, 10_000));
-        let data = stream_data(1_000, 100);
-        let frames = asap_stream::run_pipeline(op, data);
-        // Interval never fired (10k > 1k points) but finish emits one frame.
-        assert_eq!(frames.len(), 1);
     }
 
     #[test]
@@ -702,5 +818,62 @@ mod tests {
             op.push(i as f64).unwrap();
         }
         assert_eq!(op.points_ingested(), 20);
+    }
+
+    #[test]
+    fn pane_means_match_batch_tumbling_aggregation() {
+        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
+        let mut agg = PaneAggregator::new(7);
+        let streamed: Vec<f64> = data
+            .iter()
+            .filter_map(|&x| agg.push(x))
+            .map(|p| p.mean())
+            .collect();
+        let batch = asap_timeseries::sma_strided(&data, 7, 7).unwrap();
+        assert_eq!(streamed.len(), batch.len());
+        for (a, b) in streamed.iter().zip(&batch) {
+            assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn sliding_window_evicts_at_capacity() {
+        let pane = |v: f64| Pane { sum: v, count: 1 };
+        let mut w = SlidingWindow::new(3);
+        for v in [1.0, 2.0, 3.0] {
+            w.push(pane(v));
+        }
+        assert_eq!(w.len(), 3);
+        w.push(pane(4.0));
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.pane_means(), vec![2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pane size")]
+    fn zero_pane_size_panics() {
+        PaneAggregator::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn zero_window_capacity_panics() {
+        SlidingWindow::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "refresh interval")]
+    fn zero_clock_interval_panics() {
+        RefreshClock::new(0);
+    }
+
+    #[test]
+    fn clock_fires_every_interval() {
+        let mut c = RefreshClock::new(3);
+        let fired: Vec<bool> = (0..9).map(|_| c.tick()).collect();
+        assert_eq!(
+            fired,
+            vec![false, false, true, false, false, true, false, false, true]
+        );
     }
 }

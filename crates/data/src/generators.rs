@@ -1,5 +1,5 @@
-//! Building blocks for the dataset simulators: seeded IID samplers, random
-//! walks, and a composite seasonal-series builder with anomaly injection.
+//! Building blocks for the dataset simulators: seeded IID samplers and a
+//! composite seasonal-series builder with anomaly injection.
 //!
 //! §4.2 of the paper analyzes ASAP on IID data, Figure 5 contrasts normal
 //! and Laplace samples, and every evaluation dataset is (to ASAP's search) a
@@ -38,25 +38,6 @@ pub fn iid_normal(n: usize, mean: f64, sd: f64, seed: u64) -> Vec<f64> {
 pub fn iid_laplace(n: usize, mean: f64, scale: f64, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| mean + laplace_sample(&mut rng, scale)).collect()
-}
-
-/// `n` IID Uniform(lo, hi) samples (kurtosis 1.8, the paper's light-tailed
-/// reference).
-pub fn iid_uniform(n: usize, lo: f64, hi: f64, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(lo..hi)).collect()
-}
-
-/// A Gaussian random walk: `x₀ = start`, `x_{t+1} = x_t + N(drift, sd²)`.
-pub fn random_walk(n: usize, start: f64, drift: f64, sd: f64, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(n);
-    let mut x = start;
-    for _ in 0..n {
-        out.push(x);
-        x += drift + sd * normal_sample(&mut rng);
-    }
-    out
 }
 
 /// One periodic component of a composite series.
@@ -285,23 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn iid_uniform_has_kurtosis_1_8() {
-        let data = iid_uniform(200_000, -1.0, 1.0, 11);
-        let k = kurtosis(&data).unwrap();
-        assert!((k - 1.8).abs() < 0.05, "kurt {k}");
-    }
-
-    #[test]
     fn generators_are_deterministic() {
         assert_eq!(iid_normal(100, 0.0, 1.0, 5), iid_normal(100, 0.0, 1.0, 5));
         assert_ne!(iid_normal(100, 0.0, 1.0, 5), iid_normal(100, 0.0, 1.0, 6));
-    }
-
-    #[test]
-    fn random_walk_starts_at_start() {
-        let w = random_walk(10, 3.5, 0.0, 1.0, 1);
-        assert_eq!(w[0], 3.5);
-        assert_eq!(w.len(), 10);
     }
 
     #[test]

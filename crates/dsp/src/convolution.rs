@@ -38,30 +38,9 @@ pub fn correlate_same_clipped(data: &[f64], kernel: &[f64]) -> Vec<f64> {
     out
 }
 
-/// "Valid"-mode correlation: only positions where the kernel fully overlaps
-/// the data. Output length is `data.len() − kernel.len() + 1`.
-pub fn correlate_valid(data: &[f64], kernel: &[f64]) -> Vec<f64> {
-    let n = data.len();
-    let k = kernel.len();
-    if k == 0 || n < k {
-        return vec![];
-    }
-    data.windows(k)
-        .map(|w| w.iter().zip(kernel).map(|(x, c)| x * c).sum())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn valid_mode_length() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let kernel = [0.5, 0.5];
-        let out = correlate_valid(&data, &kernel);
-        assert_eq!(out, vec![1.5, 2.5, 3.5, 4.5]);
-    }
 
     #[test]
     fn same_mode_preserves_length() {
@@ -86,16 +65,13 @@ mod tests {
 
     #[test]
     fn empty_inputs_yield_empty() {
-        assert!(correlate_valid(&[], &[1.0]).is_empty());
-        assert!(correlate_valid(&[1.0], &[]).is_empty());
         assert!(correlate_same_clipped(&[], &[1.0]).is_empty());
-        assert!(correlate_valid(&[1.0, 2.0], &[1.0, 1.0, 1.0]).is_empty());
+        assert!(correlate_same_clipped(&[1.0], &[]).is_empty());
     }
 
     #[test]
     fn identity_kernel_is_identity() {
         let data = [3.0, 1.0, 4.0, 1.0, 5.0];
         assert_eq!(correlate_same_clipped(&data, &[1.0]), data.to_vec());
-        assert_eq!(correlate_valid(&data, &[1.0]), data.to_vec());
     }
 }

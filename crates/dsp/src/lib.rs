@@ -6,9 +6,8 @@
 //! This crate provides all of that machinery:
 //!
 //! * [`acf`] — the biased ACF estimator via FFT (production path, using
-//!   `rustfft`) and via brute force (O(n²) test oracle);
-//! * [`fft_ref`] — a from-scratch iterative radix-2 FFT kept as an
-//!   independent oracle so correctness never rests on the dependency;
+//!   `rustfft`) and via brute force (the O(n²) oracle the FFT path is
+//!   property-tested against);
 //! * [`peaks`] — autocorrelation peak detection (local maxima above a
 //!   correlation threshold, falling back to all lags for aperiodic data),
 //!   mirroring the reference ASAP implementation;
@@ -27,7 +26,6 @@
 pub mod acf;
 pub mod convolution;
 pub mod fft_filter;
-pub mod fft_ref;
 pub mod minmax_filter;
 pub mod peaks;
 pub mod savgol;

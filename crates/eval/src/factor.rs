@@ -15,8 +15,8 @@
 //! under a time budget and their throughput extrapolated from the work
 //! completed, as the paper itself does for the "over an hour" baseline.
 
+use asap_core::streaming::{PaneAggregator, RefreshClock, SlidingWindow};
 use asap_core::{point_to_pixel_ratio, AsapConfig, SearchStrategy};
-use asap_stream::{PaneAggregator, RefreshClock, SlidingWindow};
 use asap_timeseries::TimeSeries;
 use std::time::{Duration, Instant};
 

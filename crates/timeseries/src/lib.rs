@@ -27,7 +27,6 @@
 pub mod diff;
 pub mod error;
 pub mod normalize;
-pub mod resample;
 pub mod series;
 pub mod sma;
 pub mod stats;
@@ -35,7 +34,6 @@ pub mod stats;
 pub use diff::{first_differences, roughness};
 pub use error::TimeSeriesError;
 pub use normalize::{zscore, zscore_in_place};
-pub use resample::{resample, GapFill};
 pub use series::TimeSeries;
 pub use sma::{sma, sma_naive, sma_strided, PrefixSum};
 pub use stats::{kurtosis, mean, moments, stddev, variance, Moments};

@@ -51,11 +51,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable access to the underlying values.
-    pub fn values_mut(&mut self) -> &mut Vec<f64> {
-        &mut self.values
-    }
-
     /// Consumes the series, returning its values.
     pub fn into_values(self) -> Vec<f64> {
         self.values
@@ -129,11 +124,6 @@ impl TimeSeries {
         })
     }
 
-    /// Converts a window expressed in points to seconds of wall-clock time.
-    pub fn window_to_secs(&self, window_points: usize) -> f64 {
-        window_points as f64 * self.period_secs
-    }
-
     /// Returns the sub-series of the last `n` points (the "target interval
     /// for visualization" of §2), or the whole series when shorter.
     pub fn tail(&self, n: usize) -> TimeSeries {
@@ -166,7 +156,6 @@ mod tests {
         assert_eq!(s.duration_secs(), 99.0 * 60.0);
         assert_eq!(s.timestamp(0), 1_000_000.0);
         assert_eq!(s.timestamp(10), 1_000_600.0);
-        assert_eq!(s.window_to_secs(5), 300.0);
     }
 
     #[test]

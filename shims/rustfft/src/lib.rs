@@ -7,9 +7,10 @@
 //!
 //! Power-of-two lengths use an iterative radix-2 Cooley–Tukey transform;
 //! every other length goes through Bluestein's chirp-z algorithm, so
-//! arbitrary sizes stay O(n log n). Correctness is cross-checked in the
-//! workspace against `asap-dsp`'s independent from-scratch FFT oracle
-//! (`fft_ref`) and its brute-force O(n²) ACF estimator.
+//! arbitrary sizes stay O(n log n). Correctness is checked twice: this
+//! crate's tests compare both paths against a naive O(n²) DFT, and
+//! `asap-dsp`'s ACF built on it is property-tested against the
+//! brute-force O(n²) ACF estimator (`tests/properties.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

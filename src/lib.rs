@@ -34,8 +34,7 @@
 //! | [`timeseries`] | `asap-timeseries` | moments, roughness, kurtosis, SMA |
 //! | [`dsp`] | `asap-dsp` | FFT autocorrelation, peaks, smoothing filters |
 //! | [`data`] | `asap-data` | simulators of the paper's 11 evaluation datasets |
-//! | [`stream`] | `asap-stream` | pane-based sliding-window runtime |
-//! | [`core`] | `asap-core` | the ASAP search (Algorithms 1–3) |
+//! | [`core`] | `asap-core` | the ASAP search (Algorithms 1–3), batch and streaming |
 //! | [`baselines`] | `asap-baselines` | M4, PAA, Visvalingam–Whyatt, oversmooth |
 //! | [`eval`] | `asap-eval` | experiment harness and simulated user study |
 //! | [`tsdb`] | `asap-tsdb` | embedded Gorilla-compressed time-series storage |
@@ -51,7 +50,6 @@ pub use asap_data as data;
 pub use asap_dsp as dsp;
 pub use asap_eval as eval;
 pub use asap_server as server;
-pub use asap_stream as stream;
 pub use asap_timeseries as timeseries;
 pub use asap_tsdb as tsdb;
 pub use asap_viz as viz;

@@ -177,34 +177,12 @@ proptest! {
         }
     }
 
-    /// Resampling an already-regular series is the identity, for every
-    /// gap-fill policy.
-    #[test]
-    fn resample_regular_is_identity(data in varied_series(), period in 1.0..100.0f64) {
-        let pts: Vec<(f64, f64)> = data
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 * period, v))
-            .collect();
-        for fill in [
-            asap::timeseries::GapFill::Previous,
-            asap::timeseries::GapFill::Linear,
-            asap::timeseries::GapFill::Constant(0.0),
-        ] {
-            let ts = asap::timeseries::resample(&pts, period, fill, "p").unwrap();
-            prop_assert_eq!(ts.len(), data.len());
-            for (a, b) in ts.values().iter().zip(&data) {
-                prop_assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
-
     /// Pane-based streaming aggregation equals batch tumbling aggregation
     /// (the §4.5 sub-aggregation correctness).
     #[test]
     fn panes_equal_batch_tumbling(data in varied_series(), pane in 1usize..16) {
         prop_assume!(pane <= data.len());
-        let mut agg = asap::stream::PaneAggregator::new(pane);
+        let mut agg = asap::core::streaming::PaneAggregator::new(pane);
         let mut streamed = Vec::new();
         for &x in &data {
             if let Some(p) = agg.push(x) {
@@ -260,31 +238,5 @@ fn roughness_estimate_tracks_truth_on_stationary_inputs() {
                 );
             }
         }
-    }
-}
-
-proptest! {
-    /// Every pyramid level holds the exact factor-2^k bucket means of the
-    /// raw series, and any render covers its requested range with the
-    /// advertised aggregation factor.
-    #[test]
-    fn pyramid_levels_are_exact_bucket_means(
-        data in prop::collection::vec(-1e3..1e3f64, 8..512),
-        resolution in 1usize..64,
-    ) {
-        use asap::core::ZoomPyramid;
-        let p = ZoomPyramid::build(&data).unwrap();
-        let (vals, factor) = p.render(0..data.len(), resolution).unwrap();
-        prop_assert!(factor.is_power_of_two());
-        for (j, &v) in vals.iter().enumerate() {
-            let lo = j * factor;
-            let hi = lo + factor;
-            prop_assert!(hi <= data.len());
-            let want: f64 = data[lo..hi].iter().sum::<f64>() / factor as f64;
-            prop_assert!((v - want).abs() < 1e-9, "bucket {j}: {v} vs {want}");
-        }
-        // Density contract: at least `resolution` points unless the raw
-        // range itself is smaller.
-        prop_assert!(vals.len() >= resolution.min(data.len()) / 2);
     }
 }

@@ -3,7 +3,7 @@
 //! ingested into a TSDB, queried onto a display grid, smoothed by ASAP,
 //! and drawn.
 
-use asap::core::{Asap, ZoomPyramid};
+use asap::core::Asap;
 use asap::tsdb::{
     ingest, rollup_key, smooth_query, Aggregator, Compactor, DataPoint, RangeQuery,
     RetentionPolicy, RollupLevel, Selector, SeriesKey, Tsdb, TsdbConfig,
@@ -142,26 +142,29 @@ fn retention_tiering_preserves_smoothability_of_history() {
 }
 
 #[test]
-fn pyramid_zoom_over_stored_series_matches_query_zoom() {
-    // Load a stored series into a pyramid and confirm zooming agrees with
-    // querying the store at the equivalent bucket width.
+fn bucketed_query_means_equal_raw_chunk_means() {
+    // A bucketed query over a dense stored series answers, per bucket, the
+    // arithmetic mean of the raw points it covers: `factor` points per
+    // bucket, oldest first.
     let db = Tsdb::new();
     let key = SeriesKey::metric("req_rate");
     seed(&db, &key);
     let all = db.query(&key, RangeQuery::raw(0, DAYS * 86_400)).unwrap();
     let values: Vec<f64> = all.iter().map(|p| p.value).collect();
-    let pyramid = ZoomPyramid::build(&values).unwrap();
 
-    let resolution = 360;
-    let (zoomed, factor) = pyramid.render(0..values.len(), resolution).unwrap();
-    // Equivalent bucketed query: factor raw points per bucket.
+    let factor = 32;
     let bucket = STEP * factor as i64;
     let q = db
         .query(&key, RangeQuery::bucketed(0, DAYS * 86_400, bucket))
         .unwrap();
-    assert_eq!(zoomed.len(), q.len());
-    for (a, b) in zoomed.iter().zip(&q) {
-        assert!((a - b.value).abs() < 1e-9, "pyramid vs query bucket mean");
+    let want: Vec<f64> = values
+        .chunks_exact(factor)
+        .map(|c| c.iter().sum::<f64>() / factor as f64)
+        .collect();
+    assert_eq!(values.len() % factor, 0, "no partial trailing bucket");
+    assert_eq!(q.len(), want.len());
+    for (a, b) in want.iter().zip(&q) {
+        assert!((a - b.value).abs() < 1e-9, "raw chunk mean vs query bucket mean");
     }
 }
 

@@ -1,8 +1,7 @@
-//! Integration tests for the streaming execution mode: the operator
-//! interface, the threaded runtime, and refresh semantics together.
+//! Integration tests for the streaming execution mode: refresh cadence,
+//! frame bounds and search accounting of `StreamingAsap` together.
 
 use asap::core::{StreamingAsap, StreamingConfig};
-use asap::stream::{run_pipeline, run_threaded};
 
 fn telemetry(n: usize) -> Vec<f64> {
     (0..n)
@@ -12,28 +11,6 @@ fn telemetry(n: usize) -> Vec<f64> {
                 + if i > 3 * n / 4 { 2.0 } else { 0.0 }
         })
         .collect()
-}
-
-/// The streaming operator produces identical frames inline and on a worker
-/// thread — ASAP is deterministic, so the execution mode must not matter.
-#[test]
-fn threaded_execution_matches_inline() {
-    let data = telemetry(12_000);
-    let make = || StreamingAsap::new(StreamingConfig::new(6_000, 120, 2_000));
-
-    let inline_frames = run_pipeline(make(), data.iter().copied());
-    let stage = run_threaded(make(), 256);
-    for &v in &data {
-        assert!(stage.send(v));
-    }
-    let threaded_frames = stage.close();
-
-    assert_eq!(inline_frames.len(), threaded_frames.len());
-    for (a, b) in inline_frames.iter().zip(&threaded_frames) {
-        assert_eq!(a.outcome.window, b.outcome.window);
-        assert_eq!(a.points_ingested, b.points_ingested);
-        assert_eq!(a.smoothed, b.smoothed);
-    }
 }
 
 /// Frames arrive exactly at the configured cadence once the pane window
