@@ -13,8 +13,10 @@
 //! The [`Framer`] sits in front of the ingest byte stream and
 //! implements the `BATCH <nbytes>` frame of the ingest protocol (see
 //! [`crate::protocol`]): header lines are consumed by the framer,
-//! payload and plain-line bytes pass through to the
-//! [`StreamIngestor`] unchanged and in order.
+//! payload and plain-line bytes pass through to the connection's
+//! [`StreamIngestor`] session unchanged and in order. The session parses
+//! on the event worker that read the bytes and hands the points to the
+//! server's shard writers: an ingest connection owns no thread.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown as SocketShutdown, TcpStream};
@@ -41,9 +43,9 @@ const OUT_HIGH_WATER: usize = 256 * 1024;
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
 /// How soon a connection backpressured on the ingest pipeline is ticked
-/// again. A parser thread taking a chunk off the full queue is what
+/// again. A shard writer taking a batch off its full inbox is what
 /// clears the condition, and nothing signals that to the worker, so this
-/// is a timed recheck — short, because the queue drains in microseconds
+/// is a timed recheck — short, because an inbox drains in microseconds
 /// and bulk ingest would otherwise be quantized to the wait.
 const BACKPRESSURE_RECHECK: Duration = Duration::from_micros(100);
 
@@ -274,12 +276,13 @@ enum IngestPhase {
 }
 
 /// One ingest connection on the event core: a nonblocking socket driven
-/// through the [`Framer`] into a dedicated [`StreamIngestor`] via
-/// the non-blocking [`StreamIngestor::try_feed`] path. Backpressure
-/// without a blocked thread: while the pipeline's bounded queues are
-/// full the tick stops reading, the kernel buffer fills, and TCP flow
-/// control stalls the sender — the blocking [`StreamIngestor::feed`]'s
-/// behavior, minus the blocked thread.
+/// through the [`Framer`] into its own [`StreamIngestor`] session on the
+/// server's shard writers, via the non-blocking
+/// [`StreamIngestor::try_feed`] path (parsing runs here, on the event
+/// worker). Backpressure without a blocked thread: while a writer's
+/// bounded inbox is full the tick stops reading, the kernel buffer
+/// fills, and TCP flow control stalls the sender — the blocking
+/// [`StreamIngestor::feed`]'s behavior, minus the blocked thread.
 pub(crate) struct IngestConn {
     stream: TcpStream,
     shared: Arc<Shared>,
@@ -293,14 +296,15 @@ pub(crate) struct IngestConn {
     phase: IngestPhase,
     /// Last instant the report flush made byte progress.
     last_write_progress: Instant,
-    /// The last tick stopped because the pipeline's bounded queue was
-    /// full — waiting on parser progress, not on the peer.
+    /// The last tick stopped because a shard writer's bounded inbox was
+    /// full — waiting on writer progress, not on the peer.
     backpressured: bool,
 }
 
 impl IngestConn {
-    /// Builds the connection (nonblocking socket + pipeline + registry
-    /// entry). `None` means the socket was refused and already closed.
+    /// Builds the connection (nonblocking socket + ingest session +
+    /// registry entry); spawns nothing and never blocks. `None` means
+    /// the socket was refused and already closed.
     pub(crate) fn new(stream: TcpStream, shared: Arc<Shared>, slot: ActiveGuard) -> Option<Self> {
         if stream.set_nonblocking(true).is_err() {
             let _ = stream.shutdown(SocketShutdown::Both);
@@ -310,24 +314,7 @@ impl IngestConn {
         let peer = stream
             .peer_addr()
             .map_or_else(|_| "<unknown>".to_owned(), |a| a.to_string());
-        // The fully wired pipeline config: WAL, post-reorder fanout to
-        // standing subscriptions (the hook fires in store-apply order,
-        // so pushed frames match a serial replay of the stored series),
-        // and the shared stage histograms.
-        let ingest_config = shared.pipeline_config();
-        let ingestor = match StreamIngestor::new(
-            shared.db(),
-            shared.config().default_ts,
-            ingest_config,
-        ) {
-            Ok(ingestor) => ingestor,
-            Err(e) => {
-                let mut w = &stream;
-                let _ = w.write(protocol::render_error(&e.to_string()).as_bytes());
-                let _ = stream.shutdown(SocketShutdown::Both);
-                return None;
-            }
-        };
+        let ingestor = shared.writers().session(shared.config().default_ts);
         let id = shared.register_connection(ingestor.watch_progress());
         Some(Self {
             stream,
@@ -350,7 +337,7 @@ impl IngestConn {
 
     pub(crate) fn interest(&self, now: Instant) -> Interest {
         match self.phase {
-            // A parser thread, not the peer, ends backpressure: no read
+            // A shard writer, not the peer, ends backpressure: no read
             // interest, a timed recheck instead.
             IngestPhase::Streaming if self.backpressured => Interest {
                 events: PollFlags::empty(),
@@ -386,8 +373,8 @@ impl IngestConn {
             .ingestor
             .as_mut()
             .expect("streaming phase owns the ingestor");
-        // Drain the chunk backlog before reading more: while the
-        // pipeline is full this connection must not consume input — the
+        // Drain the chunk backlog before reading more: while a writer's
+        // inbox is full this connection must not consume input — the
         // event loop's stand-in for `feed()`'s blocking backpressure.
         self.backpressured = !ing.try_pump();
         let mut budget = self.shared.config().read_budget;
@@ -408,7 +395,7 @@ impl IngestConn {
                 Err(e) if is_retry(e.kind()) => {
                     // The socket is drained and the peer may say nothing
                     // more for a long time: hand the lines short of a
-                    // full chunk to the pipeline now, or a slow live
+                    // full chunk to the writers now, or a slow live
                     // feed stays invisible to readers and subscribers
                     // until `chunk_lines` lines have accumulated.
                     self.backpressured = !ing.try_flush();
@@ -426,8 +413,9 @@ impl IngestConn {
     /// Ends the stream — `finish()` on a clean EOF (the trailing
     /// unterminated line is real data), `abort()` on error or drain
     /// (the tail is indistinguishable from a truncated record) — and
-    /// queues the report line for flushing. `finish`/`abort` join the
-    /// pipeline threads: server-side work bounded by the in-flight
+    /// queues the report line for flushing. `finish`/`abort` wait for
+    /// the shard writers to apply this session's last batches and flush
+    /// its reorder stages: server-side work bounded by the in-flight
     /// window, never by client behavior.
     fn begin_close(&mut self, clean: bool) {
         let ingestor = self

@@ -11,13 +11,15 @@
 //!        │ line protocol             │ text protocol
 //!        ▼                           ▼
 //!  ┌─ ingest listener ─┐      ┌─ query listener ──┐
-//!  │ 1 conn = 1        │      │ SMOOTH RANGE      │
-//!  │ StreamIngestor    │      │ SUBSCRIBE (push)  │
-//!  │ (cap, back-       │      │ STATS HEALTH      │
-//!  │  pressure)        │      │ SNAPSHOT SHUTDOWN │
+//!  │ 1 conn = 1 session│      │ SMOOTH RANGE      │
+//!  │ parsed on its     │      │ SUBSCRIBE (push)  │
+//!  │ event worker (cap,│      │ STATS HEALTH      │
+//!  │ backpressure)     │      │ SNAPSHOT SHUTDOWN │
 //!  └────────┬──────────┘      └────────┬──────────┘
-//!           │                          │
-//!           ▼                          ▼
+//!           ▼                          │
+//!  ┌ ShardWriters: one writer ┐        │
+//!  │ per shard, server-lifetime│       │
+//!  └────────┬─────────────────┘        ▼
 //!        ┌──────────── ShardedDb ───────────┐   ┌ compaction scheduler ┐
 //!        │  shards · reorder · smoothing    │◀──│ Compactor::run_sharded│
 //!        └──────────────────────────────────┘   │ jittered ticks       │
@@ -30,13 +32,17 @@
 //!   dealt, a frame is pushed, or the drain begins — never by a timer;
 //!   bounded per-tick read budgets and buffered writes, so thousands of
 //!   mostly-idle connections cost poll-set entries rather than threads.
-//! * **Ingest listener** — each accepted connection gets its own
-//!   [`asap_tsdb::StreamIngestor`] draining the socket with end-to-end
-//!   backpressure (a full pipeline stops reading, TCP flow control
-//!   stalls the sender); the connection cap bounds pipelines, not
-//!   sockets. Clients may wrap payloads in length-prefixed
-//!   `BATCH <nbytes>` frames (see [`protocol`]) so one syscall carries
-//!   thousands of points. On close the final
+//! * **Ingest listener** — each accepted connection is one
+//!   [`asap_tsdb::StreamIngestor`] session, parsed on the event worker
+//!   that reads its socket, on the server's one
+//!   [`asap_tsdb::ShardWriters`] set (one writer thread per shard for
+//!   the server's lifetime), with end-to-end backpressure (a full
+//!   writer inbox stops reading, TCP flow control stalls the sender).
+//!   A connection costs no thread: the server runs
+//!   `1 + event_workers + shards` threads plus its background ones,
+//!   whatever the number of connections. Clients may wrap payloads in
+//!   length-prefixed `BATCH <nbytes>` frames (see [`protocol`]) so one
+//!   syscall carries thousands of points. On close the final
 //!   [`asap_tsdb::IngestReport`] is written back as one stable
 //!   `key=value` line.
 //! * **Query/ops protocol** — a line-oriented text protocol (see

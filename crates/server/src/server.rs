@@ -18,9 +18,10 @@ use std::time::{Duration, Instant};
 use asap_core::Asap;
 use asap_tsdb::obs::{self, MetricSample};
 use asap_tsdb::{
-    pipeline_ingest, ApplyHook, ChainCheckpointReport, CheckpointChain, CompactionReport, Counter, Histogram, IngestConfig, IngestMetrics, IngestReport, ObsRegistry,
-    ProgressWatch, RangeQuery, RetentionPolicy, Schedule, Selector, ShardedDb, SnapshotError,
-    StreamProgress, TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
+    ApplyHook, ChainCheckpointReport, CheckpointChain, CompactionReport, Counter, Histogram,
+    IngestConfig, IngestMetrics, IngestReport, ObsRegistry, ProgressWatch, RangeQuery,
+    RetentionPolicy, Schedule, Selector, ShardWriters, ShardedDb, SnapshotError, StreamProgress,
+    TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
 };
 
 use crate::event::Waker;
@@ -38,16 +39,19 @@ pub struct ServerConfig {
     pub query_addr: String,
     /// Concurrent ingest connection cap (default 64). Connections over
     /// the cap are refused with one `ERR` line. Each accepted connection
-    /// owns a full [`asap_tsdb::StreamIngestor`] pipeline (parser and
-    /// writer threads), so the cap bounds server threads and memory.
+    /// is one [`asap_tsdb::StreamIngestor`] session on the server's
+    /// shard writers — parsed on its event worker, no thread of its own —
+    /// so the cap bounds the memory of sessions (line assembler, backlog,
+    /// one reorder stage per shard), not threads.
     pub max_ingest_connections: usize,
     /// Concurrent query/ops connection cap (default 64), enforced the
     /// same way. A query connection costs a registry entry and its
     /// request/response buffers, not a thread; the cap bounds that
     /// memory against remote clients.
     pub max_query_connections: usize,
-    /// The streaming pipeline configuration every ingest connection runs
-    /// with (parsers, queue depth, chunk size, lateness).
+    /// The streaming pipeline configuration of the server's shard
+    /// writers, which every ingest connection and the self-scrape share
+    /// (writer inbox depth, chunk size, lateness).
     pub ingest: IngestConfig,
     /// Fallback timestamp base for records without one (see
     /// [`asap_tsdb::ingest::pipeline_ingest`]).
@@ -546,8 +550,8 @@ pub(crate) struct Shared {
     /// being written (and vice versa).
     snapshot_gate: Mutex<()>,
     /// Live counters of every open ingest connection, read on demand:
-    /// a connection idle on its socket is never ticked, while its
-    /// pipeline's writers may still be applying what it fed.
+    /// a connection idle on its socket is never ticked, while the shard
+    /// writers may still be applying what it fed.
     live: Mutex<HashMap<u64, ProgressWatch>>,
     finished: Mutex<IngestTotals>,
     active: AtomicUsize,
@@ -563,13 +567,13 @@ pub(crate) struct Shared {
     /// commands, the drain); the snapshot gate additionally keeps them
     /// exclusive with compaction and `SNAPSHOT` exports.
     chain: Option<Mutex<CheckpointChain>>,
-    /// Live WAL appender, shared with every ingest pipeline.
+    /// Live WAL appender, shared with the shard writers.
     wal: Option<Wal>,
     /// What boot-time replay recovered (zeroes when no WAL or nothing
     /// to replay) — surfaced in `STATS`.
     wal_replay: WalReplayReport,
-    /// Standing `SUBSCRIBE` registrations, fed by every ingest
-    /// pipeline's apply hook.
+    /// Standing `SUBSCRIBE` registrations, fed by the shard writers'
+    /// apply hook.
     subscriptions: Arc<Registry>,
     /// This server's metrics registry — per instance, not global, so
     /// parallel servers in one process never cross-contaminate.
@@ -577,8 +581,10 @@ pub(crate) struct Shared {
     /// Pre-resolved handles into `registry` for the server's own
     /// observation sites.
     metrics: ServerMetrics,
-    /// Pre-resolved ingest-stage histograms every pipeline shares.
-    ingest_metrics: IngestMetrics,
+    /// One writer thread per shard for the server's lifetime, shared by
+    /// every ingest connection and the self-scrape. Stopped by the
+    /// drain once nothing feeds it any more.
+    writers: ShardWriters,
     /// The wake-up channels of the I/O threads: one per event worker,
     /// then the dispatcher's.
     wakers: Vec<Arc<Waker>>,
@@ -592,7 +598,7 @@ impl Shared {
         wal_replay: WalReplayReport,
         chain: Option<CheckpointChain>,
         wakers: Vec<Arc<Waker>>,
-    ) -> Self {
+    ) -> Result<Self, TsdbError> {
         let subscriptions = Arc::new(Registry::new(
             config.subscribe_window,
             config.subscribe_resolution,
@@ -601,11 +607,26 @@ impl Shared {
         ));
         let registry = ObsRegistry::new();
         let metrics = ServerMetrics::new(&registry);
-        let ingest_metrics = IngestMetrics::new(&registry);
         if let Some(wal) = &wal {
             wal.set_metrics(WalMetrics::new(&registry));
         }
-        Self {
+        // The fully wired writer config: the WAL, post-reorder fanout to
+        // standing subscriptions (the hook fires in store-apply order, so
+        // pushed frames match a serial replay of the stored series), and
+        // the stage histograms.
+        let hook_registry = Arc::clone(&subscriptions);
+        let writers = ShardWriters::new(
+            &db,
+            IngestConfig {
+                wal: wal.clone(),
+                apply_hook: Some(ApplyHook::new(move |key, point| {
+                    hook_registry.on_point(key, point.value)
+                })),
+                metrics: Some(IngestMetrics::new(&registry)),
+                ..config.ingest.clone()
+            },
+        )?;
+        Ok(Self {
             db,
             config,
             draining: AtomicBool::new(false),
@@ -626,9 +647,9 @@ impl Shared {
             subscriptions,
             registry,
             metrics,
-            ingest_metrics,
+            writers,
             wakers,
-        }
+        })
     }
 
     /// The waker of event worker `index`.
@@ -644,23 +665,9 @@ impl Shared {
         &self.config
     }
 
-    /// A clone of the live WAL appender (shared with every ingest
-    /// pipeline), or `None` without durability.
-    pub(crate) fn wal_handle(&self) -> Option<Wal> {
-        self.wal.clone()
-    }
-
     /// The subscription registry (for per-connection [`SubSession`]s).
     pub(crate) fn subscriptions(&self) -> &Arc<Registry> {
         &self.subscriptions
-    }
-
-    /// The post-reorder apply hook every ingest pipeline installs: each
-    /// applied point fans out to matching subscriptions. With no
-    /// standing subscriptions the hook is one atomic load per point.
-    pub(crate) fn subscription_hook(&self) -> ApplyHook {
-        let registry = Arc::clone(&self.subscriptions);
-        ApplyHook::new(move |key, point| registry.on_point(key, point.value))
     }
 
     /// The server's observation handles.
@@ -668,34 +675,28 @@ impl Shared {
         &self.metrics
     }
 
-    /// The fully wired [`IngestConfig`] every ingest pipeline runs with:
-    /// the configured base plus the WAL handle, the subscription fanout
-    /// hook, and the shared stage histograms. Ingest connections and
-    /// the self-scrape path build pipelines from this one place.
-    pub(crate) fn pipeline_config(&self) -> IngestConfig {
-        IngestConfig {
-            wal: self.wal_handle(),
-            apply_hook: Some(self.subscription_hook()),
-            metrics: Some(self.ingest_metrics.clone()),
-            ..self.config.ingest.clone()
-        }
+    /// The server's shard writers, on which every ingest connection
+    /// opens its session.
+    pub(crate) fn writers(&self) -> &ShardWriters {
+        &self.writers
     }
 
     /// One self-scrape pass: render the full metrics state (live
     /// sources + registry) as line protocol tagged [`SELF_TAG`] at
-    /// `ts`, ingest it through the normal pipeline (WAL, checkpoints,
-    /// and subscriptions all apply), and return the ingested document —
-    /// the oracle the round-trip tests compare query results against.
+    /// `ts`, ingest it as one session on the shard writers, parsed on
+    /// the calling thread (WAL, checkpoints, and subscriptions all
+    /// apply), and return the ingested document — the oracle the
+    /// round-trip tests compare query results against.
     pub(crate) fn scrape(&self, ts: i64) -> Result<String, String> {
         let doc = obs::render_line_protocol(&collect_metrics(self), SELF_TAG, ts);
-        match pipeline_ingest(&self.db, &doc, ts, &self.pipeline_config()) {
-            Ok(report) if report.parse_failures.is_empty() && report.write_failures.is_empty() => {
-                self.metrics.scrape_runs.inc();
-                Ok(doc)
-            }
-            Ok(report) => Err(format!("scrape ingest rejected lines: {report}")),
-            Err(e) => Err(e.to_string()),
+        let mut session = self.writers.session(ts);
+        session.feed(doc.as_bytes());
+        let report = session.finish();
+        if !report.is_clean() {
+            return Err(format!("scrape ingest rejected lines: {report}"));
         }
+        self.metrics.scrape_runs.inc();
+        Ok(doc)
     }
 
     pub(crate) fn is_draining(&self) -> bool {
@@ -925,9 +926,12 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds both listeners, spawns the dispatcher, the event workers
-    /// and the configured background threads (compaction, checkpoint,
-    /// self-scrape), and returns the running server.
+    /// Binds both listeners, spawns one writer per shard, the
+    /// dispatcher, the event workers and the configured background
+    /// threads (compaction, checkpoint, self-scrape), and returns the
+    /// running server. The thread count is fixed from here on:
+    /// `1 + event_workers + shards` plus the background threads,
+    /// whatever the number of connections.
     ///
     /// Fails fast on configuration errors ([`ServerError::Config`]) and
     /// socket errors ([`ServerError::Io`]); nothing is spawned on
@@ -1079,7 +1083,7 @@ impl Server {
         let checkpoint_config = config.checkpoint.clone();
         let self_scrape = config.self_scrape;
         let (wakers, wake_receivers) = event::wake_channels(config.event_workers + 1)?;
-        let shared = Arc::new(Shared::new(db, config, wal, wal_replay, chain, wakers));
+        let shared = Arc::new(Shared::new(db, config, wal, wal_replay, chain, wakers)?);
 
         let io_threads = event::start(ingest_listener, query_listener, wake_receivers, &shared);
         let scheduler_thread = compaction.map(|cfg| {
@@ -1172,9 +1176,10 @@ impl Server {
     }
 
     /// Gracefully stops the server now: stops accepting, lets every
-    /// ingest connection flush its reorder buffers via `finish()`, stops
-    /// the background threads, takes one last chain checkpoint if a
-    /// chain is configured, seals the WAL, and returns the final report.
+    /// ingest connection flush its reorder buffers, stops the background
+    /// threads and then the shard writers, takes one last chain
+    /// checkpoint if a chain is configured, seals the WAL, and returns
+    /// the final report.
     pub fn shutdown(self) -> ServerReport {
         self.drain()
     }
@@ -1184,9 +1189,12 @@ impl Server {
         // the dispatcher stops accepting and the event workers finalize
         // their connections (abort + flush reorder buffers); (2) join
         // the I/O threads (workers exit after finalizing); (3) the
-        // scheduler observed the flag via the condvar — join it; (4) with
-        // all writers drained and the compactor stopped, take the final
-        // checkpoint; (5) assemble the report (gauges now zero).
+        // schedulers observed the flag via the condvar — join them, the
+        // self-scrape after its final pass; (4) with nothing left to
+        // feed them, stop and join the shard writers; (5) with every
+        // point applied and the compactor stopped, take the final
+        // checkpoint; (6) seal the WAL; (7) assemble the report (gauges
+        // now zero).
         self.shared.begin_drain();
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
@@ -1204,6 +1212,7 @@ impl Server {
         if let Some(handle) = self.scrape_thread.take() {
             let _ = handle.join();
         }
+        self.shared.writers.stop();
         // A chain-configured server's durable shutdown state is one
         // last incremental checkpoint: everything the drain flushed
         // lands in the chain and the covered log generations go away,

@@ -1,0 +1,109 @@
+//! Thread-budget wall: ingest connections and self-scrapes cost no
+//! threads. The server runs one writer per shard for its whole lifetime
+//! and parses ingest bytes on the event worker that read them, so after
+//! `Server::start` the process thread count stays fixed whatever the
+//! number of connections — and the shared writers still give every
+//! connection its own exact report.
+//!
+//! This is a test binary of its own, holding one test: it reads the whole
+//! process's thread count (`Threads:` in `/proc/self/status`), which
+//! sibling tests running in parallel would move.
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
+
+use asap_server::{Server, ServerConfig};
+use asap_tsdb::{
+    line_protocol, RangeQuery, Selector, ShardedConfig, ShardedDb, Tsdb, SELF_TAG,
+};
+
+const CONNECTIONS: usize = 64;
+
+/// Threads of this process right now.
+fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .expect("`Threads:` in /proc/self/status")
+        .trim()
+        .parse()
+        .expect("numeric thread count")
+}
+
+/// One `STATS` counter, read on a fresh query connection.
+fn stat(addr: SocketAddr, key: &str) -> i64 {
+    let conn = TcpStream::connect(addr).expect("connect query");
+    (&conn).write_all(b"STATS\n").expect("send STATS");
+    let prefix = format!("{key} ");
+    for line in BufReader::new(&conn).lines() {
+        let line = line.expect("read STATS");
+        if let Some(value) = line.strip_prefix(&prefix) {
+            return value.trim().parse().expect("numeric counter");
+        }
+        assert_ne!(line, "END", "STATS lacks `{key}`");
+    }
+    panic!("STATS ended before END");
+}
+
+#[test]
+fn idle_connections_and_scrapes_add_no_threads() {
+    let db = ShardedDb::with_config(ShardedConfig::new(4, 64));
+    let server = Server::start(
+        db.clone(),
+        ServerConfig {
+            max_ingest_connections: CONNECTIONS,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let baseline = threads();
+
+    let conns: Vec<TcpStream> = (0..CONNECTIONS)
+        .map(|_| TcpStream::connect(server.ingest_addr()).expect("connect ingest"))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stat(server.query_addr(), "ingest.active_connections") < CONNECTIONS as i64 {
+        assert!(Instant::now() < deadline, "connections never became active");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(threads(), baseline, "{CONNECTIONS} idle ingest connections");
+
+    for _ in 0..3 {
+        server.scrape_now().expect("scrape");
+        // Scrapes are stamped in milliseconds; a second one within the
+        // same millisecond would collide with the first's samples.
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(threads(), baseline, "three self-scrapes");
+
+    // Each connection sends one line on its own series and half-closes.
+    let mut doc = String::new();
+    for (i, conn) in conns.iter().enumerate() {
+        let line = format!("conn,id=c{i} v={i} {}\n", 1_000 + i);
+        (&*conn).write_all(line.as_bytes()).expect("send line");
+        conn.shutdown(Shutdown::Write).expect("half-close");
+        doc.push_str(&line);
+    }
+    for mut conn in conns {
+        let mut report = String::new();
+        conn.read_to_string(&mut report).expect("read report");
+        assert_eq!(
+            report,
+            "lines=1 points=1 reordered=0 dropped_late=0 dropped_duplicate=0 \
+             parse_failures=0 write_failures=0 clean=true\n"
+        );
+    }
+
+    let oracle = Tsdb::new();
+    line_protocol::ingest(&oracle, &doc, 0).expect("oracle ingest");
+    let user = Selector::any().tag_absent(SELF_TAG);
+    let full = RangeQuery::raw(i64::MIN + 1, i64::MAX);
+    assert_eq!(
+        db.query_selector(&user, full).unwrap(),
+        oracle.query_selector(&user, full).unwrap()
+    );
+    assert_eq!(threads(), baseline, "after every connection closed");
+    server.shutdown();
+}

@@ -1,16 +1,15 @@
 //! Sealed, immutable storage blocks.
 //!
 //! A [`Block`] is a compressed run of consecutive points of one series plus
-//! the summary metadata (time span, count, min/max/sum) that lets queries
-//! skip non-overlapping blocks without decompressing them and lets bucketed
-//! aggregations over whole blocks answer from the summary alone.
+//! the summary metadata (time span, count) that lets queries skip
+//! non-overlapping blocks without decompressing them.
 
 use crate::error::TsdbError;
 use crate::gorilla::{CompressedChunk, GorillaEncoder};
 use crate::point::DataPoint;
 
 /// Summary statistics of a sealed block, computed at seal time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockSummary {
     /// Timestamp of the first point.
     pub start: i64,
@@ -18,12 +17,6 @@ pub struct BlockSummary {
     pub end: i64,
     /// Number of points.
     pub count: usize,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Sum of values (for O(1) whole-block means).
-    pub sum: f64,
 }
 
 /// An immutable compressed run of points with skip-scan metadata.
@@ -52,9 +45,6 @@ impl Block {
             }
         };
         let mut enc = GorillaEncoder::new();
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
         let mut prev_ts = None;
         for &p in points {
             debug_assert!(p.value.is_finite(), "ingestion must reject non-finite values");
@@ -62,9 +52,6 @@ impl Block {
                 debug_assert!(p.timestamp > prev, "ingestion must reject out-of-order points");
             }
             prev_ts = Some(p.timestamp);
-            min = min.min(p.value);
-            max = max.max(p.value);
-            sum += p.value;
             enc.append(p);
         }
         Ok(Self {
@@ -72,9 +59,6 @@ impl Block {
                 start: first.timestamp,
                 end: last.timestamp,
                 count: points.len(),
-                min,
-                max,
-                sum,
             },
             chunk: enc.finish(),
         })
@@ -174,10 +158,6 @@ mod tests {
         assert_eq!(s.start, 0);
         assert_eq!(s.end, 990);
         assert_eq!(s.count, 100);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 49.5);
-        let expected_sum: f64 = (0..100).map(|i| i as f64 * 0.5).sum();
-        assert!((s.sum - expected_sum).abs() < 1e-9);
         assert_eq!(b.len(), 100);
         assert!(!b.is_empty());
     }
@@ -216,8 +196,6 @@ mod tests {
         let b = Block::seal(&[DataPoint::new(7, 3.5)]).unwrap();
         assert_eq!(b.summary().start, 7);
         assert_eq!(b.summary().end, 7);
-        assert_eq!(b.summary().min, 3.5);
-        assert_eq!(b.summary().max, 3.5);
         assert_eq!(b.decode().unwrap(), vec![DataPoint::new(7, 3.5)]);
     }
 

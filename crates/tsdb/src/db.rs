@@ -122,19 +122,6 @@ impl Tsdb {
         self.inner.evict_before(cutoff)
     }
 
-    /// Summary statistics (count/min/max/sum/mean) of one series over
-    /// `[start, end)`, answered from sealed-block metadata where possible
-    /// (no decompression for fully covered blocks). Returns `Ok(None)`
-    /// when the range holds no points.
-    pub fn summarize(
-        &self,
-        key: &SeriesKey,
-        start: i64,
-        end: i64,
-    ) -> Result<Option<crate::series::RangeSummary>, TsdbError> {
-        self.inner.summarize(key, start, end)
-    }
-
     /// Returns clones of one series' sealed blocks (cheap: payloads are
     /// reference-counted). Used by snapshot persistence; call
     /// [`Tsdb::flush`] first to include memtable contents.

@@ -1,65 +1,71 @@
 //! Streaming concurrent line-protocol ingest for the sharded engine.
 //!
-//! The ASAP paper (§2) places the operator downstream of production TSDBs
-//! fed by live telemetry; this module is the front-end that feeds a
+//! The ASAP paper (§2) places the operator downstream of production
+//! TSDBs fed by live telemetry; this module is the front-end that feeds a
 //! [`ShardedDb`] at that rate. The serial [`crate::line_protocol::ingest`]
 //! parses and writes one line at a time on the caller's thread; here the
 //! document is a *byte stream* — any [`std::io::Read`], a socket, or
 //! incremental [`StreamIngestor::feed`] calls — consumed in bounded
-//! memory with both halves running concurrently and in parallel:
+//! memory, parsed on the thread that holds the bytes, and applied by one
+//! writer thread per shard that every stream shares:
 //!
 //! ```text
-//!  bytes ─▶ chunker ─▶ bounded work queue ─▶ parser worker 0 ─┐
-//!           (line-                        ├─▶ parser worker 1 ─┤ Batch{chunk,pts}
-//!            complete                     └─▶ parser worker P-1┘        │
-//!            owned chunks)                                     per-shard bounded
-//!                                                                  channels
-//!                                       ┌─ reorder stage ─ shard writer 0 ◀┤
-//!                                       ├─ reorder stage ─ shard writer 1 ◀┤
-//!                                       └─ reorder stage ─ shard writer S-1◀┘
+//!  session A: bytes ─▶ line assembler ─▶ chunk ─▶ parse + route ─┐ one batch per
+//!  session B: bytes ─▶ line assembler ─▶ chunk ─▶ parse + route ─┤ (chunk, shard)
+//!                                                                 ▼
+//!        bounded inbox ─▶ shard writer 0   (reorder stage per session) ─▶ shard 0
+//!        bounded inbox ─▶ shard writer 1   (reorder stage per session) ─▶ shard 1
+//!        bounded inbox ─▶ shard writer S-1 (reorder stage per session) ─▶ shard S-1
 //! ```
 //!
-//! * the **chunker** reassembles complete lines out of arbitrary byte
-//!   pieces (reader chunks may split mid-float, mid-escape, or mid-UTF-8
-//!   code point — see [`crate::line_protocol`]'s `LineAssembler`) and
-//!   groups them into owned chunks of [`IngestConfig::chunk_lines`]
-//!   lines, each tagged with its global starting line index; a line past
+//! * a [`ShardWriters`] set owns one writer thread per shard for as long
+//!   as the set lives — a server's lifetime, or one library
+//!   [`StreamIngestor`]'s. Any number of streams (*sessions*, see
+//!   [`ShardWriters::session`]) share it, so the thread count is the
+//!   shard count whatever the number of streams;
+//! * a session reassembles complete lines out of arbitrary byte pieces
+//!   (reader chunks may split mid-float, mid-escape, or mid-UTF-8 code
+//!   point — see [`crate::line_protocol`]'s `LineAssembler`), groups them
+//!   into chunks of [`IngestConfig::chunk_lines`] lines, parses each
+//!   chunk on the thread feeding it and routes the points by the engine's
+//!   tag-aware shard hash into one batch per shard. A line past
 //!   [`crate::line_protocol::MAX_LINE_BYTES`] is discarded as it arrives
 //!   and reported as one [`ParseFailure`] at its own line number, so a
-//!   newline-free stream cannot grow the chunker;
-//! * chunks flow through a bounded **work queue** to the parser workers
-//!   (shared queue — any idle worker takes the next chunk, replacing the
-//!   old static chunk assignment that required knowing the whole document
-//!   up front); each parsed point is routed by the engine's tag-aware
-//!   shard hash and batched per `(chunk, shard)`; every chunk sends
-//!   exactly one batch to every shard (empty batches included), so
-//!   writers can apply chunks **strictly in stream order** with a small
-//!   chunk-reorder buffer;
-//! * all buffering is bounded: the work queue and per-shard channels hold
-//!   [`IngestConfig::queue_depth`] entries, and parsers additionally
-//!   throttle against the slowest writer's applied-chunk watermark (a
-//!   window of `parsers + queue_depth` chunks), so the pipeline holds at
-//!   most `2·(parsers + queue_depth)` chunks at any moment no matter how
-//!   long the stream runs — a slow writer backpressures all the way to
-//!   the byte source;
-//! * with [`IngestConfig::lateness`] set, a per-shard **reorder stage**
-//!   (a [`ReorderBuffer`] over that writer's [`crate::shard::Shard`])
-//!   sits between the
-//!   writer and storage: bounded out-of-order telemetry is buffered and
-//!   applied in timestamp order instead of failing per line, late and
-//!   duplicate points are counted ([`IngestReport::dropped_late`],
+//!   newline-free stream cannot grow the assembler;
+//! * a session sends every chunk's batches — empty ones included, they
+//!   advance its applied-chunk clock — to every writer's bounded inbox.
+//!   One thread submits a session's batches and inboxes are FIFO, so
+//!   every writer applies every session's chunks **strictly in stream
+//!   order** without reordering anything itself;
+//! * all buffering is bounded: each inbox holds
+//!   [`IngestConfig::queue_depth`] batches, so on the blocking
+//!   [`StreamIngestor::feed`] path a session has at most
+//!   `queue_depth + 2` chunks in flight (a full inbox, the batch its
+//!   writer is applying, the chunk being sent) no matter how long the
+//!   stream runs — a slow writer backpressures every session feeding it
+//!   all the way to the byte source;
+//! * with [`IngestConfig::lateness`] set, each writer keeps one
+//!   **reorder stage** (a [`ReorderBuffer`] over its
+//!   [`crate::shard::Shard`]) per session between the session and
+//!   storage: bounded out-of-order telemetry is buffered and applied in
+//!   timestamp order instead of failing per line, late and duplicate
+//!   points are counted ([`IngestReport::dropped_late`],
 //!   [`IngestReport::dropped_duplicate`]) rather than reported as
-//!   failures, and [`StreamIngestor::finish`] flushes every buffer at end
-//!   of stream. With `lateness: None` writes go straight to the shard and
-//!   ordering violations surface as per-line [`WriteFailure`]s, exactly
-//!   like the pre-streaming pipeline.
+//!   failures, and ending the session flushes its stages. With
+//!   `lateness: None` writes go straight to the shard and ordering
+//!   violations surface as per-line [`WriteFailure`]s, exactly like the
+//!   serial path.
 //!
-//! Because chunk application is in stream order, per-series offer order
-//! equals stream order no matter how threads interleave — which makes the
-//! whole pipeline deterministic: same bytes, same final store, same
-//! [`IngestReport`], at any parser/shard/queue/read-buffer configuration.
+//! Because a session's chunks are applied in stream order, per-series
+//! offer order within a session equals stream order no matter how
+//! threads interleave — which makes a session deterministic: same bytes,
+//! same final store, same [`IngestReport`], at any
+//! shard/queue/chunk/read-buffer configuration. Sessions writing disjoint
+//! series leave each other's reports untouched; sessions writing one
+//! series meet at the store in the order their batches reach the writer,
+//! each through its own reorder stage.
 //!
-//! Unlike the serial path, the pipeline does not abort on the first bad
+//! Unlike the serial path, a session does not abort on the first bad
 //! line: malformed lines and rejected writes are skipped and reported in
 //! the [`IngestReport`] (a live telemetry socket cannot un-send a line).
 //!
@@ -69,17 +75,19 @@
 //! * [`ingest_reader`] — drain any [`std::io::Read`] to end of stream;
 //! * [`StreamIngestor`] — a long-running handle: feed byte pieces as
 //!   they arrive, poll a live [`StreamProgress`], `finish()` to flush
-//!   and collect the final report. This is the shape a socket listener
-//!   plugs into.
+//!   and collect the final report;
+//! * [`ShardWriters`] — one writer set serving many concurrent
+//!   sessions. This is the shape a socket listener plugs into.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::io::Read;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-use crossbeam::channel::{Receiver, Sender};
 
 use crate::error::TsdbError;
 use crate::line_protocol::{
@@ -131,15 +139,12 @@ impl std::fmt::Debug for ApplyHook {
 /// Tuning knobs of the ingest pipeline.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Parser worker threads (default 4).
-    pub parsers: usize,
-    /// Bound of the work queue and of each per-shard channel, in
-    /// chunks/batches (default 8). Smaller values bound memory harder and
-    /// throttle the byte source sooner; larger values absorb burstier
-    /// shard skew.
+    /// Bound of each shard writer's inbox, in batches (default 8).
+    /// Smaller values bound memory harder and throttle the byte source
+    /// sooner; larger values absorb burstier shard skew.
     pub queue_depth: usize,
-    /// Lines per chunk (default 256). A chunk is the unit of parser
-    /// scheduling and of writer-side ordering.
+    /// Lines per chunk (default 256). A chunk is the unit a session
+    /// parses and hands to the shard writers.
     pub chunk_lines: usize,
     /// Out-of-order tolerance of the per-shard reorder stage, in
     /// timestamp units (default `None`).
@@ -180,7 +185,6 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         Self {
-            parsers: 4,
             queue_depth: 8,
             chunk_lines: 256,
             lateness: None,
@@ -199,9 +203,6 @@ impl IngestConfig {
             name,
             message: "ingest pipeline knobs must be positive",
         };
-        if self.parsers == 0 {
-            return Err(bad("parsers"));
-        }
         if self.queue_depth == 0 {
             return Err(bad("queue_depth"));
         }
@@ -303,7 +304,7 @@ impl std::fmt::Display for IngestReport {
 /// exact once [`StreamIngestor::finish`] returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamProgress {
-    /// Lines completed by the chunker so far.
+    /// Lines completed by the line assembler so far.
     pub lines: usize,
     /// Points written into the store so far.
     pub points: usize,
@@ -317,14 +318,15 @@ pub struct StreamProgress {
     pub parse_failures: usize,
     /// Rejected writes seen so far.
     pub write_failures: usize,
-    /// Chunks created but not yet fully applied by every writer — the
-    /// pipeline's in-flight buffering. On the blocking
+    /// Chunks sealed but not yet applied by every writer — the
+    /// session's in-flight buffering. On the blocking
     /// [`StreamIngestor::feed`] path this never exceeds
-    /// `2 · (parsers + queue_depth)`; on the non-blocking
+    /// `queue_depth + 2`; on the non-blocking
     /// [`StreamIngestor::try_feed`] path it additionally counts the
     /// caller-bounded backlog of sealed-but-unsent chunks.
     pub in_flight_chunks: usize,
-    /// Points currently held by the reorder stages across all shards.
+    /// Points of this session currently held by the reorder stages
+    /// across all shards.
     pub pending_reorder: usize,
 }
 
@@ -354,119 +356,126 @@ impl std::fmt::Display for StreamProgress {
     }
 }
 
-/// One complete-line chunk of the stream, tagged with its position.
+/// One complete-line chunk of a session's stream.
 #[derive(Debug)]
 struct Chunk {
-    /// 0-based index in stream order — the writer-side ordering clock.
-    index: usize,
     /// Global 0-based line index of `lines[0]` (line numbers and
     /// fallback timestamps are derived from it).
     start_line: usize,
     lines: Vec<Line>,
 }
 
-/// One chunk's points for one shard. Every chunk sends exactly one batch
-/// to every shard — empty ones advance the writer's ordering clock.
+/// One chunk's points for one shard, in line order. Points of a series
+/// share one copy of its key per batch: keys are allocated on the
+/// feeding thread and freed on the writer, and frees across threads
+/// contend on the allocator: with a key per point, the writers spent as
+/// long freeing keys as applying points (bulk ingest, 2 CPUs).
+#[derive(Debug, Default)]
 struct Batch {
-    chunk: usize,
-    points: Vec<(usize, ParsedPoint)>,
+    /// `(1-based line number, index into keys, point)`.
+    points: Vec<(usize, usize, DataPoint)>,
+    keys: Vec<SeriesKey>,
 }
 
-/// Shared pipeline progress: per shard, the next chunk its writer will
-/// apply. Parsers wait until their chunk is within `window` of the
-/// slowest writer, which bounds every writer's chunk-reorder buffer (a
-/// batch is only ever sent while its chunk is less than `min applied +
-/// window`, so a writer at chunk `next` buffers fewer than `window`
-/// chunks ahead of it).
-///
-/// Deadlock-free by construction: chunks enter the work queue in index
-/// order and parsers dequeue in FIFO order, so the parser holding the
-/// minimum unapplied chunk `m` (or about to take it) is never gated
-/// (`m < m + window`), and writers always drain their channels, so its
-/// sends always complete — `m` strictly advances.
-#[derive(Debug)]
-struct Progress {
-    applied: Vec<AtomicUsize>,
-    gate: Mutex<()>,
-    wake: std::sync::Condvar,
-}
-
-impl Progress {
-    fn new(shards: usize) -> Self {
-        Self {
-            applied: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
-            gate: Mutex::new(()),
-            wake: std::sync::Condvar::new(),
-        }
-    }
-
-    fn min_applied(&self) -> usize {
-        self.applied
-            .iter()
-            .map(|a| a.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(usize::MAX)
-    }
-
-    /// Blocks until `chunk < min applied + window`.
-    fn wait_until_within(&self, chunk: usize, window: usize) {
-        if chunk < self.min_applied().saturating_add(window) {
-            return;
-        }
-        let mut guard = self.gate.lock().expect("ingest gate poisoned");
-        while chunk >= self.min_applied().saturating_add(window) {
-            guard = self.wake.wait(guard).expect("ingest gate poisoned");
-        }
-    }
-
-    /// Records that `shard`'s writer will next apply `next`.
-    fn advance(&self, shard: usize, next: usize) {
-        // Store under the gate so a parser cannot check-then-sleep
-        // between the store and the notify (missed wakeup).
-        let _guard = self.gate.lock().expect("ingest gate poisoned");
-        self.applied[shard].store(next, Ordering::Release);
-        self.wake.notify_all();
+impl Batch {
+    /// Appends a point, reusing the key of an earlier point of the same
+    /// series (the parsed copy is then freed here, on the feeding
+    /// thread). `index` maps key hashes to positions in `keys`; a hash
+    /// collision only costs a second copy of a key.
+    fn push(&mut self, line: usize, parsed: ParsedPoint, index: &mut HashMap<u64, usize>) {
+        let mut hasher = DefaultHasher::new();
+        parsed.key.hash(&mut hasher);
+        let hash = hasher.finish();
+        let key = match index.get(&hash) {
+            Some(&known) if self.keys[known] == parsed.key => known,
+            _ => {
+                self.keys.push(parsed.key);
+                index.insert(hash, self.keys.len() - 1);
+                self.keys.len() - 1
+            }
+        };
+        self.points.push((line, key, parsed.point));
     }
 }
 
-/// Counters shared by the chunker, parsers, and writers — the source of
+/// What a session hands a shard writer. Each session's messages reach
+/// each writer in the order the session sent them.
+enum ToWriter {
+    /// One chunk's points for this shard. Every chunk sends exactly one
+    /// batch to every shard — empty ones advance the session's
+    /// applied-chunk clock.
+    Batch { session: Arc<Shared>, batch: Batch },
+    /// The session ended: flush its reorder stage and reply with the
+    /// points it wrote and the writes the shard rejected.
+    Close {
+        session: u64,
+        reply: mpsc::Sender<(usize, Vec<WriteFailure>)>,
+    },
+    /// The writer set is stopping.
+    Stop,
+}
+
+impl std::fmt::Debug for ToWriter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ToWriter::Batch { batch, .. } => write!(f, "Batch({} points)", batch.points.len()),
+            ToWriter::Close { session, .. } => write!(f, "Close({session})"),
+            ToWriter::Stop => f.write_str("Stop"),
+        }
+    }
+}
+
+const WRITERS_GONE: &str = "ingest shard writers stopped or panicked";
+
+/// Counters shared by one session and the shard writers — the source of
 /// [`StreamProgress`] snapshots.
 #[derive(Debug)]
 struct Shared {
-    progress: Progress,
+    /// The session's key in every writer's session table.
+    id: u64,
     lines: AtomicUsize,
-    /// Chunks emitted by the chunker so far.
+    /// Chunks sealed by the session so far.
     chunks: AtomicUsize,
+    /// Per shard: this session's chunks that writer has applied.
+    applied: Vec<AtomicUsize>,
     points: AtomicUsize,
     reordered: AtomicUsize,
     dropped_late: AtomicUsize,
     dropped_duplicate: AtomicUsize,
     parse_failed: AtomicUsize,
     write_failed: AtomicUsize,
-    /// Per shard: points currently pending in that writer's reorder
-    /// stage.
+    /// Per shard: this session's points pending in that writer's
+    /// reorder stage.
     pending_reorder: Vec<AtomicUsize>,
 }
 
 impl Shared {
-    fn new(shards: usize) -> Self {
+    fn new(id: u64, shards: usize) -> Self {
+        let zeroes = || (0..shards).map(|_| AtomicUsize::new(0)).collect();
         Self {
-            progress: Progress::new(shards),
+            id,
             lines: AtomicUsize::new(0),
             chunks: AtomicUsize::new(0),
+            applied: zeroes(),
             points: AtomicUsize::new(0),
             reordered: AtomicUsize::new(0),
             dropped_late: AtomicUsize::new(0),
             dropped_duplicate: AtomicUsize::new(0),
             parse_failed: AtomicUsize::new(0),
             write_failed: AtomicUsize::new(0),
-            pending_reorder: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
+            pending_reorder: zeroes(),
         }
     }
 
     fn snapshot(&self) -> StreamProgress {
         let chunks = self.chunks.load(Ordering::Acquire);
-        let applied = self.progress.min_applied().min(chunks);
+        let applied = self
+            .applied
+            .iter()
+            .map(|a| a.load(Ordering::Acquire))
+            .min()
+            .unwrap_or(chunks)
+            .min(chunks);
         StreamProgress {
             lines: self.lines.load(Ordering::Acquire),
             points: self.points.load(Ordering::Acquire),
@@ -499,7 +508,7 @@ impl ProgressWatch {
 }
 
 /// Write-only handle to one shard of the engine — the sink each writer's
-/// reorder stage releases into. With a WAL attached, the store write and
+/// reorder stages release into. With a WAL attached, the store write and
 /// the log append happen under the WAL's shard lock so the log's
 /// per-series record order always equals store apply order.
 #[derive(Clone)]
@@ -589,131 +598,206 @@ pub fn ingest_reader<R: Read>(
     Ok(ingestor.finish())
 }
 
-/// A long-running handle on the streaming pipeline: feed byte pieces as
-/// they arrive, poll a live [`StreamProgress`], and
-/// [`finish`](StreamIngestor::finish) to flush the reorder stages and
-/// collect the final [`IngestReport`].
+/// One writer thread per shard of a [`ShardedDb`], shared by any number
+/// of ingest sessions ([`ShardWriters::session`]) for as long as the set
+/// lives. Each writer applies what sessions send it through the shard
+/// sink (WAL append and [`ApplyHook`] included), keeping one reorder
+/// stage per open session; see the module docs.
 ///
-/// [`feed`](StreamIngestor::feed) blocks when the pipeline's bounded
-/// queues are full — backpressure reaches the byte source, so a handle
-/// fed from a socket holds bounded memory no matter how fast data
-/// arrives. Dropping the handle without `finish` applies every complete
-/// line already fed (the drop blocks until the workers drain, flush
-/// their reorder stages, and exit) but abandons the report and discards
-/// a trailing partial line; [`abort`](StreamIngestor::abort) does the
-/// same while handing the report back.
+/// Dropping the set (or [`ShardWriters::stop`]) stops and joins the
+/// writers. Sessions should be finished first: a session still open at
+/// that point has its reorder stages flushed by the stopping writers,
+/// but its own `finish` then panics, and its `Drop` discards the report.
+#[derive(Debug)]
+pub struct ShardWriters {
+    set: Arc<WriterSet>,
+}
+
+/// The part of a [`ShardWriters`] its sessions hold on to.
+#[derive(Debug)]
+struct WriterSet {
+    db: ShardedDb,
+    chunk_lines: usize,
+    /// Assemble- and parse-stage histograms, observed on the session's
+    /// thread (`None` → no timing at all).
+    metrics: Option<IngestMetrics>,
+    /// One bounded inbox per shard writer, indexed by shard.
+    inboxes: Vec<SyncSender<ToWriter>>,
+    writers: Mutex<Vec<JoinHandle<()>>>,
+    next_session: AtomicU64,
+}
+
+impl ShardWriters {
+    /// Validates `config` and spawns one writer thread per shard of
+    /// `db`. Returns `Err` for an invalid `config`, a WAL whose shard
+    /// count differs from `db`'s, or a failed thread spawn.
+    pub fn new(db: &ShardedDb, config: IngestConfig) -> Result<Self, TsdbError> {
+        config.validate()?;
+        let shards = db.shard_count();
+        if config.wal.as_ref().is_some_and(|wal| wal.shard_count() != shards) {
+            return Err(TsdbError::InvalidParameter {
+                name: "wal",
+                message: "WAL shard count must match the destination store's",
+            });
+        }
+        let mut inboxes = Vec::with_capacity(shards);
+        let mut writers = Vec::with_capacity(shards);
+        for idx in 0..shards {
+            let (tx, rx) = mpsc::sync_channel(config.queue_depth);
+            let sink = ShardSink {
+                db: db.clone(),
+                idx,
+                wal: config.wal.clone(),
+                hook: config.apply_hook.clone(),
+            };
+            let lateness = config.lateness;
+            let metrics = config.metrics.clone();
+            // On failure the inboxes built so far drop with this frame,
+            // and the writers already running see the hangup and exit.
+            let writer = std::thread::Builder::new()
+                .name(format!("shard-writer-{idx}"))
+                .spawn(move || shard_writer(rx, sink, lateness, metrics))
+                .map_err(|e| TsdbError::Io {
+                    message: format!("cannot spawn a shard writer: {e}"),
+                })?;
+            inboxes.push(tx);
+            writers.push(writer);
+        }
+        Ok(Self {
+            set: Arc::new(WriterSet {
+                db: db.clone(),
+                chunk_lines: config.chunk_lines,
+                metrics: config.metrics,
+                inboxes,
+                writers: Mutex::new(writers),
+                next_session: AtomicU64::new(0),
+            }),
+        })
+    }
+
+    /// Opens a new ingest session on these writers: a
+    /// [`StreamIngestor`] whose parsing runs on whichever thread feeds
+    /// it. Spawns nothing and never blocks. Records missing a timestamp
+    /// take `default_ts` plus their 0-based line index in this session.
+    pub fn session(&self, default_ts: i64) -> StreamIngestor {
+        let id = self.set.next_session.fetch_add(1, Ordering::Relaxed);
+        StreamIngestor {
+            set: Arc::clone(&self.set),
+            own: None,
+            shared: Arc::new(Shared::new(id, self.set.inboxes.len())),
+            default_ts,
+            assembler: LineAssembler::new(),
+            pending_lines: Vec::new(),
+            chunk_start: 0,
+            line_count: 0,
+            backlog: VecDeque::new(),
+            unsent: Vec::new(),
+            parse_failures: Vec::new(),
+            closed: false,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Stops every writer once it has applied what is already in its
+    /// inbox, and joins them. Idempotent; later sends to the set panic.
+    pub fn stop(&self) {
+        for inbox in &self.set.inboxes {
+            // Fails only for a writer that already exited.
+            let _ = inbox.send(ToWriter::Stop);
+        }
+        let writers = std::mem::take(&mut *self.set.writers.lock().expect("writer set poisoned"));
+        for writer in writers {
+            // A panicked writer already surfaced to the sessions it
+            // served; stopping the rest must not double-panic.
+            let _ = writer.join();
+        }
+    }
+}
+
+impl Drop for ShardWriters {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// A long-running ingest session: feed byte pieces as they arrive, poll
+/// a live [`StreamProgress`], and [`finish`](StreamIngestor::finish) to
+/// flush the session's reorder stages and collect its final
+/// [`IngestReport`].
+///
+/// A session parses on the thread that feeds it and hands the points to
+/// a [`ShardWriters`] set: its own, built by [`StreamIngestor::new`] and
+/// stopped when the session ends, or a shared one
+/// ([`ShardWriters::session`]).
+///
+/// [`feed`](StreamIngestor::feed) blocks when a writer's bounded inbox
+/// is full — backpressure reaches the byte source, so a handle fed from
+/// a socket holds bounded memory no matter how fast data arrives.
+/// Dropping the handle without `finish` applies every complete line
+/// already fed (the drop blocks until the writers apply it and flush the
+/// session's reorder stages) but abandons the report and discards a
+/// trailing partial line; [`abort`](StreamIngestor::abort) does the same
+/// while handing the report back.
 #[derive(Debug)]
 pub struct StreamIngestor {
+    set: Arc<WriterSet>,
+    /// The writer set [`StreamIngestor::new`] built for this session
+    /// alone; dropping it with the session stops its writers.
+    own: Option<ShardWriters>,
+    shared: Arc<Shared>,
+    default_ts: i64,
     assembler: LineAssembler,
-    chunk_lines: usize,
     /// Lines accumulated toward the next chunk.
     pending_lines: Vec<Line>,
     /// Global 0-based line index of `pending_lines[0]`.
     chunk_start: usize,
     line_count: usize,
-    next_chunk: usize,
-    /// Sealed chunks not yet handed to the work queue. The blocking
-    /// [`StreamIngestor::feed`] path drains this immediately (so it
-    /// holds at most one chunk transiently); the non-blocking
-    /// [`StreamIngestor::try_feed`] path lets it grow while the queue
-    /// is full and relies on the caller to stop reading its source
-    /// until [`StreamIngestor::try_pump`] reports it empty.
+    /// Sealed chunks not yet parsed and handed to the writers. The
+    /// blocking [`StreamIngestor::feed`] path drains this immediately
+    /// (so it holds at most one chunk transiently); the non-blocking
+    /// [`StreamIngestor::try_feed`] path lets it grow while an inbox is
+    /// full and relies on the caller to stop reading its source until
+    /// [`StreamIngestor::try_pump`] reports it empty.
     backlog: VecDeque<Chunk>,
-    work_tx: Option<Sender<Chunk>>,
-    parsers: Vec<JoinHandle<Vec<ParseFailure>>>,
-    writers: Vec<JoinHandle<(usize, Vec<WriteFailure>)>>,
-    shared: Arc<Shared>,
+    /// The parsed front chunk's batches an inbox has not accepted yet,
+    /// as `(shard, batch)`.
+    unsent: Vec<(usize, ToWriter)>,
+    /// Malformed lines so far, in line order.
+    parse_failures: Vec<ParseFailure>,
+    /// The writers were told the session ended.
+    closed: bool,
     /// Scratch for lines completed by one `feed` call.
     scratch: Vec<Line>,
-    /// Assemble-stage histogram handle (`None` → no timing at all).
-    metrics: Option<IngestMetrics>,
 }
 
 impl StreamIngestor {
-    /// Builds the pipeline (spawns parser and writer threads) against
-    /// `db`. Returns `Err` only for an invalid `config`.
+    /// Builds a session with a writer set of its own (one writer thread
+    /// per shard of `db`, stopped when the session ends). Returns `Err`
+    /// only for an invalid `config` (or a failed thread spawn).
     pub fn new(
         db: &ShardedDb,
         default_ts: i64,
         config: IngestConfig,
     ) -> Result<Self, TsdbError> {
-        config.validate()?;
-        let shards = db.shard_count();
-        if let Some(wal) = &config.wal {
-            if wal.shard_count() != shards {
-                return Err(TsdbError::InvalidParameter {
-                    name: "wal",
-                    message: "WAL shard count must match the destination store's",
-                });
-            }
-        }
-        let shared = Arc::new(Shared::new(shards));
-        let window = config.parsers + config.queue_depth;
-
-        let mut batch_txs: Vec<Sender<Batch>> = Vec::with_capacity(shards);
-        let mut writers = Vec::with_capacity(shards);
-        for idx in 0..shards {
-            let (tx, rx) = crossbeam::channel::bounded(config.queue_depth);
-            batch_txs.push(tx);
-            let db = db.clone();
-            let shared = Arc::clone(&shared);
-            let lateness = config.lateness;
-            let wal = config.wal.clone();
-            let hook = config.apply_hook.clone();
-            let metrics = config.metrics.clone();
-            writers.push(std::thread::spawn(move || {
-                shard_writer(db, idx, rx, shared, lateness, wal, hook, metrics)
-            }));
-        }
-
-        let (work_tx, work_rx) = crossbeam::channel::bounded::<Chunk>(config.queue_depth);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let mut parsers = Vec::with_capacity(config.parsers);
-        for _ in 0..config.parsers {
-            let db = db.clone();
-            let work_rx = Arc::clone(&work_rx);
-            let batch_txs = batch_txs.clone();
-            let shared = Arc::clone(&shared);
-            let metrics = config.metrics.clone();
-            parsers.push(std::thread::spawn(move || {
-                parse_worker(db, work_rx, batch_txs, shared, default_ts, window, metrics)
-            }));
-        }
-        // The spawned parsers hold their own sender clones; dropping ours
-        // lets writers observe hangup as soon as the last parser exits.
-        drop(batch_txs);
-
-        Ok(Self {
-            assembler: LineAssembler::new(),
-            chunk_lines: config.chunk_lines,
-            pending_lines: Vec::new(),
-            chunk_start: 0,
-            line_count: 0,
-            next_chunk: 0,
-            backlog: VecDeque::new(),
-            work_tx: Some(work_tx),
-            parsers,
-            writers,
-            shared,
-            scratch: Vec::new(),
-            metrics: config.metrics,
-        })
+        let writers = ShardWriters::new(db, config)?;
+        let mut session = writers.session(default_ts);
+        session.own = Some(writers);
+        Ok(session)
     }
 
     /// Feeds the next piece of the byte stream. Pieces may split
-    /// anywhere — lines are reassembled across calls. Blocks when the
-    /// pipeline's bounded queues are full (backpressure).
+    /// anywhere — lines are reassembled across calls. Blocks when a
+    /// writer's bounded inbox is full (backpressure).
     pub fn feed(&mut self, bytes: &[u8]) {
         let mut completed = std::mem::take(&mut self.scratch);
         self.assemble(bytes, &mut completed);
         for line in completed.drain(..) {
             self.push_line(line);
             // Send chunks as the lines arrive (not after the whole
-            // piece) so memory stays bounded by the pipeline window
-            // even when one piece is an entire document.
+            // piece) so memory stays bounded by the inboxes even when
+            // one piece is an entire document.
             if !self.backlog.is_empty() {
-                self.pump_blocking()
-                    .expect("ingest parser workers hung up");
+                self.pump_blocking().expect(WRITERS_GONE);
             }
         }
         self.scratch = completed;
@@ -721,17 +805,16 @@ impl StreamIngestor {
 
     /// Non-blocking [`StreamIngestor::feed`]: assembles complete lines
     /// out of `bytes`, seals full chunks onto an internal backlog, and
-    /// offers backlogged chunks to the pipeline without ever blocking
+    /// offers backlogged chunks to the writers without ever blocking
     /// the caller.
     ///
     /// All of `bytes` is always consumed. The return value is
     /// [`StreamIngestor::try_pump`]'s: `true` when the backlog is empty
-    /// (everything fed has been handed to the pipeline), `false` when
-    /// the bounded work queue is still full. A caller that stops
-    /// reading its source while this returns `false` — the event-loop
-    /// server does — keeps memory bounded by one read's worth of
-    /// sealed chunks, preserving end-to-end backpressure without a
-    /// blocked thread.
+    /// (everything fed has been handed to the writers), `false` when an
+    /// inbox is still full. A caller that stops reading its source
+    /// while this returns `false` — the event-loop server does — keeps
+    /// memory bounded by one read's worth of sealed chunks, preserving
+    /// end-to-end backpressure without a blocked thread.
     pub fn try_feed(&mut self, bytes: &[u8]) -> bool {
         let mut completed = std::mem::take(&mut self.scratch);
         self.assemble(bytes, &mut completed);
@@ -742,37 +825,37 @@ impl StreamIngestor {
         self.try_pump()
     }
 
-    /// Offers backlogged chunks to the pipeline without blocking.
-    /// Returns `true` once the backlog is empty, `false` if the bounded
-    /// work queue is still full (retry shortly — parser
+    /// Parses backlogged chunks and offers their batches to the writers
+    /// without blocking. Returns `true` once the backlog is empty,
+    /// `false` if an inbox is still full (retry shortly — writer
     /// progress, not new input, is what frees a slot).
     ///
     /// # Panics
     ///
-    /// Panics if every parser worker has died, which only happens when
-    /// a worker panicked — the same contract as
+    /// Panics if a writer has stopped, which only happens when it
+    /// panicked or its set was stopped — the same contract as
     /// [`StreamIngestor::feed`].
     pub fn try_pump(&mut self) -> bool {
-        let Some(tx) = self.work_tx.as_ref() else {
-            return true;
-        };
-        while let Some(chunk) = self.backlog.pop_front() {
-            match tx.try_send(chunk) {
-                Ok(()) => {}
-                Err(crossbeam::channel::TrySendError::Full(chunk)) => {
-                    self.backlog.push_front(chunk);
-                    return false;
-                }
-                Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                    panic!("ingest parser workers hung up")
+        loop {
+            while let Some((shard, batch)) = self.unsent.pop() {
+                match self.set.inboxes[shard].try_send(batch) {
+                    Ok(()) => {}
+                    Err(TrySendError::Full(batch)) => {
+                        self.unsent.push((shard, batch));
+                        return false;
+                    }
+                    Err(TrySendError::Disconnected(_)) => panic!("{WRITERS_GONE}"),
                 }
             }
+            let Some(chunk) = self.backlog.pop_front() else {
+                return true;
+            };
+            self.unsent = self.parse(chunk);
         }
-        true
     }
 
     /// Seals the lines accumulated toward the next chunk as a short
-    /// chunk and offers the backlog to the pipeline, like
+    /// chunk and offers the backlog to the writers, like
     /// [`StreamIngestor::try_pump`] (whose return value and panic this
     /// shares). For a source that has gone quiet: without it, lines
     /// short of a full chunk would wait for later input — or the end of
@@ -784,7 +867,7 @@ impl StreamIngestor {
         self.try_pump()
     }
 
-    /// A live snapshot of the pipeline's counters.
+    /// A live snapshot of the session's counters.
     pub fn progress(&self) -> StreamProgress {
         self.shared.snapshot()
     }
@@ -807,66 +890,60 @@ impl StreamIngestor {
     }
 
     /// Ends the stream: the trailing unterminated line (if any) becomes
-    /// the last line, every reorder stage is flushed, all workers are
-    /// joined, and the final deterministic [`IngestReport`] is returned.
+    /// the last line, the writers apply everything fed and flush the
+    /// session's reorder stages, and the final deterministic
+    /// [`IngestReport`] is returned.
     pub fn finish(mut self) -> IngestReport {
         let mut tail = std::mem::take(&mut self.scratch);
         self.assembler.finish(&mut tail);
         for line in tail.drain(..) {
             self.push_line(line);
         }
-        let mut report = self.shutdown(true);
+        let mut report = self.close(true);
         report.reordered = self.shared.reordered.load(Ordering::Acquire);
         report.dropped_late = self.shared.dropped_late.load(Ordering::Acquire);
         report.dropped_duplicate = self.shared.dropped_duplicate.load(Ordering::Acquire);
-        report.parse_failures.sort_by_key(|f| f.line);
         report.write_failures.sort_by_key(|f| f.line);
         report
     }
 
-    /// Sends the pending chunk, hangs up the work queue (parsers drain
-    /// it and exit, writers see their senders drop, apply the tail, and
-    /// flush their reorder stages), and joins every worker. Shared by
+    /// Sends the pending chunk, tells every writer the session ended
+    /// (each flushes the session's reorder stage and replies with what
+    /// it wrote), and collects the replies. Shared by
     /// [`StreamIngestor::finish`] and `Drop`; idempotent. `Drop` passes
-    /// `propagate_panics: false` so a panicking worker does not abort
-    /// the process with a double panic.
-    fn shutdown(&mut self, propagate_panics: bool) -> IngestReport {
-        if self.work_tx.is_some() {
-            self.seal_chunk();
-            if propagate_panics {
-                self.pump_blocking()
-                    .expect("ingest parser workers hung up");
-            } else {
-                // Inside `Drop` (possibly mid-unwind): a dead parser
-                // must not turn into a double panic and abort.
-                let _ = self.pump_blocking();
-            }
+    /// `propagate_panics: false` so a dead writer does not abort the
+    /// process with a double panic.
+    fn close(&mut self, propagate_panics: bool) -> IngestReport {
+        if std::mem::replace(&mut self.closed, true) {
+            return IngestReport::default();
         }
-        drop(self.work_tx.take());
+        self.seal_chunk();
+        let (reply, replies) = mpsc::channel();
+        let sent = self.pump_blocking().and_then(|()| {
+            self.set.inboxes.iter().try_for_each(|inbox| {
+                let close = ToWriter::Close {
+                    session: self.shared.id,
+                    reply: reply.clone(),
+                };
+                inbox.send(close).map_err(drop)
+            })
+        });
+        // Every reply sender is now inside a writer's inbox (or was
+        // dropped with a failed send), so the loop ends on its own.
+        drop(reply);
         let mut report = IngestReport {
             lines: self.line_count,
+            parse_failures: std::mem::take(&mut self.parse_failures),
             ..IngestReport::default()
         };
-        for handle in self.parsers.drain(..) {
-            match handle.join() {
-                Ok(failures) => report.parse_failures.extend(failures),
-                Err(panic) if propagate_panics => {
-                    panic!("ingest parser worker panicked: {panic:?}")
-                }
-                Err(_) => {}
-            }
+        let mut replied = 0;
+        for (written, failures) in replies {
+            replied += 1;
+            report.points += written;
+            report.write_failures.extend(failures);
         }
-        for handle in self.writers.drain(..) {
-            match handle.join() {
-                Ok((written, failures)) => {
-                    report.points += written;
-                    report.write_failures.extend(failures);
-                }
-                Err(panic) if propagate_panics => {
-                    panic!("ingest shard writer panicked: {panic:?}")
-                }
-                Err(_) => {}
-            }
+        if propagate_panics && (sent.is_err() || replied < self.set.inboxes.len()) {
+            panic!("{WRITERS_GONE}");
         }
         report
     }
@@ -877,7 +954,7 @@ impl StreamIngestor {
     /// nothing). Backpressure waits in `feed` happen outside this, so
     /// the histogram reflects reassembly cost, not queue waits.
     fn assemble(&mut self, bytes: &[u8], completed: &mut Vec<Line>) {
-        match &self.metrics {
+        match &self.set.metrics {
             None => self.assembler.push(bytes, completed),
             Some(metrics) => {
                 let started = Instant::now();
@@ -894,83 +971,48 @@ impl StreamIngestor {
         self.line_count += 1;
         self.shared.lines.fetch_add(1, Ordering::Release);
         self.pending_lines.push(line);
-        if self.pending_lines.len() == self.chunk_lines {
+        if self.pending_lines.len() == self.set.chunk_lines {
             self.seal_chunk();
         }
     }
 
     /// Moves the pending lines onto the backlog as one sealed chunk
-    /// (no-op with no pending lines). Sealing assigns the chunk its
-    /// stream-order index; sending is a separate step so the blocking
-    /// and non-blocking paths share this.
+    /// (no-op with no pending lines). Sending is a separate step so the
+    /// blocking and non-blocking paths share this.
     fn seal_chunk(&mut self) {
         if self.pending_lines.is_empty() {
             return;
         }
-        let chunk = Chunk {
-            index: self.next_chunk,
+        self.backlog.push_back(Chunk {
             start_line: self.chunk_start,
             lines: std::mem::take(&mut self.pending_lines),
-        };
-        self.next_chunk += 1;
-        self.shared.chunks.store(self.next_chunk, Ordering::Release);
-        self.backlog.push_back(chunk);
+        });
+        self.shared.chunks.fetch_add(1, Ordering::Release);
     }
 
-    /// Blocking-sends every backlogged chunk to the parsers — the
-    /// backpressure point of [`StreamIngestor::feed`]. A send fails
-    /// only if every parser died, which only happens on panic.
-    fn pump_blocking(&mut self) -> Result<(), crossbeam::channel::SendError<Chunk>> {
-        let tx = self
-            .work_tx
-            .as_ref()
-            .expect("stream already finished");
-        while let Some(chunk) = self.backlog.pop_front() {
-            tx.send(chunk)?;
+    /// Parses and blocking-sends every backlogged chunk — the
+    /// backpressure point of [`StreamIngestor::feed`]. A send fails only
+    /// if a writer stopped.
+    fn pump_blocking(&mut self) -> Result<(), ()> {
+        loop {
+            while let Some((shard, batch)) = self.unsent.pop() {
+                self.set.inboxes[shard].send(batch).map_err(drop)?;
+            }
+            let Some(chunk) = self.backlog.pop_front() else {
+                return Ok(());
+            };
+            self.unsent = self.parse(chunk);
         }
-        Ok(())
     }
-}
 
-impl Drop for StreamIngestor {
-    /// Applies every complete line already fed (blocking until the
-    /// workers drain and flush their reorder stages), discarding the
-    /// report and any trailing partial line. A no-op after
-    /// [`StreamIngestor::finish`] / [`StreamIngestor::abort`].
-    fn drop(&mut self) {
-        self.shutdown(false);
-    }
-}
-
-/// Takes chunks off the shared work queue (FIFO), parses them, routes
-/// points to per-shard batches, and sends one batch per (chunk, shard).
-/// Returns this worker's parse failures.
-fn parse_worker(
-    db: ShardedDb,
-    work: Arc<Mutex<Receiver<Chunk>>>,
-    batch_txs: Vec<Sender<Batch>>,
-    shared: Arc<Shared>,
-    default_ts: i64,
-    window: usize,
-    metrics: Option<IngestMetrics>,
-) -> Vec<ParseFailure> {
-    let mut failures = Vec::new();
-    loop {
-        let next = {
-            let guard = work.lock().expect("ingest work queue poisoned");
-            guard.recv()
-        };
-        let Ok(chunk) = next else {
-            break; // chunker hung up: stream over
-        };
-        // Don't run unboundedly ahead of the slowest writer: this keeps
-        // every writer's chunk-reorder buffer within `window` chunks even
-        // when a peer parser stalls on an earlier chunk.
-        shared.progress.wait_until_within(chunk.index, window);
-        // Timed from here (after the gate, before the sends) so the
-        // histogram is parse cost, not backpressure waits.
-        let parse_started = metrics.as_ref().map(|_| Instant::now());
-        let mut per_shard: Vec<Vec<(usize, ParsedPoint)>> = vec![Vec::new(); batch_txs.len()];
+    /// Parses one chunk on the calling thread and routes its points to
+    /// one batch per shard, as `(shard, batch)`. Parse failures are
+    /// recorded on the session.
+    fn parse(&mut self, chunk: Chunk) -> Vec<(usize, ToWriter)> {
+        let started = self.set.metrics.as_ref().map(|_| Instant::now());
+        let shards = self.set.inboxes.len();
+        let mut per_shard: Vec<Batch> = (0..shards).map(|_| Batch::default()).collect();
+        let mut key_index: Vec<HashMap<u64, usize>> = vec![HashMap::new(); shards];
         for (offset, raw) in chunk.lines.iter().enumerate() {
             let idx = chunk.start_line + offset;
             let line_no = idx + 1;
@@ -980,7 +1022,7 @@ fn parse_worker(
                     if line.is_empty() || line.starts_with('#') {
                         continue;
                     }
-                    parse_line(line, line_no, fallback_ts(default_ts, idx))
+                    parse_line(line, line_no, fallback_ts(self.default_ts, idx))
                 }
                 Line::TooLong => Err(TsdbError::Parse {
                     line: line_no,
@@ -990,175 +1032,168 @@ fn parse_worker(
             match parsed {
                 Ok(points) => {
                     for point in points {
-                        per_shard[db.shard_of(&point.key)].push((line_no, point));
+                        let shard = self.set.db.shard_of(&point.key);
+                        per_shard[shard].push(line_no, point, &mut key_index[shard]);
                     }
                 }
                 Err(TsdbError::Parse { line, reason }) => {
-                    shared.parse_failed.fetch_add(1, Ordering::Release);
-                    failures.push(ParseFailure { line, reason });
+                    self.shared.parse_failed.fetch_add(1, Ordering::Release);
+                    self.parse_failures.push(ParseFailure { line, reason });
                 }
                 // parse_line only constructs Parse errors; anything else
                 // would be a bug worth surfacing loudly.
                 Err(other) => panic!("parse_line returned a non-parse error: {other:?}"),
             }
         }
-        if let (Some(metrics), Some(started)) = (&metrics, parse_started) {
+        if let (Some(metrics), Some(started)) = (&self.set.metrics, started) {
             metrics.parse.observe_duration(started.elapsed());
         }
-        for (tx, points) in batch_txs.iter().zip(per_shard) {
-            // Blocks when the shard's queue is full: backpressure. Fails
-            // only if the writer died, which only happens on panic.
-            tx.send(Batch {
-                chunk: chunk.index,
-                points,
+        per_shard
+            .into_iter()
+            .enumerate()
+            .map(|(shard, batch)| {
+                let session = Arc::clone(&self.shared);
+                (shard, ToWriter::Batch { session, batch })
             })
-            .expect("ingest shard writer hung up");
-        }
+            .collect()
     }
-    failures
 }
 
-/// Applies batches to one shard strictly in chunk order, buffering
-/// out-of-order chunk arrivals (bounded: parsers only send chunks within
-/// the [`Progress`] window of the slowest writer), feeding points
-/// through the optional reorder stage. Returns points written and
-/// rejected writes.
-#[allow(clippy::too_many_arguments)]
-fn shard_writer(
-    db: ShardedDb,
-    shard_idx: usize,
-    rx: Receiver<Batch>,
+impl Drop for StreamIngestor {
+    /// Applies every complete line already fed (blocking until the
+    /// writers apply it and flush the session's reorder stages),
+    /// discarding the report and any trailing partial line. A no-op
+    /// after [`StreamIngestor::finish`] / [`StreamIngestor::abort`].
+    fn drop(&mut self) {
+        self.close(false);
+    }
+}
+
+/// One session's state inside one shard writer.
+struct WriterSession {
     shared: Arc<Shared>,
-    lateness: Option<i64>,
-    wal: Option<Wal>,
-    hook: Option<ApplyHook>,
-    metrics: Option<IngestMetrics>,
-) -> (usize, Vec<WriteFailure>) {
-    let sink = ShardSink {
-        db,
-        idx: shard_idx,
-        wal,
-        hook,
-    };
-    let mut reorder = lateness.map(|l| {
-        ReorderBuffer::new(sink.clone(), l)
-            .expect("lateness validated by IngestConfig::validate")
-    });
-    let mut published = ReorderStats::default();
-    let mut written = 0usize;
-    let mut failures = Vec::new();
-    let mut pending: BTreeMap<usize, Vec<(usize, ParsedPoint)>> = BTreeMap::new();
-    let mut next = 0usize;
-    for batch in rx.iter() {
-        pending.insert(batch.chunk, batch.points);
-        let before = next;
-        while let Some(points) = pending.remove(&next) {
-            apply_batch(
-                &sink,
-                points,
-                reorder.as_mut(),
-                &mut written,
-                &mut failures,
-                &shared,
-                metrics.as_ref(),
-            );
-            next += 1;
-        }
-        if next != before {
-            publish_reorder(&shared, shard_idx, reorder.as_ref(), &mut published);
-            shared.progress.advance(shard_idx, next);
-        }
-    }
-    // Senders hung up: every chunk has arrived, the leftovers are the
-    // contiguous tail — a BTreeMap iterates them in chunk order.
-    let tail = std::mem::take(&mut pending);
-    let applied_tail = !tail.is_empty();
-    for (_, points) in tail {
-        apply_batch(
-            &sink,
-            points,
-            reorder.as_mut(),
-            &mut written,
-            &mut failures,
-            &shared,
-            metrics.as_ref(),
-        );
-        next += 1;
-    }
-    // End of stream: release everything still held back by watermarks.
-    // The flush is pure release-into-storage, so its time lands in the
-    // apply histogram.
-    if let Some(rb) = reorder.as_mut() {
-        let flush_started = metrics.as_ref().map(|_| Instant::now());
-        let released = rb
-            .flush()
-            .expect("shard flush failed on a validated sink");
-        if let (Some(m), Some(started)) = (&metrics, flush_started) {
-            m.apply.observe_duration(started.elapsed());
-        }
-        written += released;
-        shared.points.fetch_add(released, Ordering::Release);
-    }
-    publish_reorder(&shared, shard_idx, reorder.as_ref(), &mut published);
-    if applied_tail {
-        shared.progress.advance(shard_idx, next);
-    }
-    (written, failures)
+    reorder: Option<ReorderBuffer<ShardSink>>,
+    /// Reorder statistics already added to the shared counters.
+    published: ReorderStats,
+    written: usize,
+    failures: Vec<WriteFailure>,
 }
 
-/// Applies one batch's points through the reorder stage (or straight to
-/// the shard sink, which also carries the optional WAL), updating live
-/// counters. With metrics attached, the batch is timed once: into the
-/// reorder histogram when a reorder stage is in the path (its offers
-/// include the store writes they release), into the apply histogram for
-/// direct writes.
+/// The body of one shard writer: applies each session's batches in the
+/// order they arrive, through a reorder stage per session when
+/// `lateness` is set, until the set stops (or every inbox sender is
+/// gone). Sessions still open then are flushed, their reports dropped.
+fn shard_writer(
+    inbox: Receiver<ToWriter>,
+    sink: ShardSink,
+    lateness: Option<i64>,
+    metrics: Option<IngestMetrics>,
+) {
+    let mut sessions: HashMap<u64, WriterSession> = HashMap::new();
+    for message in inbox.iter() {
+        match message {
+            ToWriter::Batch { session, batch } => {
+                let state = sessions.entry(session.id).or_insert_with(|| WriterSession {
+                    reorder: lateness.map(|l| {
+                        ReorderBuffer::new(sink.clone(), l)
+                            .expect("lateness validated by IngestConfig::validate")
+                    }),
+                    shared: session,
+                    published: ReorderStats::default(),
+                    written: 0,
+                    failures: Vec::new(),
+                });
+                apply_batch(&sink, batch, state, metrics.as_ref());
+                publish_reorder(sink.idx, state);
+                state.shared.applied[sink.idx].fetch_add(1, Ordering::Release);
+            }
+            ToWriter::Close { session, reply } => {
+                let outcome = sessions
+                    .remove(&session)
+                    .map_or_else(Default::default, |state| {
+                        close_session(sink.idx, state, metrics.as_ref())
+                    });
+                // The session may have stopped waiting (it panicked).
+                let _ = reply.send(outcome);
+            }
+            ToWriter::Stop => break,
+        }
+    }
+    for (_, state) in sessions.drain() {
+        close_session(sink.idx, state, metrics.as_ref());
+    }
+}
+
+/// Applies one batch's points through the session's reorder stage (or
+/// straight to the shard sink, which also carries the optional WAL),
+/// updating the session's counters. With metrics attached, the batch is
+/// timed once: into the reorder histogram when a reorder stage is in
+/// the path (its offers include the store writes they release), into
+/// the apply histogram for direct writes.
 fn apply_batch(
     sink: &ShardSink,
-    points: Vec<(usize, ParsedPoint)>,
-    mut reorder: Option<&mut ReorderBuffer<ShardSink>>,
-    written: &mut usize,
-    failures: &mut Vec<WriteFailure>,
-    shared: &Shared,
+    batch: Batch,
+    state: &mut WriterSession,
     metrics: Option<&IngestMetrics>,
 ) {
     let batch_started = metrics.map(|_| Instant::now());
-    let via_reorder = reorder.is_some();
     let mut batch_written = 0usize;
-    for (line, point) in points {
-        let result = match reorder.as_deref_mut() {
-            None => sink.write_point(&point.key, point.point).map(|()| 1),
-            Some(rb) => rb.offer(&point.key, point.point),
+    for (line, key, point) in batch.points {
+        let key = &batch.keys[key];
+        let result = match state.reorder.as_mut() {
+            None => sink.write_point(key, point).map(|()| 1),
+            Some(rb) => rb.offer(key, point),
         };
         match result {
             Ok(released) => batch_written += released,
             Err(error) => {
-                shared.write_failed.fetch_add(1, Ordering::Release);
-                failures.push(WriteFailure { line, error });
+                state.shared.write_failed.fetch_add(1, Ordering::Release);
+                state.failures.push(WriteFailure { line, error });
             }
         }
     }
     if let (Some(metrics), Some(started)) = (metrics, batch_started) {
-        let stage = if via_reorder {
+        let stage = if state.reorder.is_some() {
             &metrics.reorder
         } else {
             &metrics.apply
         };
         stage.observe_duration(started.elapsed());
     }
-    *written += batch_written;
-    shared.points.fetch_add(batch_written, Ordering::Release);
+    state.written += batch_written;
+    state.shared.points.fetch_add(batch_written, Ordering::Release);
 }
 
-/// Publishes the delta of this writer's reorder statistics into the
-/// shared live counters (no-op without a reorder stage).
-fn publish_reorder(
-    shared: &Shared,
+/// Ends one session on one writer: releases everything its reorder
+/// stage still holds back (pure release into storage, so the time lands
+/// in the apply histogram) and returns the points written and the
+/// rejected writes.
+fn close_session(
     shard_idx: usize,
-    reorder: Option<&ReorderBuffer<ShardSink>>,
-    published: &mut ReorderStats,
-) {
-    let Some(rb) = reorder else { return };
+    mut state: WriterSession,
+    metrics: Option<&IngestMetrics>,
+) -> (usize, Vec<WriteFailure>) {
+    if let Some(rb) = state.reorder.as_mut() {
+        let flush_started = metrics.map(|_| Instant::now());
+        let released = rb
+            .flush()
+            .expect("shard flush failed on a validated sink");
+        if let (Some(m), Some(started)) = (metrics, flush_started) {
+            m.apply.observe_duration(started.elapsed());
+        }
+        state.written += released;
+        state.shared.points.fetch_add(released, Ordering::Release);
+    }
+    publish_reorder(shard_idx, &mut state);
+    (state.written, state.failures)
+}
+
+/// Publishes the delta of a session's reorder statistics on this shard
+/// into its shared live counters (no-op without a reorder stage).
+fn publish_reorder(shard_idx: usize, state: &mut WriterSession) {
+    let Some(rb) = &state.reorder else { return };
     let stats = rb.stats();
+    let (shared, published) = (&state.shared, &state.published);
     shared
         .reordered
         .fetch_add(stats.reordered - published.reordered, Ordering::Release);
@@ -1170,7 +1205,7 @@ fn publish_reorder(
         Ordering::Release,
     );
     shared.pending_reorder[shard_idx].store(rb.pending(), Ordering::Release);
-    *published = stats;
+    state.published = stats;
 }
 
 #[cfg(test)]
@@ -1201,14 +1236,12 @@ mod tests {
         vec![
             IngestConfig::default(),
             IngestConfig {
-                parsers: 1,
                 queue_depth: 1,
                 chunk_lines: 1,
                 lateness: None,
                 ..IngestConfig::default()
             },
             IngestConfig {
-                parsers: 7,
                 queue_depth: 2,
                 chunk_lines: 3,
                 lateness: None,
@@ -1225,10 +1258,6 @@ mod tests {
     fn invalid_configs_rejected() {
         let db = ShardedDb::new();
         for config in [
-            IngestConfig {
-                parsers: 0,
-                ..IngestConfig::default()
-            },
             IngestConfig {
                 queue_depth: 0,
                 ..IngestConfig::default()
@@ -1323,7 +1352,6 @@ mod tests {
         // the serial path: default_ts + 0-based line index.
         let text = "a v=1\nb v=2\n\na v=3\n# note\nb v=4\n";
         let config = IngestConfig {
-            parsers: 3,
             queue_depth: 1,
             chunk_lines: 2,
             lateness: None,
@@ -1443,7 +1471,6 @@ mod tests {
     fn reader_ingest_matches_in_memory_pipeline() {
         let text = doc(4, 120);
         let config = IngestConfig {
-            parsers: 3,
             queue_depth: 2,
             chunk_lines: 7,
             lateness: None,
@@ -1473,7 +1500,6 @@ mod tests {
         let mut text = doc(3, 30);
         text.push_str("tail v=9"); // no trailing newline
         let config = IngestConfig {
-            parsers: 2,
             queue_depth: 1,
             chunk_lines: 3,
             lateness: None,
@@ -1504,7 +1530,6 @@ mod tests {
                     m v=9 9\nm v=6 6\nm v=8 8\nm v=12 12\nm v=10 10\nm v=11 11\n";
         for chunk_lines in [1, 4, 100] {
             let config = IngestConfig {
-                parsers: 2,
                 queue_depth: 2,
                 chunk_lines,
                 lateness: Some(5),
@@ -1574,7 +1599,6 @@ mod tests {
             &db,
             0,
             IngestConfig {
-                parsers: 2,
                 queue_depth: 2,
                 chunk_lines: 4,
                 lateness: Some(3),
@@ -1682,12 +1706,11 @@ mod tests {
 
     #[test]
     fn try_feed_then_finish_matches_the_blocking_path() {
-        // A tiny queue guarantees try_pump actually hits the Full path:
-        // the backlog grows while the single parser lags, and finish()
-        // must still flush everything in order.
+        // Tiny inboxes and pieces of many chunks each guarantee try_pump
+        // actually hits the Full path: the backlog grows while the
+        // writers lag, and finish() must still flush everything in order.
         let text = doc(3, 80);
         let config = IngestConfig {
-            parsers: 1,
             queue_depth: 1,
             chunk_lines: 2,
             lateness: None,
@@ -1696,7 +1719,7 @@ mod tests {
         let nonblocking = ShardedDb::with_config(ShardedConfig::new(3, 16));
         let mut ing = StreamIngestor::new(&nonblocking, 0, config.clone()).unwrap();
         let mut deferred = false;
-        for piece in text.as_bytes().chunks(113) {
+        for piece in text.as_bytes().chunks(997) {
             if !ing.try_feed(piece) {
                 deferred = true;
             }
@@ -1716,7 +1739,6 @@ mod tests {
     fn try_pump_drains_the_backlog_without_new_input() {
         let text = doc(2, 50);
         let config = IngestConfig {
-            parsers: 1,
             queue_depth: 1,
             chunk_lines: 1,
             lateness: Some(5),
@@ -1725,7 +1747,7 @@ mod tests {
         let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
         let mut ing = StreamIngestor::new(&db, 0, config).unwrap();
         ing.try_feed(text.as_bytes());
-        // No further input: parser progress alone must free queue slots
+        // No further input: writer progress alone must free inbox slots
         // until the backlog drains.
         while !ing.try_pump() {
             std::thread::sleep(std::time::Duration::from_millis(1));
@@ -1772,7 +1794,6 @@ mod tests {
         let seen: Arc<Mutex<Vec<(SeriesKey, DataPoint)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         let config = IngestConfig {
-            parsers: 2,
             chunk_lines: 16,
             lateness: Some(64),
             apply_hook: Some(ApplyHook::new(move |key, point| {

@@ -21,11 +21,12 @@
 //! * [`query`] — range scans, bucketed aggregation, and the grid
 //!   alignment + gap-fill ASAP's equi-spaced SMA model requires;
 //! * [`line_protocol`] — InfluxDB-style text ingestion;
-//! * [`mod@ingest`] — the streaming concurrent ingest pipeline: a
-//!   bounded-memory chunker over any byte source (`io::Read`, a socket,
-//!   incremental feeds), parser workers feeding per-shard bounded
-//!   channels, per-shard writers with an optional watermark reorder
-//!   stage, end-to-end backpressure, and a deterministic ingest report;
+//! * [`mod@ingest`] — the streaming concurrent ingest pipeline: ingest
+//!   sessions over any byte source (`io::Read`, a socket, incremental
+//!   feeds) that assemble and parse on the feeding thread in bounded
+//!   memory, one writer thread per shard shared by every session (with
+//!   an optional watermark reorder stage per session), end-to-end
+//!   backpressure, and a deterministic per-session ingest report;
 //! * [`retention`] — TTLs and continuous-aggregate rollups (the raw-hot /
 //!   downsampled-cold tiering monitoring dashboards sit on), fanned out
 //!   per shard on the partitioned engine;
@@ -101,7 +102,7 @@ pub use error::TsdbError;
 pub use gorilla::{CompressedChunk, GorillaDecoder, GorillaEncoder};
 pub use ingest::{
     ingest_reader, pipeline_ingest, ApplyHook, IngestConfig, IngestReport, ParseFailure,
-    ProgressWatch, StreamIngestor, StreamProgress, WriteFailure,
+    ProgressWatch, ShardWriters, StreamIngestor, StreamProgress, WriteFailure,
 };
 pub use line_protocol::{ingest, parse, ParsedPoint};
 pub use obs::{
@@ -116,7 +117,7 @@ pub use retention::{
     rollup_key, CompactionReport, Compactor, RetentionPolicy, RetentionStore, RollupLevel,
     Schedule, ROLLUP_TAG,
 };
-pub use series::{RangeSummary, SeriesStore};
+pub use series::SeriesStore;
 pub use shard::{Shard, ShardOccupancy};
 pub use sharded::{ShardedConfig, ShardedDb};
 pub use smooth::{

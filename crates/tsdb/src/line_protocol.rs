@@ -175,7 +175,7 @@ pub fn ingest(db: &Tsdb, text: &str, default_ts: i64) -> Result<usize, TsdbError
 
 /// Parses one pre-trimmed, non-comment record; `line_no` is the 1-based
 /// line number carried into any [`TsdbError::Parse`]. Shared by the serial
-/// [`parse`] loop and the concurrent [`crate::ingest`] parser workers.
+/// [`parse`] loop and the [`crate::ingest`] sessions.
 pub(crate) fn parse_line(
     line: &str,
     line_no: usize,

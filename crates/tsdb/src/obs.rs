@@ -422,7 +422,7 @@ pub fn render_line_protocol(samples: &[MetricSample], tag: &str, ts: i64) -> Str
 pub struct IngestMetrics {
     /// Chunk-assembly time in the feeder (`ingest.assemble_micros`).
     pub assemble: Histogram,
-    /// Per-chunk parse time in the parser workers
+    /// Per-chunk parse time on the feeding thread
     /// (`ingest.parse_micros`).
     pub parse: Histogram,
     /// Per-batch reorder-stage time in the shard writers

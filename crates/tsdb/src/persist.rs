@@ -246,13 +246,13 @@ pub(crate) type ExportedSeries = (SeriesKey, Vec<Block>);
 /// consistency point under concurrent writers.
 pub(crate) fn export_all(db: &ShardedDb) -> Result<Vec<ExportedSeries>, SnapshotError> {
     let mut all: Vec<ExportedSeries> = Vec::new();
-    crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
+    std::thread::scope(|scope| -> Result<(), SnapshotError> {
         let mut handles = Vec::new();
         for shard in db.shards() {
             if shard.series_count() == 0 {
                 continue;
             }
-            handles.push(scope.spawn(move |_| -> Result<Vec<ExportedSeries>, SnapshotError> {
+            handles.push(scope.spawn(move || -> Result<Vec<ExportedSeries>, SnapshotError> {
                 let mut out = Vec::new();
                 for key in shard.list_series(&Selector::any()) {
                     validate_key(&key)?;
@@ -266,8 +266,7 @@ pub(crate) fn export_all(db: &ShardedDb) -> Result<Vec<ExportedSeries>, Snapshot
             all.extend(handle.join().expect("snapshot worker panicked")?);
         }
         Ok(())
-    })
-    .expect("snapshot scope failed")?;
+    })?;
     all.sort_by(|(a, _), (b, _)| a.cmp(b));
     Ok(all)
 }
@@ -415,10 +414,10 @@ pub(crate) fn read_v2(path: &Path, db: &ShardedDb) -> Result<Vec<ExportedSeries>
     }
     drop(r);
     let mut all = Vec::new();
-    crossbeam::thread::scope(|scope| -> Result<(), SnapshotError> {
+    std::thread::scope(|scope| -> Result<(), SnapshotError> {
         let mut handles = Vec::new();
         for entries in by_shard.into_iter().filter(|e| !e.is_empty()) {
-            handles.push(scope.spawn(move |_| -> Result<Vec<ExportedSeries>, SnapshotError> {
+            handles.push(scope.spawn(move || -> Result<Vec<ExportedSeries>, SnapshotError> {
                 let mut r = BufReader::new(std::fs::File::open(path)?);
                 let mut out = Vec::with_capacity(entries.len());
                 for entry in entries {
@@ -437,8 +436,7 @@ pub(crate) fn read_v2(path: &Path, db: &ShardedDb) -> Result<Vec<ExportedSeries>
             all.extend(handle.join().expect("snapshot load worker panicked")?);
         }
         Ok(())
-    })
-    .expect("snapshot load scope failed")?;
+    })?;
     Ok(all)
 }
 

@@ -366,7 +366,7 @@ impl Compactor {
         let persisted = &self.watermarks;
         let mut merged = CompactionReport::default();
         let mut advanced: Vec<((SeriesKey, i64), i64)> = Vec::new();
-        crossbeam::thread::scope(|scope| -> Result<(), TsdbError> {
+        std::thread::scope(|scope| -> Result<(), TsdbError> {
             let mut handles = Vec::new();
             for shard in db.shards() {
                 let base_series: Vec<SeriesKey> = shard
@@ -377,7 +377,7 @@ impl Compactor {
                 if base_series.is_empty() {
                     continue;
                 }
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     compact_series(shard, db, &base_series, policy, persisted, now)
                 }));
             }
@@ -389,8 +389,7 @@ impl Compactor {
                 advanced.extend(wms);
             }
             Ok(())
-        })
-        .expect("compaction scope failed")?;
+        })?;
         self.watermarks.extend(advanced);
         Ok(merged)
     }

@@ -5,43 +5,6 @@ use crate::error::TsdbError;
 use crate::memtable::MemTable;
 use crate::point::DataPoint;
 
-/// Aggregate statistics of a time range, as returned by
-/// [`SeriesStore::summarize`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RangeSummary {
-    /// Number of points in the range.
-    pub count: usize,
-    /// Smallest value.
-    pub min: f64,
-    /// Largest value.
-    pub max: f64,
-    /// Sum of values.
-    pub sum: f64,
-}
-
-impl RangeSummary {
-    fn empty() -> Self {
-        Self {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    fn absorb(&mut self, count: usize, min: f64, max: f64, sum: f64) {
-        self.count += count;
-        self.min = self.min.min(min);
-        self.max = self.max.max(max);
-        self.sum += sum;
-    }
-
-    /// Arithmetic mean of the range.
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-}
-
 /// Storage for one series: time-ordered sealed [`Block`]s plus the
 /// [`MemTable`] holding the newest points.
 ///
@@ -145,37 +108,6 @@ impl SeriesStore {
         }
         out.extend_from_slice(self.memtable.range(start, end));
         Ok(out)
-    }
-
-    /// Summary statistics (count/min/max/sum) of `[start, end)`.
-    ///
-    /// Blocks fully inside the range are answered from their sealed
-    /// [`crate::block::BlockSummary`] without decompression — O(1) per
-    /// block; only the (at most two) partially overlapping boundary blocks
-    /// are decoded. Returns `None` when the range holds no points.
-    pub fn summarize(&self, start: i64, end: i64) -> Result<Option<RangeSummary>, TsdbError> {
-        if start >= end {
-            return Ok(None);
-        }
-        let mut acc = RangeSummary::empty();
-        for block in &self.blocks {
-            let s = block.summary();
-            if !block.overlaps(start, end) {
-                continue;
-            }
-            if s.start >= start && s.end < end {
-                // Whole block inside the range: metadata answers it.
-                acc.absorb(s.count, s.min, s.max, s.sum);
-            } else {
-                for p in block.decode_range(start, end)? {
-                    acc.absorb(1, p.value, p.value, p.value);
-                }
-            }
-        }
-        for p in self.memtable.range(start, end) {
-            acc.absorb(1, p.value, p.value, p.value);
-        }
-        Ok((acc.count > 0).then_some(acc))
     }
 
     /// Appends pre-sealed blocks (snapshot restore). Blocks must be
@@ -298,40 +230,6 @@ mod tests {
         let evicted = s.evict_before(i64::MAX);
         assert_eq!(evicted, 20);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn summarize_matches_scan_across_boundaries() {
-        // Blocks of 10 points at ts 0,10,...,240 plus a memtable tail.
-        let s = filled(25, 10);
-        // Ranges chosen to hit: whole-block fast path, partial head/tail
-        // blocks, memtable-only, and empty.
-        for (start, end) in [
-            (0, 250),    // everything
-            (0, 100),    // exactly the first block
-            (35, 165),   // partial blocks on both sides
-            (200, 250),  // memtable only
-            (95, 105),   // straddles a block boundary with 2 points
-        ] {
-            let scan = s.scan(start, end).unwrap();
-            let got = s.summarize(start, end).unwrap();
-            if scan.is_empty() {
-                assert!(got.is_none());
-                continue;
-            }
-            let got = got.unwrap();
-            assert_eq!(got.count, scan.len(), "count for [{start},{end})");
-            let min = scan.iter().map(|p| p.value).fold(f64::INFINITY, f64::min);
-            let max = scan.iter().map(|p| p.value).fold(f64::NEG_INFINITY, f64::max);
-            let sum: f64 = scan.iter().map(|p| p.value).sum();
-            assert_eq!(got.min, min);
-            assert_eq!(got.max, max);
-            assert!((got.sum - sum).abs() < 1e-9);
-            assert!((got.mean() - sum / scan.len() as f64).abs() < 1e-12);
-        }
-        assert!(s.summarize(300, 400).unwrap().is_none());
-        assert!(s.summarize(50, 50).unwrap().is_none(), "empty range");
-        assert!(s.summarize(60, 50).unwrap().is_none(), "inverted range");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::db::{SeriesStats, TsdbConfig};
 use crate::error::TsdbError;
 use crate::point::DataPoint;
 use crate::query::{RangeQuery, SeriesReader, SeriesWriter};
-use crate::series::{RangeSummary, SeriesStore};
+use crate::series::SeriesStore;
 use crate::tags::{Selector, SeriesKey};
 
 /// Aggregate occupancy of one shard — the per-shard counters live ops
@@ -175,19 +175,6 @@ impl Shard {
             !guard.is_empty()
         });
         evicted
-    }
-
-    /// Summary statistics of one series over `[start, end)`; see
-    /// [`crate::db::Tsdb::summarize`].
-    pub fn summarize(
-        &self,
-        key: &SeriesKey,
-        start: i64,
-        end: i64,
-    ) -> Result<Option<RangeSummary>, TsdbError> {
-        let store = self.store(key)?;
-        let result = store.read().summarize(start, end);
-        result
     }
 
     /// Returns clones of one series' sealed blocks (cheap: payloads are

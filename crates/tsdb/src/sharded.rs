@@ -16,7 +16,7 @@
 //!   each shard is guarded by a `RwLock`, and cross-shard operations touch
 //!   one shard at a time;
 //! * multi-series smoothing queries fan out across shards on
-//!   `crossbeam`-scoped worker threads ([`ShardedDb::smooth_query_selector`]),
+//!   scoped worker threads ([`ShardedDb::smooth_query_selector`]),
 //!   then merge per-shard results into deterministic key order.
 //!
 //! Because both front-ends execute the identical [`Shard`] code, a
@@ -33,7 +33,6 @@ use crate::db::{SeriesStats, Tsdb, TsdbConfig};
 use crate::error::TsdbError;
 use crate::point::DataPoint;
 use crate::query::{RangeQuery, SeriesReader, SeriesWriter};
-use crate::series::RangeSummary;
 use crate::shard::Shard;
 use crate::smooth::{smooth_query, SmoothQueryError, SmoothedFrame};
 use crate::tags::{Selector, SeriesKey};
@@ -262,17 +261,6 @@ impl ShardedDb {
         self.shard(key).evict_series_before(key, cutoff)
     }
 
-    /// Summary statistics of one series over `[start, end)`; see
-    /// [`Tsdb::summarize`].
-    pub fn summarize(
-        &self,
-        key: &SeriesKey,
-        start: i64,
-        end: i64,
-    ) -> Result<Option<RangeSummary>, TsdbError> {
-        self.shard(key).summarize(key, start, end)
-    }
-
     /// Returns clones of one series' sealed blocks; call
     /// [`ShardedDb::flush`] first to include memtable contents.
     pub fn export_blocks(&self, key: &SeriesKey) -> Result<Vec<Block>, TsdbError> {
@@ -316,13 +304,13 @@ impl ShardedDb {
             .map(|s| s.list_series(selector))
             .collect();
         let mut keyed: Vec<KeyedResult> = Vec::new();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (shard, keys) in self.shards.iter().zip(&per_shard_keys) {
                 if keys.is_empty() {
                     continue;
                 }
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     keys.iter()
                         .map(|key| {
                             let frame = smooth_query(shard, key, asap, start, end, bucket);
@@ -334,8 +322,7 @@ impl ShardedDb {
             for handle in handles {
                 keyed.extend(handle.join().expect("smoothing worker panicked"));
             }
-        })
-        .expect("crossbeam scope failed");
+        });
         keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
         keyed
             .into_iter()
@@ -428,10 +415,6 @@ mod tests {
         for h in 0..6 {
             let key = cpu(&format!("h{h}"));
             assert_eq!(sharded.query(&key, q).unwrap(), oracle.query(&key, q).unwrap());
-            assert_eq!(
-                sharded.summarize(&key, 10, 150).unwrap(),
-                oracle.summarize(&key, 10, 150).unwrap()
-            );
         }
         let sel = Selector::metric("cpu");
         assert_eq!(

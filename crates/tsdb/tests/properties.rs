@@ -223,34 +223,3 @@ proptest! {
         prop_assert_eq!(rb.stats().dropped_late, 0);
     }
 }
-
-proptest! {
-    /// Block-summary fast-path aggregation equals the brute-force scan for
-    /// any range and any block-seal placement.
-    #[test]
-    fn summarize_equals_brute_force(
-        points in ordered_points(300),
-        block_capacity in 1usize..48,
-        window in (0i64..20_000).prop_flat_map(|a| (Just(a - 6_000), a - 6_000..15_000)),
-    ) {
-        let (start, end) = window;
-        let mut store = SeriesStore::new(block_capacity);
-        for &p in &points {
-            store.append(p).unwrap();
-        }
-        let scan = store.scan(start, end).unwrap();
-        match store.summarize(start, end).unwrap() {
-            None => prop_assert!(scan.is_empty()),
-            Some(s) => {
-                prop_assert_eq!(s.count, scan.len());
-                let min = scan.iter().map(|p| p.value).fold(f64::INFINITY, f64::min);
-                let max = scan.iter().map(|p| p.value).fold(f64::NEG_INFINITY, f64::max);
-                prop_assert_eq!(s.min.to_bits(), min.to_bits());
-                prop_assert_eq!(s.max.to_bits(), max.to_bits());
-                let sum: f64 = scan.iter().map(|p| p.value).sum();
-                let tol = 1e-9 * sum.abs().max(1.0);
-                prop_assert!((s.sum - sum).abs() <= tol);
-            }
-        }
-    }
-}

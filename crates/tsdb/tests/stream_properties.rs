@@ -17,15 +17,22 @@
 //!   random byte points (mid-escape, mid-float, mid-UTF-8 included),
 //!   streaming parse of the pieces ≡ whole-document parse, and the
 //!   report's line numbers still match;
-//! * bounded memory: pipeline-held chunks and reorder-stage pending never
-//!   exceed their configured bounds, polled live while feeding.
+//! * bounded memory: a session's in-flight chunks and reorder-stage
+//!   pending never exceed their configured bounds, polled live while
+//!   feeding;
+//! * shared writers: sessions fed concurrently into one `ShardWriters`
+//!   set keep per-session semantics — over disjoint series each report
+//!   equals the report of the same bytes fed alone, and over one series
+//!   every offered point is written, failed or dropped exactly once.
 
 use std::io::Read;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use asap_tsdb::query::Aggregator;
 use asap_tsdb::{
-    ingest_reader, line_protocol, pipeline_ingest, DataPoint, IngestConfig, RangeQuery, Selector,
-    SeriesKey, ShardedConfig, ShardedDb, StreamIngestor, Tsdb, TsdbConfig,
+    ingest_reader, line_protocol, pipeline_ingest, DataPoint, IngestConfig, IngestReport,
+    RangeQuery, Selector, SeriesKey, ShardWriters, ShardedConfig, ShardedDb, StreamIngestor,
+    StreamProgress, Tsdb, TsdbConfig,
 };
 use proptest::prelude::*;
 
@@ -161,7 +168,6 @@ fn stream_case() -> impl Strategy<Value = StreamCase> {
         ),
         (
             1usize..40, // block capacity
-            1usize..5,  // parser workers
             1usize..4,  // queue depth
             1usize..20, // chunk lines
             1i64..50,   // lateness
@@ -174,7 +180,7 @@ fn stream_case() -> impl Strategy<Value = StreamCase> {
         .prop_map(
             |(
                 (series, fields, shards),
-                (block_capacity, parsers, queue_depth, chunk_lines, lateness),
+                (block_capacity, queue_depth, chunk_lines, lateness),
                 (jitters, read_sizes),
             )| {
                 let series: Vec<Vec<DataPoint>> = series
@@ -215,7 +221,6 @@ fn stream_case() -> impl Strategy<Value = StreamCase> {
                     shards,
                     block_capacity,
                     ingest: IngestConfig {
-                        parsers,
                         queue_depth,
                         chunk_lines,
                         lateness: Some(lateness),
@@ -270,10 +275,6 @@ proptest! {
                 sharded.query(&key, bucketed).unwrap(),
                 oracle.query(&key, bucketed).unwrap()
             );
-            prop_assert_eq!(
-                sharded.summarize(&key, -250, 9_000).unwrap(),
-                oracle.summarize(&key, -250, 9_000).unwrap()
-            );
         }
 
         // Identical seal boundaries and compressed footprint once both
@@ -292,7 +293,6 @@ proptest! {
     fn split_streams_equal_whole_documents_on_junk(
         picks in prop::collection::vec(0usize..20, 0..300),
         read_sizes in prop::collection::vec(1usize..64, 1..10),
-        parsers in 1usize..4,
         chunk_lines in 1usize..8,
         late_sel in 0i64..3,
     ) {
@@ -302,7 +302,6 @@ proptest! {
         ];
         let doc: String = picks.iter().map(|&i| ALPHABET[i]).collect();
         let config = IngestConfig {
-            parsers,
             queue_depth: 2,
             chunk_lines,
             lateness: if late_sel == 0 { None } else { Some(late_sel * 7) },
@@ -336,7 +335,6 @@ fn every_two_piece_split_matches_whole_document() {
     let doc = "m,t=\u{1f600} v=1.25e-3 5\r\nm,t=\u{6f22}\u{5b57} v=-7.5 6\nbad\\line v=\n\
                m v=2 7\n# comment \u{00e9}\nm v=3";
     let config = IngestConfig {
-        parsers: 2,
         queue_depth: 1,
         chunk_lines: 2,
         lateness: None,
@@ -360,24 +358,25 @@ fn every_two_piece_split_matches_whole_document() {
     }
 }
 
-/// The bounded-memory contract, polled live: with a small queue and a
-/// small reorder window, pipeline-held chunks never exceed
-/// `2·(parsers + queue_depth)` and reorder-stage pending never exceeds
-/// `series × lateness` points, no matter how far the byte source runs
-/// ahead of the writers.
+/// The bounded-memory contract, polled live: with a small inbox and a
+/// small reorder window, a session's in-flight chunks never exceed
+/// `queue_depth + 2` — per shard, a full inbox, the batch its writer is
+/// applying, and the chunk the session is blocked sending — and
+/// reorder-stage pending never exceeds `series × lateness` points, no
+/// matter how far the byte source runs ahead of the writers. A second
+/// thread polls too, so states in the middle of a blocked send are seen.
 #[test]
 fn pipeline_buffering_stays_within_configured_bounds() {
     const HOSTS: usize = 4;
     const POINTS: i64 = 1_500;
     const LATENESS: i64 = 8;
     let config = IngestConfig {
-        parsers: 2,
         queue_depth: 1,
         chunk_lines: 4,
         lateness: Some(LATENESS),
         ..IngestConfig::default()
     };
-    let chunk_bound = 2 * (config.parsers + config.queue_depth);
+    let chunk_bound = config.queue_depth + 2;
     let reorder_bound = HOSTS * LATENESS as usize;
 
     // Per-host timestamps 0..POINTS, lines shuffled by a deterministic
@@ -403,16 +402,13 @@ fn pipeline_buffering_stays_within_configured_bounds() {
 
     let db = ShardedDb::with_config(ShardedConfig::new(3, 16));
     let mut ing = StreamIngestor::new(&db, 0, config).unwrap();
-    let mut peak_chunks = 0usize;
-    let mut peak_pending = 0usize;
-    for piece in doc.as_bytes().chunks(57) {
-        ing.feed(piece);
-        let p = ing.progress();
-        peak_chunks = peak_chunks.max(p.in_flight_chunks);
-        peak_pending = peak_pending.max(p.pending_reorder);
+    let watch = ing.watch_progress();
+    let feeding = AtomicBool::new(true);
+    // Checks one poll against both bounds; returns its (chunks, pending).
+    let check = |p: StreamProgress| {
         assert!(
             p.in_flight_chunks <= chunk_bound,
-            "pipeline held {} chunks, bound is {chunk_bound}",
+            "session held {} chunks in flight, bound is {chunk_bound}",
             p.in_flight_chunks
         );
         assert!(
@@ -420,7 +416,25 @@ fn pipeline_buffering_stays_within_configured_bounds() {
             "reorder stages held {} points, bound is {reorder_bound}",
             p.pending_reorder
         );
-    }
+        (p.in_flight_chunks, p.pending_reorder)
+    };
+    let peak = |a: (usize, usize), b: (usize, usize)| (a.0.max(b.0), a.1.max(b.1));
+    let (peak_chunks, peak_pending) = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            let mut seen = (0, 0);
+            while feeding.load(Ordering::Acquire) {
+                seen = peak(seen, check(watch.get()));
+            }
+            seen
+        });
+        let mut seen = (0, 0);
+        for piece in doc.as_bytes().chunks(57) {
+            ing.feed(piece);
+            seen = peak(seen, check(ing.progress()));
+        }
+        feeding.store(false, Ordering::Release);
+        peak(seen, watcher.join().unwrap())
+    });
     let report = ing.finish();
     assert!(report.is_clean(), "{report:?}");
     assert_eq!(report.points, HOSTS * POINTS as usize);
@@ -452,7 +466,6 @@ fn pipeline_buffering_stays_within_configured_bounds() {
 #[test]
 fn stream_ingestor_handle_survives_many_small_feeds() {
     let config = IngestConfig {
-        parsers: 2,
         queue_depth: 2,
         chunk_lines: 3,
         lateness: Some(4),
@@ -480,4 +493,134 @@ fn stream_ingestor_handle_survives_many_small_feeds() {
     let got = db.query(&SeriesKey::metric("m.v"), full()).unwrap();
     let want: Vec<_> = (1..=7).map(|t| DataPoint::new(t, t as f64)).collect();
     assert_eq!(got, want);
+}
+
+/// Splits a rendered document's lines by host parity: two streams over
+/// disjoint series, each in the document's arrival order.
+fn split_by_host(doc: &str) -> [String; 2] {
+    let mut parts = [String::new(), String::new()];
+    for line in doc.lines() {
+        let host: usize = line_host(line)[1..].parse().unwrap();
+        parts[host % 2].push_str(line);
+        parts[host % 2].push('\n');
+    }
+    parts
+}
+
+/// Feeds each document to its own session on `writers`, all sessions
+/// concurrently (one thread each, pieces in the scripted sizes), and
+/// returns their reports in document order.
+fn feed_concurrently(writers: &ShardWriters, docs: &[String], sizes: &[usize]) -> Vec<IngestReport> {
+    std::thread::scope(|scope| {
+        let feeders: Vec<_> = docs
+            .iter()
+            .map(|doc| {
+                let mut session = writers.session(0);
+                scope.spawn(move || {
+                    let mut reader = ChoppedReader::new(doc.as_bytes(), sizes);
+                    let mut buf = [0u8; 512];
+                    loop {
+                        let n = reader.read(&mut buf).unwrap();
+                        if n == 0 {
+                            return session.finish();
+                        }
+                        session.feed(&buf[..n]);
+                    }
+                })
+            })
+            .collect();
+        feeders.into_iter().map(|f| f.join().unwrap()).collect()
+    })
+}
+
+proptest! {
+    /// Two sessions on one writer set, fed concurrently with
+    /// lateness-shuffled streams over disjoint series: each report
+    /// equals the report of the same bytes fed alone to a fresh
+    /// `StreamIngestor`, and the shared store equals the sorted serial
+    /// oracle.
+    #[test]
+    fn concurrent_sessions_on_disjoint_series_match_solo_reports(case in stream_case()) {
+        let parts = split_by_host(&case.shuffled_doc);
+        let db = ShardedDb::with_config(ShardedConfig::new(case.shards, case.block_capacity));
+        let writers = ShardWriters::new(&db, case.ingest.clone()).unwrap();
+        let reports = feed_concurrently(&writers, &parts, &case.read_sizes);
+        writers.stop();
+        for (part, report) in parts.iter().zip(&reports) {
+            let alone =
+                ShardedDb::with_config(ShardedConfig::new(case.shards, case.block_capacity));
+            let mut solo = StreamIngestor::new(&alone, 0, case.ingest.clone()).unwrap();
+            solo.feed(part.as_bytes());
+            prop_assert_eq!(report, &solo.finish());
+        }
+
+        let oracle = Tsdb::with_config(TsdbConfig {
+            block_capacity: case.block_capacity,
+        });
+        line_protocol::ingest(&oracle, &case.sorted_doc, 0).unwrap();
+        let any = Selector::any();
+        prop_assert_eq!(db.list_series(&any), oracle.list_series(&any));
+        prop_assert_eq!(
+            db.query_selector(&any, full()).unwrap(),
+            oracle.query_selector(&any, full()).unwrap()
+        );
+        db.flush().unwrap();
+        oracle.flush().unwrap();
+        prop_assert_eq!(db.stats(), oracle.stats());
+    }
+
+    /// Two sessions writing *one* series keep per-connection semantics:
+    /// each has its own reorder stage, so their points meet at the store
+    /// in the order they reach the writer. Every offered point is
+    /// accounted for exactly once — written, failed or dropped — and the
+    /// stored series is strictly increasing.
+    #[test]
+    fn concurrent_sessions_on_one_series_account_for_every_point(
+        steps in prop::collection::vec((1i64..20, 0usize..2), 1..200),
+        jitters in prop::collection::vec(0.0..1.0f64, 1..16),
+        late_sel in 0i64..4,
+        shards in 1usize..4,
+        chunk_lines in 1usize..16,
+        read_sizes in prop::collection::vec(1usize..256, 1..6),
+    ) {
+        // One timeline dealt to the two sessions by the drawn owner, each
+        // session's share shuffled strictly within the lateness.
+        let lateness = (late_sel > 0).then_some(late_sel * 5);
+        let mut shares: [Vec<(i64, String)>; 2] = [Vec::new(), Vec::new()];
+        let mut ts = 0i64;
+        for (i, &(step, owner)) in steps.iter().enumerate() {
+            ts += step;
+            let window = lateness.unwrap_or(1) - 1;
+            let jitter = (jitters[i % jitters.len()] * window as f64) as i64;
+            shares[owner].push((ts + jitter, format!("m v={i} {ts}\n")));
+        }
+        let docs: Vec<String> = shares
+            .iter_mut()
+            .map(|share| {
+                share.sort();
+                share.iter().map(|(_, line)| line.as_str()).collect()
+            })
+            .collect();
+
+        let db = ShardedDb::with_config(ShardedConfig::new(shards, 8));
+        let config = IngestConfig {
+            queue_depth: 2,
+            chunk_lines,
+            lateness,
+            ..IngestConfig::default()
+        };
+        let writers = ShardWriters::new(&db, config).unwrap();
+        let reports = feed_concurrently(&writers, &docs, &read_sizes);
+        writers.stop();
+
+        let accounted: usize = reports
+            .iter()
+            .map(|r| r.points + r.write_failures.len() + r.dropped_late + r.dropped_duplicate)
+            .sum();
+        prop_assert_eq!(accounted, steps.len());
+        prop_assert!(reports.iter().all(|r| r.parse_failures.is_empty()));
+        let stored = db.query(&SeriesKey::metric("m.v"), full()).unwrap();
+        prop_assert_eq!(stored.len(), reports.iter().map(|r| r.points).sum::<usize>());
+        prop_assert!(stored.windows(2).all(|w| w[0].timestamp < w[1].timestamp));
+    }
 }

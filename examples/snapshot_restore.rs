@@ -11,10 +11,12 @@
 //! 3. verify the restored data byte-for-byte, resume ingestion where the
 //!    old process stopped, and serve an ASAP-smoothed dashboard query
 //!    spanning the restart boundary;
-//! 4. report the metadata-only `summarize` fast path over the same range.
+//! 4. report the mean of the same range as one bucketed query.
 
 use asap::core::Asap;
-use asap::tsdb::{smooth_query, DataPoint, RangeQuery, SeriesKey, ShardedConfig, ShardedDb};
+use asap::tsdb::{
+    smooth_query, Aggregator, DataPoint, RangeQuery, SeriesKey, ShardedConfig, ShardedDb,
+};
 
 const STEP: i64 = 30; // seconds per sample
 
@@ -75,15 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         frame.result.window, frame.result.window_raw_points, frame.result.roughness
     );
 
-    // 4. Metadata fast path.
-    if let Some(s) = restored.summarize(&key, 0, (day + more) * STEP)? {
-        println!(
-            "summarize (block metadata): count {}, min {:.2}, max {:.2}, mean {:.2}",
-            s.count,
-            s.min,
-            s.max,
-            s.mean()
-        );
+    // 4. The whole range as one bucketed mean.
+    let span = (day + more) * STEP;
+    let whole = RangeQuery::bucketed(0, span, span).aggregate(Aggregator::Mean);
+    if let Some(mean) = restored.query(&key, whole)?.first() {
+        println!("bucketed mean over the spliced series: {:.2}", mean.value);
     }
 
     std::fs::remove_file(&path).ok();
