@@ -198,6 +198,9 @@ fn main() {
         clock: CompactionClock::WallClock,
     });
 
+    if shards == 0 {
+        fail("--shards must be at least 1");
+    }
     if fsync.is_some() && wal_dir.is_none() {
         fail("--fsync needs --wal-dir");
     }

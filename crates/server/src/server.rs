@@ -53,8 +53,9 @@ pub struct ServerConfig {
     /// writers, which every ingest connection and the self-scrape share
     /// (writer inbox depth, chunk size, lateness).
     pub ingest: IngestConfig,
-    /// Fallback timestamp base for records without one (see
-    /// [`asap_tsdb::ingest::pipeline_ingest`]).
+    /// Fallback timestamp base for records without one: `default_ts`
+    /// plus the record's 0-based line index (see
+    /// [`asap_tsdb::ingest::ingest_reader`]).
     pub default_ts: i64,
     /// Background compaction; `None` disables the scheduler thread.
     pub compaction: Option<CompactionConfig>,

@@ -119,6 +119,14 @@ fn damaged_chain_boots_with_a_warning_not_like_a_healthy_one() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A store with no shards is a usage error (exit 2), not a panic.
+#[test]
+fn zero_shards_exit_2() {
+    let log = refused(&["--shards", "0"]);
+    assert!(log.contains("--shards must be at least 1"), "{log}");
+    assert!(log.contains("usage: asap-server"), "{log}");
+}
+
 /// The retired layouts and the unsafe ones are start-up errors (exit
 /// 2) that say what to do, not silent fallbacks.
 #[test]

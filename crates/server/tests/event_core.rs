@@ -96,7 +96,8 @@ fn event_core_serves_1024_mostly_idle_connections_byte_identically() {
     let oracle = Tsdb::with_config(TsdbConfig { block_capacity: 64 });
     line_protocol::ingest(&oracle, &telemetry, 0).unwrap();
     let seeded =
-        asap_tsdb::pipeline_ingest(&db, &telemetry, 0, &IngestConfig::default()).unwrap();
+        asap_tsdb::ingest_reader(&db, telemetry.as_bytes(), 0, &IngestConfig::default())
+            .unwrap();
     assert_eq!(seeded.points, POINTS as usize);
 
     let server = Server::start(

@@ -1,11 +1,29 @@
-//! The database facade: a single-[`Shard`] engine front-end.
+//! The storage partition: an embedded, in-memory, concurrent series map.
+//!
+//! [`Tsdb`] is the one partition type the engine is built from. Used on
+//! its own it is the whole store; [`crate::sharded::ShardedDb`] routes
+//! series across many of them by tag-aware hash. Both run this same code
+//! on the same per-series stores and differ only in routing, so their
+//! query results are byte-identical.
+//!
+//! Locking model: an outer `RwLock` guards the series map and each
+//! [`SeriesStore`] sits behind its own `RwLock`, so ingest into one series
+//! never blocks queries of another. Locks are always taken map → store.
+//! Writes hold the map read guard across the store mutation, and eviction
+//! unlinks a series only under the map write guard after re-checking there
+//! that it is empty — so once a write returns `Ok`, its point is either
+//! stored or counted by a later eviction.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use parking_lot::RwLock;
+
+use crate::block::Block;
 use crate::error::TsdbError;
 use crate::point::DataPoint;
 use crate::query::{RangeQuery, SeriesReader, SeriesWriter};
-use crate::shard::Shard;
+use crate::series::SeriesStore;
 use crate::tags::{Selector, SeriesKey};
 
 /// Engine configuration.
@@ -36,25 +54,39 @@ pub struct SeriesStats {
     pub compressed_bytes: usize,
 }
 
-/// An embedded, in-memory, concurrent time-series database.
+/// Aggregate occupancy of one partition — the per-shard counters live ops
+/// endpoints report. Produced by [`Tsdb::occupancy`] /
+/// [`crate::sharded::ShardedDb::shard_occupancy`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardOccupancy {
+    /// Distinct series resident in the partition.
+    pub series: usize,
+    /// Total stored points across those series.
+    pub points: usize,
+    /// Sealed block count across those series.
+    pub blocks: usize,
+    /// Compressed bytes across sealed blocks.
+    pub compressed_bytes: usize,
+    /// Newest timestamp across the partition's series (`None` when it is
+    /// empty) — the partition's ingest watermark.
+    pub watermark: Option<i64>,
+}
+
+type SeriesMap = BTreeMap<SeriesKey, Arc<RwLock<SeriesStore>>>;
+
+/// An embedded, in-memory, concurrent time-series database partition.
 ///
 /// Series are keyed by [`SeriesKey`] (metric + tags). Writers append
 /// strictly-increasing timestamps per series; the engine seals full
-/// memtables into Gorilla-compressed [`crate::block::Block`]s. Readers run
+/// memtables into Gorilla-compressed [`Block`]s. Readers run
 /// [`RangeQuery`]s against a single series or a [`Selector`] over many.
+/// See the module docs for the locking model.
 ///
-/// `Tsdb` is a facade over exactly one [`Shard`] — the storage partition
-/// type the engine is built from. The horizontally partitioned
-/// [`crate::sharded::ShardedDb`] front-end mirrors this API over many
-/// shards and, because both run the identical `Shard` code, produces
-/// byte-identical query results.
-///
-/// Concurrency model: a `RwLock` over the series map (series creation is
-/// rare), with each store behind its own `RwLock` so unrelated series never
-/// contend. Handles are `Arc`-shared; `Tsdb` itself is cheap to clone.
+/// Cheap to clone: clones share storage.
 #[derive(Debug, Clone)]
 pub struct Tsdb {
-    inner: Arc<Shard>,
+    config: TsdbConfig,
+    series: Arc<RwLock<SeriesMap>>,
 }
 
 impl Default for Tsdb {
@@ -72,28 +104,65 @@ impl Tsdb {
     /// Creates an engine with the given configuration.
     pub fn with_config(config: TsdbConfig) -> Self {
         Self {
-            inner: Arc::new(Shard::new(config)),
+            config,
+            series: Arc::default(),
         }
     }
 
     /// Number of distinct series.
     pub fn series_count(&self) -> usize {
-        self.inner.series_count()
+        self.series.read().len()
     }
 
     /// Writes one point, creating the series on first touch.
     pub fn write(&self, key: &SeriesKey, point: DataPoint) -> Result<(), TsdbError> {
-        self.inner.write(key, point)
+        self.with_store(key, |store| store.append(point))
     }
 
     /// Writes a batch of points to one series (points must be in order).
     pub fn write_batch(&self, key: &SeriesKey, points: &[DataPoint]) -> Result<(), TsdbError> {
-        self.inner.write_batch(key, points)
+        self.with_store(key, |store| {
+            points.iter().try_for_each(|&p| store.append(p))
+        })
+    }
+
+    /// Imports pre-sealed blocks into a series (snapshot restore), creating
+    /// it if needed. Blocks must be strictly after any existing data.
+    pub fn import_blocks(&self, key: &SeriesKey, blocks: Vec<Block>) -> Result<(), TsdbError> {
+        self.with_store(key, |store| store.import_blocks(blocks))
+    }
+
+    /// Applies `mutate` to `key`'s store, creating the series on first
+    /// touch. The map guard is held across `mutate`, so eviction cannot
+    /// unlink the series between the lookup and the mutation.
+    fn with_store<T>(&self, key: &SeriesKey, mutate: impl FnOnce(&mut SeriesStore) -> T) -> T {
+        if let Some(store) = self.series.read().get(key) {
+            return mutate(&mut store.write());
+        }
+        let mut map = self.series.write();
+        let store = map
+            .entry(key.clone())
+            .or_insert_with(|| Arc::new(RwLock::new(SeriesStore::new(self.config.block_capacity))));
+        let result = mutate(&mut store.write());
+        result
+    }
+
+    fn store(&self, key: &SeriesKey) -> Result<Arc<RwLock<SeriesStore>>, TsdbError> {
+        self.series
+            .read()
+            .get(key)
+            .cloned()
+            .ok_or_else(|| TsdbError::SeriesNotFound {
+                key: key.to_string(),
+            })
     }
 
     /// Runs a query against one series.
     pub fn query(&self, key: &SeriesKey, query: RangeQuery) -> Result<Vec<DataPoint>, TsdbError> {
-        self.inner.query(key, query)
+        query.validate()?;
+        let store = self.store(key)?;
+        let raw = store.read().scan(query.start, query.end)?;
+        query.shape(&raw)
     }
 
     /// Runs a query against every series matching `selector`, returning
@@ -103,52 +172,132 @@ impl Tsdb {
         selector: &Selector,
         query: RangeQuery,
     ) -> Result<Vec<(SeriesKey, Vec<DataPoint>)>, TsdbError> {
-        self.inner.query_selector(selector, query)
+        query.validate()?;
+        let matching: Vec<(SeriesKey, Arc<RwLock<SeriesStore>>)> = self
+            .series
+            .read()
+            .iter()
+            .filter(|(k, _)| selector.matches(k))
+            .map(|(k, s)| (k.clone(), Arc::clone(s)))
+            .collect();
+        let mut out = Vec::with_capacity(matching.len());
+        for (key, store) in matching {
+            let raw = store.read().scan(query.start, query.end)?;
+            out.push((key, query.shape(&raw)?));
+        }
+        Ok(out)
     }
 
     /// Lists keys of series matching `selector`, in key order.
     pub fn list_series(&self, selector: &Selector) -> Vec<SeriesKey> {
-        self.inner.list_series(selector)
+        self.series
+            .read()
+            .keys()
+            .filter(|k| selector.matches(k))
+            .cloned()
+            .collect()
     }
 
     /// Seals every series' memtable (e.g. before measuring compression).
     pub fn flush(&self) -> Result<(), TsdbError> {
-        self.inner.flush()
-    }
-
-    /// Evicts sealed blocks older than `cutoff` from every series and drops
-    /// series left completely empty. Returns total evicted points.
-    pub fn evict_before(&self, cutoff: i64) -> usize {
-        self.inner.evict_before(cutoff)
+        let stores: Vec<_> = self.series.read().values().cloned().collect();
+        for store in stores {
+            store.write().seal_active()?;
+        }
+        Ok(())
     }
 
     /// Returns clones of one series' sealed blocks (cheap: payloads are
     /// reference-counted). Used by snapshot persistence; call
     /// [`Tsdb::flush`] first to include memtable contents.
-    pub fn export_blocks(&self, key: &SeriesKey) -> Result<Vec<crate::block::Block>, TsdbError> {
-        self.inner.export_blocks(key)
+    pub fn export_blocks(&self, key: &SeriesKey) -> Result<Vec<Block>, TsdbError> {
+        let store = self.store(key)?;
+        let blocks = store.read().blocks().to_vec();
+        Ok(blocks)
     }
 
-    /// Imports pre-sealed blocks into a series (snapshot restore), creating
-    /// it if needed. Blocks must be strictly after any existing data.
-    pub fn import_blocks(
-        &self,
-        key: &SeriesKey,
-        blocks: Vec<crate::block::Block>,
-    ) -> Result<(), TsdbError> {
-        self.inner.import_blocks(key, blocks)
+    /// Evicts sealed blocks older than `cutoff` from every series and drops
+    /// series left completely empty. Returns total evicted points.
+    pub fn evict_before(&self, cutoff: i64) -> usize {
+        let mut evicted = 0;
+        let mut emptied = Vec::new();
+        for (key, store) in self.series.read().iter() {
+            let mut store = store.write();
+            evicted += store.evict_before(cutoff);
+            if store.is_empty() {
+                emptied.push(key.clone());
+            }
+        }
+        self.unlink_empty(&emptied);
+        evicted
     }
 
     /// Evicts sealed blocks older than `cutoff` from one series. The series
     /// is dropped if left completely empty. Returns evicted points; missing
     /// series evict nothing.
     pub fn evict_series_before(&self, key: &SeriesKey, cutoff: i64) -> usize {
-        self.inner.evict_series_before(key, cutoff)
+        let (evicted, emptied) = {
+            let map = self.series.read();
+            let Some(store) = map.get(key) else {
+                return 0;
+            };
+            let mut store = store.write();
+            (store.evict_before(cutoff), store.is_empty())
+        };
+        if emptied {
+            self.unlink_empty(std::slice::from_ref(key));
+        }
+        evicted
+    }
+
+    /// Drops those of `keys` whose store is still empty under the map
+    /// write guard. No write is mid-append while that guard is held, so an
+    /// empty store there holds no acknowledged point.
+    fn unlink_empty(&self, keys: &[SeriesKey]) {
+        if keys.is_empty() {
+            return;
+        }
+        let mut map = self.series.write();
+        for key in keys {
+            if map.get(key).is_some_and(|store| store.read().is_empty()) {
+                map.remove(key);
+            }
+        }
+    }
+
+    /// Aggregate occupancy of this partition: series/point/block totals,
+    /// compressed footprint, and the ingest watermark (the newest
+    /// timestamp across its series, `None` when empty). One pass under
+    /// read locks — the per-shard counters live ops endpoints aggregate
+    /// (`STATS`/`HEALTH` in the server layer).
+    pub fn occupancy(&self) -> ShardOccupancy {
+        let mut occ = ShardOccupancy::default();
+        for store in self.series.read().values() {
+            let store = store.read();
+            occ.series += 1;
+            occ.points += store.len();
+            occ.blocks += store.block_count();
+            occ.compressed_bytes += store.compressed_bytes();
+            occ.watermark = occ.watermark.max(store.last_timestamp());
+        }
+        occ
     }
 
     /// Per-series occupancy statistics, in key order.
     pub fn stats(&self) -> Vec<SeriesStats> {
-        self.inner.stats()
+        self.series
+            .read()
+            .iter()
+            .map(|(k, s)| {
+                let store = s.read();
+                SeriesStats {
+                    key: k.clone(),
+                    points: store.len(),
+                    blocks: store.block_count(),
+                    compressed_bytes: store.compressed_bytes(),
+                }
+            })
+            .collect()
     }
 }
 

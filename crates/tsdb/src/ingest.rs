@@ -45,8 +45,8 @@
 //!   stream runs — a slow writer backpressures every session feeding it
 //!   all the way to the byte source;
 //! * with [`IngestConfig::lateness`] set, each writer keeps one
-//!   **reorder stage** (a [`ReorderBuffer`] over its
-//!   [`crate::shard::Shard`]) per session between the session and
+//!   **reorder stage** (a [`ReorderBuffer`] over its shard's
+//!   [`crate::db::Tsdb`]) per session between the session and
 //!   storage: bounded out-of-order telemetry is buffered and applied in
 //!   timestamp order instead of failing per line, late and duplicate
 //!   points are counted ([`IngestReport::dropped_late`],
@@ -71,8 +71,8 @@
 //!
 //! Entry points, thinnest to most general:
 //!
-//! * [`pipeline_ingest`] — a whole in-memory document;
-//! * [`ingest_reader`] — drain any [`std::io::Read`] to end of stream;
+//! * [`ingest_reader`] — drain any [`std::io::Read`] (a whole in-memory
+//!   document is `text.as_bytes()`) to end of stream;
 //! * [`StreamIngestor`] — a long-running handle: feed byte pieces as
 //!   they arrive, poll a live [`StreamProgress`], `finish()` to flush
 //!   and collect the final report;
@@ -538,25 +538,6 @@ impl SeriesWriter for ShardSink {
     }
 }
 
-/// Ingests a whole in-memory line-protocol document into `db` through
-/// the streaming pipeline; see the module docs for topology and
-/// semantics.
-///
-/// Records missing a timestamp take `default_ts` plus the 0-based line
-/// index, exactly like the serial [`crate::line_protocol::ingest`].
-/// Returns `Err` only for an invalid `config`; data problems (malformed
-/// lines, rejected writes) are skipped and reported.
-pub fn pipeline_ingest(
-    db: &ShardedDb,
-    text: &str,
-    default_ts: i64,
-    config: &IngestConfig,
-) -> Result<IngestReport, TsdbError> {
-    let mut ingestor = StreamIngestor::new(db, default_ts, config.clone())?;
-    ingestor.feed(text.as_bytes());
-    Ok(ingestor.finish())
-}
-
 /// Drains `reader` to end of stream through the streaming pipeline in
 /// bounded memory, using a fixed-size read buffer (the pipeline is
 /// oblivious to where reads split — any piece boundary, including
@@ -570,8 +551,11 @@ pub fn pipeline_ingest(
 /// discarded rather than ingested as if it were whole. The partial
 /// report is discarded with it; a caller that needs progress
 /// accounting across source failures should drive a
-/// [`StreamIngestor`] directly. Data problems are skipped and
-/// reported, as in [`pipeline_ingest`].
+/// [`StreamIngestor`] directly. Data problems (malformed lines,
+/// rejected writes) are skipped and reported.
+///
+/// Records missing a timestamp take `default_ts` plus the 0-based line
+/// index, exactly like the serial [`crate::line_protocol::ingest`].
 pub fn ingest_reader<R: Read>(
     db: &ShardedDb,
     mut reader: R,
@@ -1271,7 +1255,7 @@ mod tests {
                 ..IngestConfig::default()
             },
         ] {
-            let err = pipeline_ingest(&db, "cpu v=1 1", 0, &config).unwrap_err();
+            let err = ingest_reader(&db, "cpu v=1 1".as_bytes(), 0, &config).unwrap_err();
             assert!(matches!(err, TsdbError::InvalidParameter { .. }));
         }
     }
@@ -1279,7 +1263,7 @@ mod tests {
     #[test]
     fn empty_document_reports_zeroes() {
         let db = ShardedDb::new();
-        let report = pipeline_ingest(&db, "", 0, &IngestConfig::default()).unwrap();
+        let report = ingest_reader(&db, "".as_bytes(), 0, &IngestConfig::default()).unwrap();
         assert_eq!(report, IngestReport::default());
         assert_eq!(db.series_count(), 0);
     }
@@ -1289,7 +1273,7 @@ mod tests {
         let text = doc(5, 200);
         for config in configs() {
             let sharded = ShardedDb::with_config(ShardedConfig::new(4, 32));
-            let report = pipeline_ingest(&sharded, &text, 0, &config).unwrap();
+            let report = ingest_reader(&sharded, text.as_bytes(), 0, &config).unwrap();
             let oracle = Tsdb::with_config(TsdbConfig { block_capacity: 32 });
             let n = line_protocol::ingest(&oracle, &text, 0).unwrap();
             assert!(report.is_clean(), "{report:?}");
@@ -1322,7 +1306,7 @@ mod tests {
             metrics: Some(metrics.clone()),
             ..IngestConfig::default()
         };
-        let report = pipeline_ingest(&db, &text, 0, &config).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
         assert!(report.is_clean(), "{report:?}");
         let chunks = lines.div_ceil(16);
         assert!(metrics.assemble.snapshot().count >= 1);
@@ -1341,7 +1325,7 @@ mod tests {
             metrics: Some(metrics.clone()),
             ..IngestConfig::default()
         };
-        pipeline_ingest(&db, &text, 0, &config).unwrap();
+        ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
         assert_eq!(metrics.reorder.snapshot().count, chunks * 2);
         assert_eq!(metrics.apply.snapshot().count, apply_before + 2);
     }
@@ -1358,7 +1342,7 @@ mod tests {
             ..IngestConfig::default()
         };
         let sharded = ShardedDb::with_config(ShardedConfig::new(3, 16));
-        pipeline_ingest(&sharded, text, 1000, &config).unwrap();
+        ingest_reader(&sharded, text.as_bytes(), 1000, &config).unwrap();
         let oracle = Tsdb::new();
         line_protocol::ingest(&oracle, text, 1000).unwrap();
         let q = RangeQuery::raw(i64::MIN, i64::MAX);
@@ -1376,7 +1360,7 @@ mod tests {
         let text = "cpu v=1 1\nbogus\ncpu v=2 2\ncpu v=nope 3\ncpu v=3 4\n";
         let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
         let report =
-            pipeline_ingest(&db, text, 0, &IngestConfig::default()).unwrap();
+            ingest_reader(&db, text.as_bytes(), 0, &IngestConfig::default()).unwrap();
         assert_eq!(report.points, 3);
         assert_eq!(
             report.parse_failures,
@@ -1404,7 +1388,7 @@ mod tests {
         let long = "x".repeat(crate::line_protocol::MAX_LINE_BYTES + 1);
         let text = format!("cpu v=1 1\n{long}\ncpu v=2 2\ncpu v=3\n");
         let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
-        let report = pipeline_ingest(&db, &text, 100, &IngestConfig::default()).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 100, &IngestConfig::default()).unwrap();
         assert_eq!((report.lines, report.points), (4, 3));
         assert_eq!(
             report.parse_failures,
@@ -1427,7 +1411,7 @@ mod tests {
         let text = "cpu v=1 10\ncpu v=2 20\ncpu v=3 5\ncpu v=NaN 30\ncpu v=4 40\n";
         for config in configs() {
             let db = ShardedDb::with_config(ShardedConfig::new(3, 16));
-            let report = pipeline_ingest(&db, text, 0, &config).unwrap();
+            let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
             assert_eq!(report.points, 3, "config {config:?}");
             assert!(report.parse_failures.is_empty());
             assert_eq!(report.write_failures.len(), 2);
@@ -1451,7 +1435,7 @@ mod tests {
         let mut reports = Vec::new();
         for config in configs() {
             let db = ShardedDb::with_config(ShardedConfig::new(5, 8));
-            reports.push(pipeline_ingest(&db, &text, 0, &config).unwrap());
+            reports.push(ingest_reader(&db, text.as_bytes(), 0, &config).unwrap());
         }
         for pair in reports.windows(2) {
             assert_eq!(pair[0], pair[1]);
@@ -1462,7 +1446,7 @@ mod tests {
     fn single_shard_pipeline_still_works() {
         let text = doc(3, 40);
         let db = ShardedDb::with_config(ShardedConfig::new(1, 16));
-        let report = pipeline_ingest(&db, &text, 0, &IngestConfig::default()).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 0, &IngestConfig::default()).unwrap();
         assert!(report.is_clean());
         assert_eq!(db.series_count(), 6);
     }
@@ -1485,7 +1469,9 @@ mod tests {
         )
         .unwrap();
         let in_memory = ShardedDb::with_config(ShardedConfig::new(3, 32));
-        let report_m = pipeline_ingest(&in_memory, &text, 0, &config).unwrap();
+        let mut ingestor = StreamIngestor::new(&in_memory, 0, config).unwrap();
+        ingestor.feed(text.as_bytes());
+        let report_m = ingestor.finish();
         assert_eq!(report_r, report_m);
         assert_eq!(
             streamed.query_selector(&Selector::any(), full()).unwrap(),
@@ -1512,7 +1498,7 @@ mod tests {
         }
         let report = ing.finish();
         let whole = ShardedDb::with_config(ShardedConfig::new(2, 16));
-        let whole_report = pipeline_ingest(&whole, &text, 0, &config).unwrap();
+        let whole_report = ingest_reader(&whole, text.as_bytes(), 0, &config).unwrap();
         assert_eq!(report, whole_report);
         assert_eq!(report.lines, text.lines().count());
         assert_eq!(
@@ -1536,7 +1522,7 @@ mod tests {
                 ..IngestConfig::default()
             };
             let db = ShardedDb::with_config(ShardedConfig::new(2, 4));
-            let report = pipeline_ingest(&db, text, 0, &config).unwrap();
+            let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
             assert!(report.is_clean(), "{report:?}");
             assert_eq!(report.points, 12);
             assert_eq!(report.dropped_late, 0);
@@ -1560,7 +1546,7 @@ mod tests {
             ..IngestConfig::default()
         };
         let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
-        let report = pipeline_ingest(&db, text, 0, &config).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
         assert_eq!(report.points, 2);
         assert_eq!(report.dropped_late, 1);
         assert_eq!(report.write_failures.len(), 1);
@@ -1583,7 +1569,7 @@ mod tests {
             ..IngestConfig::default()
         };
         let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
-        let report = pipeline_ingest(&db, text, 0, &config).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
         assert_eq!(report.points, 3);
         assert_eq!(
             db.query(&SeriesKey::metric("m.v"), full()).unwrap().len(),
@@ -1680,7 +1666,7 @@ mod tests {
             ..IngestConfig::default()
         };
         let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
-        let report = pipeline_ingest(&db, text, 0, &config).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
         assert_eq!(
             report.to_string(),
             "lines=4 points=3 reordered=1 dropped_late=0 dropped_duplicate=0 \
@@ -1727,7 +1713,7 @@ mod tests {
         let report = ing.finish();
         assert!(deferred, "tiny queue never filled — Full path untested");
         let blocking = ShardedDb::with_config(ShardedConfig::new(3, 16));
-        let oracle_report = pipeline_ingest(&blocking, &text, 0, &config).unwrap();
+        let oracle_report = ingest_reader(&blocking, text.as_bytes(), 0, &config).unwrap();
         assert_eq!(report, oracle_report);
         assert_eq!(
             nonblocking.query_selector(&Selector::any(), full()).unwrap(),
@@ -1802,7 +1788,7 @@ mod tests {
             ..IngestConfig::default()
         };
         let db = ShardedDb::with_config(ShardedConfig::new(4, 32));
-        let report = pipeline_ingest(&db, &text, 0, &config).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
         assert!(report.is_clean(), "{report:?}");
         let seen = seen.lock().unwrap();
         assert_eq!(seen.len(), 200, "one hook call per applied point");
@@ -1833,7 +1819,7 @@ mod tests {
             ..IngestConfig::default()
         };
         let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
-        let report = pipeline_ingest(&db, text, 0, &config).unwrap();
+        let report = ingest_reader(&db, text.as_bytes(), 0, &config).unwrap();
         assert_eq!(report.points, 2);
         assert_eq!(report.write_failures.len(), 1);
         assert_eq!(count.load(Ordering::SeqCst), 2, "rejected point never fired the hook");

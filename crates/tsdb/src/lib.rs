@@ -12,12 +12,11 @@
 //! * [`block`] / [`memtable`] / [`series`] — sealed compressed blocks with
 //!   skip-scan summaries, the mutable append head, and the per-series
 //!   store that merges them;
-//! * [`tags`] / [`db`] — metric+tag series identity, selectors, and the
-//!   concurrent engine facade;
-//! * [`shard`] / [`sharded`] — the storage partition both front-ends are
-//!   built from, and the horizontally sharded engine that routes series by
-//!   tag-aware hash and fans multi-series smoothing queries out across
-//!   shard-parallel worker threads;
+//! * [`tags`] / [`db`] — metric+tag series identity, selectors, and
+//!   [`Tsdb`], the concurrent storage partition;
+//! * [`sharded`] — the horizontally sharded engine that routes series
+//!   across `Tsdb` partitions by tag-aware hash and fans multi-series
+//!   smoothing queries out across shard-parallel worker threads;
 //! * [`query`] — range scans, bucketed aggregation, and the grid
 //!   alignment + gap-fill ASAP's equi-spaced SMA model requires;
 //! * [`line_protocol`] — InfluxDB-style text ingestion;
@@ -86,7 +85,6 @@ pub mod query;
 pub mod reorder;
 pub mod retention;
 pub mod series;
-pub mod shard;
 pub mod sharded;
 pub mod smooth;
 pub mod tags;
@@ -97,11 +95,11 @@ pub use chain::{
     load_chain, load_chain_with_report, ChainCheckpointReport, ChainLoadReport, ChainStep,
     CheckpointChain,
 };
-pub use db::{SeriesStats, Tsdb, TsdbConfig};
+pub use db::{SeriesStats, ShardOccupancy, Tsdb, TsdbConfig};
 pub use error::TsdbError;
 pub use gorilla::{CompressedChunk, GorillaDecoder, GorillaEncoder};
 pub use ingest::{
-    ingest_reader, pipeline_ingest, ApplyHook, IngestConfig, IngestReport, ParseFailure,
+    ingest_reader, ApplyHook, IngestConfig, IngestReport, ParseFailure,
     ProgressWatch, ShardWriters, StreamIngestor, StreamProgress, WriteFailure,
 };
 pub use line_protocol::{ingest, parse, ParsedPoint};
@@ -114,11 +112,10 @@ pub use point::DataPoint;
 pub use query::{Aggregator, FillPolicy, RangeQuery, SeriesReader, SeriesWriter};
 pub use reorder::{ReorderBuffer, ReorderStats};
 pub use retention::{
-    rollup_key, CompactionReport, Compactor, RetentionPolicy, RetentionStore, RollupLevel,
+    rollup_key, CompactionReport, Compactor, RetentionPolicy, RollupLevel,
     Schedule, ROLLUP_TAG,
 };
 pub use series::SeriesStore;
-pub use shard::{Shard, ShardOccupancy};
 pub use sharded::{ShardedConfig, ShardedDb};
 pub use smooth::{
     smooth_query, smooth_query_selector, smooth_query_with_fill, SmoothQueryError, SmoothedFrame,

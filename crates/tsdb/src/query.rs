@@ -14,9 +14,9 @@ use crate::tags::{Selector, SeriesKey};
 /// A queryable series store — the engine-side contract the query→ASAP
 /// bridge ([`crate::smooth`]) is written against.
 ///
-/// Implemented by the single-shard [`crate::db::Tsdb`], the partitioned
-/// [`crate::sharded::ShardedDb`], and each individual shard, so smoothing
-/// code runs identically over any front-end.
+/// Implemented by the storage partition [`crate::db::Tsdb`] and the
+/// partitioned [`crate::sharded::ShardedDb`], so smoothing code runs
+/// identically over one partition or many.
 pub trait SeriesReader {
     /// Runs a query against one series.
     fn read_series(&self, key: &SeriesKey, query: RangeQuery) -> Result<Vec<DataPoint>, TsdbError>;
@@ -29,10 +29,9 @@ pub trait SeriesReader {
 /// adapters (notably [`crate::reorder::ReorderBuffer`]) are written
 /// against, mirroring [`SeriesReader`] on the write path.
 ///
-/// Implemented by the single-shard [`crate::db::Tsdb`], the partitioned
-/// [`crate::sharded::ShardedDb`], and each individual
-/// [`crate::shard::Shard`], so reordering and other write-side stages run
-/// identically in front of any front-end.
+/// Implemented by the storage partition [`crate::db::Tsdb`] and the
+/// partitioned [`crate::sharded::ShardedDb`], so reordering and other
+/// write-side stages run identically in front of one partition or many.
 pub trait SeriesWriter {
     /// Writes one point, creating the series on first touch. Timestamps
     /// must be strictly increasing per series.

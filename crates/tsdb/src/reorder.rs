@@ -12,9 +12,9 @@
 //! processors.
 //!
 //! The buffer is generic over the [`SeriesWriter`] sink, so the same
-//! reordering stage runs in front of a single-shard [`Tsdb`], a whole
+//! reordering stage runs in front of a [`Tsdb`], a whole
 //! [`crate::sharded::ShardedDb`], or — as the streaming ingest pipeline
-//! does ([`mod@crate::ingest`]) — one [`crate::shard::Shard`] per writer
+//! does ([`mod@crate::ingest`]) — one shard's [`Tsdb`] per writer
 //! thread.
 //!
 //! # Watermark boundary semantics

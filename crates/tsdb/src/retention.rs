@@ -16,26 +16,23 @@
 //! double-count, and raw data is only evicted after it has been rolled up
 //! (eviction cutoffs are clamped to the rollup watermark).
 //!
-//! The compactor is written against the [`RetentionStore`] abstraction
-//! (the read side is [`SeriesReader`]), so one implementation drives the
-//! single-shard [`Tsdb`], the partitioned [`crate::sharded::ShardedDb`],
-//! and an individual [`crate::shard::Shard`] alike. On a sharded store,
-//! [`Compactor::run_sharded`] fans the per-series work out across shards
-//! on scoped worker threads: each worker rolls up and evicts the base
-//! series its shard owns (rollup writes re-route through the sharded
-//! front-end, since the `__rollup__`-tagged key may hash elsewhere), and
-//! the per-worker watermark updates — disjoint by construction, as every
-//! base series lives on exactly one shard — merge back afterwards. The
-//! outcome (report and store state) is identical to the serial
-//! [`Compactor::run`] on the same data.
+//! The compactor works on concrete [`Tsdb`] partitions. [`Compactor::run`]
+//! compacts one `Tsdb`; on a sharded store, [`Compactor::run_sharded`]
+//! fans the per-series work out across shards on scoped worker threads:
+//! each worker rolls up and evicts the base series its shard owns
+//! (rollup writes go to whichever shard the `__rollup__`-tagged key
+//! routes to, which may be another), and the per-worker watermark
+//! updates — disjoint by construction, as every base series lives on
+//! exactly one shard — merge back afterwards. The outcome (report and
+//! store state) is identical to the serial [`Compactor::run`] on the same
+//! data.
 
 use std::collections::HashMap;
 
 use crate::db::Tsdb;
 use crate::error::TsdbError;
 use crate::point::DataPoint;
-use crate::query::{Aggregator, RangeQuery, SeriesReader};
-use crate::shard::Shard;
+use crate::query::{Aggregator, RangeQuery};
 use crate::sharded::ShardedDb;
 use crate::tags::{Selector, SeriesKey};
 
@@ -112,22 +109,6 @@ impl Schedule {
     }
 }
 
-/// The store surface retention drives: read series (via [`SeriesReader`]),
-/// append rollup batches, and evict expired blocks.
-///
-/// Implemented by [`Tsdb`], [`ShardedDb`], and [`Shard`], so the
-/// compactor runs identically over any front-end.
-pub trait RetentionStore: SeriesReader {
-    /// Writes an ordered batch of points to one series, creating it on
-    /// first touch.
-    fn write_batch(&self, key: &SeriesKey, points: &[DataPoint]) -> Result<(), TsdbError>;
-
-    /// Evicts sealed blocks older than `cutoff` from one series, dropping
-    /// it if left empty. Returns evicted points; missing series evict
-    /// nothing.
-    fn evict_series_before(&self, key: &SeriesKey, cutoff: i64) -> usize;
-}
-
 /// Tag key marking materialized rollup series.
 pub const ROLLUP_TAG: &str = "__rollup__";
 
@@ -190,8 +171,8 @@ pub struct CompactionReport {
     pub rollup_evicted: usize,
 }
 
-/// Periodic retention/rollup driver for one store (any
-/// [`RetentionStore`]: single-shard, sharded, or one shard).
+/// Periodic retention/rollup driver for one store: a single [`Tsdb`]
+/// ([`Compactor::run`]) or a [`ShardedDb`] ([`Compactor::run_sharded`]).
 #[derive(Debug)]
 pub struct Compactor {
     policy: RetentionPolicy,
@@ -211,31 +192,23 @@ fn effective_watermark(
     local.get(&wm_key).or_else(|| persisted.get(&wm_key)).copied()
 }
 
-/// Materializes the completed buckets of one level for one base series,
-/// reading the base from `reader` and writing the rollup through
-/// `writer` (on a sharded store the rollup key may hash to a different
-/// shard, so the write must go through the routing front-end). Returns
-/// `Some((points materialized, new watermark))` when the watermark
-/// advanced, `None` when there was nothing to do.
-fn roll_up_series<R, W>(
-    reader: &R,
-    writer: &W,
+/// The completed, not yet materialized buckets of one level for one base
+/// series in `db`. Returns `Some((buckets, new watermark))` when the
+/// watermark advances, `None` when there is nothing to do.
+fn completed_buckets(
+    db: &Tsdb,
     base: &SeriesKey,
     level: &RollupLevel,
     prev_watermark: Option<i64>,
     now: i64,
-) -> Result<Option<(usize, i64)>, TsdbError>
-where
-    R: SeriesReader + ?Sized,
-    W: RetentionStore + ?Sized,
-{
+) -> Result<Option<(Vec<DataPoint>, i64)>, TsdbError> {
     // A bucket [t, t+bucket) is complete when t+bucket <= now.
     let complete_end = now.div_euclid(level.bucket) * level.bucket;
     let start = match prev_watermark {
         Some(wm) => wm,
         // First run: start from the series' oldest point, bucket-aligned.
-        None => match reader
-            .read_series(base, RangeQuery::raw(i64::MIN + 1, i64::MAX))?
+        None => match db
+            .query(base, RangeQuery::raw(i64::MIN + 1, i64::MAX))?
             .first()
         {
             Some(p) => p.timestamp.div_euclid(level.bucket) * level.bucket,
@@ -245,35 +218,27 @@ where
     if start >= complete_end {
         return Ok(None);
     }
-    let buckets = reader.read_series(
+    let buckets = db.query(
         base,
         RangeQuery::bucketed(start, complete_end, level.bucket).aggregate(level.aggregator),
     )?;
-    if !buckets.is_empty() {
-        writer.write_batch(&rollup_key(base, level.bucket), &buckets)?;
-    }
-    Ok(Some((buckets.len(), complete_end)))
+    Ok(Some((buckets, complete_end)))
 }
 
 /// One compaction pass over a set of base series: roll up every level,
 /// then evict expired raw blocks (clamped to the slowest rollup
-/// watermark) and expired rollup blocks. `raw_store` is where the base
-/// series live (a shard, or the whole store); `router` is the front-end
-/// that can reach rollup series wherever they hash to. Returns the
-/// report and this pass's watermark advances.
+/// watermark) and expired rollup blocks. `db` is the partition the base
+/// series live in; `route` returns the partition a rollup series lives
+/// in. Returns the report and this pass's watermark advances.
 #[allow(clippy::type_complexity)]
-fn compact_series<R, W>(
-    raw_store: &R,
-    router: &W,
+fn compact_series<'a>(
+    db: &Tsdb,
+    route: impl Fn(&SeriesKey) -> &'a Tsdb,
     base_series: &[SeriesKey],
     policy: &RetentionPolicy,
     persisted: &HashMap<(SeriesKey, i64), i64>,
     now: i64,
-) -> Result<(CompactionReport, Vec<((SeriesKey, i64), i64)>), TsdbError>
-where
-    R: RetentionStore + ?Sized,
-    W: RetentionStore + ?Sized,
-{
+) -> Result<(CompactionReport, Vec<((SeriesKey, i64), i64)>), TsdbError> {
     let mut report = CompactionReport::default();
     let mut advanced: HashMap<(SeriesKey, i64), i64> = HashMap::new();
 
@@ -281,8 +246,12 @@ where
     for base in base_series {
         for level in &policy.rollups {
             let prev = effective_watermark(&advanced, persisted, base, level.bucket);
-            if let Some((n, wm)) = roll_up_series(raw_store, router, base, level, prev, now)? {
-                report.rolled_up += n;
+            if let Some((buckets, wm)) = completed_buckets(db, base, level, prev, now)? {
+                if !buckets.is_empty() {
+                    let key = rollup_key(base, level.bucket);
+                    route(&key).write_batch(&key, &buckets)?;
+                }
+                report.rolled_up += buckets.len();
                 advanced.insert((base.clone(), level.bucket), wm);
             }
         }
@@ -301,7 +270,7 @@ where
                 })
                 .min()
                 .map_or(cutoff, |wm| cutoff.min(wm));
-            report.raw_evicted += raw_store.evict_series_before(base, safe_cutoff);
+            report.raw_evicted += db.evict_series_before(base, safe_cutoff);
         }
     }
 
@@ -310,8 +279,8 @@ where
         if let Some(ttl) = level.ttl {
             let cutoff = now - ttl;
             for base in base_series {
-                report.rollup_evicted +=
-                    router.evict_series_before(&rollup_key(base, level.bucket), cutoff);
+                let key = rollup_key(base, level.bucket);
+                report.rollup_evicted += route(&key).evict_series_before(&key, cutoff);
             }
         }
     }
@@ -328,19 +297,18 @@ impl Compactor {
         })
     }
 
-    /// Runs one serial compaction pass at logical time `now` over any
-    /// store front-end.
-    pub fn run<S>(&mut self, db: &S, now: i64) -> Result<CompactionReport, TsdbError>
-    where
-        S: RetentionStore + ?Sized,
-    {
-        let base_series: Vec<SeriesKey> = db
-            .matching_series(&Selector::any())
-            .into_iter()
-            .filter(|k| k.tag(ROLLUP_TAG).is_none())
-            .collect();
-        let (report, advanced) =
-            compact_series(db, db, &base_series, &self.policy, &self.watermarks, now)?;
+    /// Runs one serial compaction pass at logical time `now` over one
+    /// [`Tsdb`].
+    pub fn run(&mut self, db: &Tsdb, now: i64) -> Result<CompactionReport, TsdbError> {
+        let base_series = base_series(db);
+        let (report, advanced) = compact_series(
+            db,
+            |_| db,
+            &base_series,
+            &self.policy,
+            &self.watermarks,
+            now,
+        )?;
         self.watermarks.extend(advanced);
         Ok(report)
     }
@@ -351,8 +319,8 @@ impl Compactor {
     ///
     /// Each worker compacts exactly the base series its shard holds:
     /// rollup reads and raw eviction hit the shard directly, while
-    /// rollup writes and rollup eviction route through `db` (the
-    /// `__rollup__`-tagged key may hash to a different shard). Because
+    /// rollup writes and rollup eviction go to the shard `db` routes the
+    /// `__rollup__`-tagged key to (it may be a different one). Because
     /// every base series lives on exactly one shard, workers touch
     /// disjoint watermark entries, and the merged outcome — report and
     /// store state — equals a serial [`Compactor::run`] over the same
@@ -369,16 +337,13 @@ impl Compactor {
         std::thread::scope(|scope| -> Result<(), TsdbError> {
             let mut handles = Vec::new();
             for shard in db.shards() {
-                let base_series: Vec<SeriesKey> = shard
-                    .list_series(&Selector::any())
-                    .into_iter()
-                    .filter(|k| k.tag(ROLLUP_TAG).is_none())
-                    .collect();
+                let base_series = base_series(shard);
                 if base_series.is_empty() {
                     continue;
                 }
                 handles.push(scope.spawn(move || {
-                    compact_series(shard, db, &base_series, policy, persisted, now)
+                    let route = |key: &SeriesKey| db.shard(key);
+                    compact_series(shard, route, &base_series, policy, persisted, now)
                 }));
             }
             for handle in handles {
@@ -395,40 +360,17 @@ impl Compactor {
     }
 }
 
-impl RetentionStore for Tsdb {
-    fn write_batch(&self, key: &SeriesKey, points: &[DataPoint]) -> Result<(), TsdbError> {
-        Tsdb::write_batch(self, key, points)
-    }
-
-    fn evict_series_before(&self, key: &SeriesKey, cutoff: i64) -> usize {
-        Tsdb::evict_series_before(self, key, cutoff)
-    }
-}
-
-impl RetentionStore for ShardedDb {
-    fn write_batch(&self, key: &SeriesKey, points: &[DataPoint]) -> Result<(), TsdbError> {
-        ShardedDb::write_batch(self, key, points)
-    }
-
-    fn evict_series_before(&self, key: &SeriesKey, cutoff: i64) -> usize {
-        ShardedDb::evict_series_before(self, key, cutoff)
-    }
-}
-
-impl RetentionStore for Shard {
-    fn write_batch(&self, key: &SeriesKey, points: &[DataPoint]) -> Result<(), TsdbError> {
-        Shard::write_batch(self, key, points)
-    }
-
-    fn evict_series_before(&self, key: &SeriesKey, cutoff: i64) -> usize {
-        Shard::evict_series_before(self, key, cutoff)
-    }
+/// The base (non-rollup) series of one partition, in key order.
+fn base_series(db: &Tsdb) -> Vec<SeriesKey> {
+    db.list_series(&Selector::any())
+        .into_iter()
+        .filter(|k| k.tag(ROLLUP_TAG).is_none())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::DataPoint;
 
     fn fill(db: &Tsdb, key: &SeriesKey, ts: impl Iterator<Item = i64>) {
         for t in ts {
@@ -582,9 +524,11 @@ mod tests {
         let mut c = Compactor::new(policy(1_000_000, 10)).unwrap();
         assert_eq!(c.run_sharded(&db, 25).unwrap().rolled_up, 2 * 5);
         assert_eq!(c.run_sharded(&db, 25).unwrap().rolled_up, 0, "no double counting");
-        // Serial and sharded passes share watermarks: a serial run right
-        // after also materializes nothing.
-        assert_eq!(c.run(&db, 25).unwrap().rolled_up, 0);
+        // Serial and sharded passes share watermarks: serial runs over
+        // each shard right after also materialize nothing.
+        for shard in db.shards() {
+            assert_eq!(c.run(shard, 25).unwrap().rolled_up, 0);
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Horizontally partitioned engine front-end: N [`Shard`]s + parallel
+//! Horizontally partitioned engine: N [`Tsdb`] partitions + parallel
 //! query fan-out.
 //!
 //! The paper's deployment story (§2) is a dashboard backend smoothing
@@ -7,7 +7,7 @@
 //! process through one lock's cache line. [`ShardedDb`] removes that
 //! funnel:
 //!
-//! * series are partitioned across `shards` independent [`Shard`]s by a
+//! * series are partitioned across `shards` independent [`Tsdb`]s by a
 //!   deterministic, tag-aware FNV-1a hash of the full series identity
 //!   (metric name *and* sorted tags), so `cpu{host=a}` and `cpu{host=b}`
 //!   land on different shards and their writers never touch the same map
@@ -19,21 +19,20 @@
 //!   scoped worker threads ([`ShardedDb::smooth_query_selector`]),
 //!   then merge per-shard results into deterministic key order.
 //!
-//! Because both front-ends execute the identical [`Shard`] code, a
-//! `ShardedDb` answers every query byte-for-byte the same as a single
-//! [`Tsdb`] holding the same points — the property the cross-crate test
-//! suite pins down with a single-shard oracle.
+//! Every shard is a plain [`Tsdb`], so a `ShardedDb` answers every query
+//! byte-for-byte the same as a single `Tsdb` holding the same points —
+//! the property the cross-crate test suite pins down with a single-shard
+//! oracle.
 
 use std::sync::Arc;
 
 use asap_core::Asap;
 
 use crate::block::Block;
-use crate::db::{SeriesStats, Tsdb, TsdbConfig};
+use crate::db::{SeriesStats, ShardOccupancy, Tsdb, TsdbConfig};
 use crate::error::TsdbError;
 use crate::point::DataPoint;
 use crate::query::{RangeQuery, SeriesReader, SeriesWriter};
-use crate::shard::Shard;
 use crate::smooth::{smooth_query, SmoothQueryError, SmoothedFrame};
 use crate::tags::{Selector, SeriesKey};
 
@@ -73,7 +72,8 @@ impl ShardedConfig {
     }
 }
 
-/// A sharded, thread-safe time-series engine mirroring the [`Tsdb`] API.
+/// A sharded, thread-safe time-series engine mirroring the [`Tsdb`] API,
+/// routing each series to one of its [`Tsdb`] partitions.
 ///
 /// Cheap to clone (shards are reference-counted); clones share storage.
 ///
@@ -95,7 +95,7 @@ impl ShardedConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedDb {
-    shards: Arc<[Shard]>,
+    shards: Arc<[Tsdb]>,
 }
 
 impl Default for ShardedDb {
@@ -139,11 +139,10 @@ impl ShardedDb {
     /// Panics if `config.shards == 0`.
     pub fn with_config(config: ShardedConfig) -> Self {
         assert!(config.shards > 0, "shard count must be positive");
-        let shards: Vec<Shard> = (0..config.shards)
-            .map(|_| Shard::new(config.storage))
-            .collect();
         Self {
-            shards: shards.into(),
+            shards: (0..config.shards)
+                .map(|_| Tsdb::with_config(config.storage))
+                .collect(),
         }
     }
 
@@ -155,7 +154,7 @@ impl ShardedDb {
     /// The underlying shard array. Crate-internal: the operations layer —
     /// the ingest pipeline, parallel snapshot persistence, and per-shard
     /// retention — fans its workers out over this.
-    pub(crate) fn shards(&self) -> &[Shard] {
+    pub(crate) fn shards(&self) -> &[Tsdb] {
         &self.shards
     }
 
@@ -181,21 +180,22 @@ impl ShardedDb {
         (route_hash(key) % self.shards.len() as u64) as usize
     }
 
-    fn shard(&self, key: &SeriesKey) -> &Shard {
+    /// The partition `key` routes to.
+    pub(crate) fn shard(&self, key: &SeriesKey) -> &Tsdb {
         &self.shards[self.shard_of(key)]
     }
 
     /// Number of distinct series across all shards.
     pub fn series_count(&self) -> usize {
-        self.shards.iter().map(Shard::series_count).sum()
+        self.shards.iter().map(Tsdb::series_count).sum()
     }
 
     /// Aggregate occupancy of every shard, in shard-index order — the
     /// per-shard series/point/watermark counters live ops endpoints
     /// (`STATS`/`HEALTH`) report. Index `i` of the result describes
     /// shard `i` (the target of [`ShardedDb::shard_of`]).
-    pub fn shard_occupancy(&self) -> Vec<crate::shard::ShardOccupancy> {
-        self.shards.iter().map(Shard::occupancy).collect()
+    pub fn shard_occupancy(&self) -> Vec<ShardOccupancy> {
+        self.shards.iter().map(Tsdb::occupancy).collect()
     }
 
     /// Writes one point, creating the series on first touch.
@@ -275,7 +275,7 @@ impl ShardedDb {
 
     /// Per-series occupancy statistics, in key order across all shards.
     pub fn stats(&self) -> Vec<SeriesStats> {
-        let mut out: Vec<SeriesStats> = self.shards.iter().flat_map(Shard::stats).collect();
+        let mut out: Vec<SeriesStats> = self.shards.iter().flat_map(Tsdb::stats).collect();
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
     }
@@ -328,19 +328,6 @@ impl ShardedDb {
             .into_iter()
             .map(|(key, frame)| frame.map(|f| (key, f)))
             .collect()
-    }
-
-    /// Copies every series of a single-shard [`Tsdb`] into a fresh
-    /// `ShardedDb` with the given configuration — a rebalancing migration
-    /// (seals source memtables first, then moves sealed blocks; cheap, as
-    /// block payloads are reference-counted).
-    pub fn from_tsdb(db: &Tsdb, config: ShardedConfig) -> Result<Self, TsdbError> {
-        db.flush()?;
-        let sharded = Self::with_config(config);
-        for key in db.list_series(&Selector::any()) {
-            sharded.import_blocks(&key, db.export_blocks(&key)?)?;
-        }
-        Ok(sharded)
     }
 }
 
@@ -467,7 +454,7 @@ mod tests {
                 assert!(o.blocks > 0, "flushed shards hold sealed blocks");
                 assert!(o.compressed_bytes > 0);
             } else {
-                assert_eq!(*o, crate::shard::ShardOccupancy::default());
+                assert_eq!(*o, ShardOccupancy::default());
             }
         }
         // Occupancy is positional: shard_of(key) indexes into it.
@@ -480,21 +467,6 @@ mod tests {
         let db = ShardedDb::new();
         let err = db.query(&cpu("ghost"), RangeQuery::raw(0, 10)).unwrap_err();
         assert!(matches!(err, TsdbError::SeriesNotFound { .. }));
-    }
-
-    #[test]
-    fn from_tsdb_migrates_all_points() {
-        let (_, oracle) = twin_dbs(1, 5, 300);
-        let migrated = ShardedDb::from_tsdb(
-            &oracle,
-            ShardedConfig::new(4, 32),
-        )
-        .unwrap();
-        let q = RangeQuery::raw(0, 300);
-        assert_eq!(
-            migrated.query_selector(&Selector::any(), q).unwrap(),
-            oracle.query_selector(&Selector::any(), q).unwrap()
-        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use asap_tsdb::query::Aggregator;
 use asap_tsdb::{
-    line_protocol, pipeline_ingest, rollup_key, Compactor, DataPoint, IngestConfig, RangeQuery,
+    ingest_reader, line_protocol, rollup_key, Compactor, DataPoint, IngestConfig, RangeQuery,
     RetentionPolicy, RollupLevel, Selector, SeriesKey, ShardedConfig, ShardedDb, Tsdb,
     TsdbConfig,
 };
@@ -131,7 +131,7 @@ fn ops_case() -> impl Strategy<Value = OpsCase> {
 /// serially (single-shard oracle); the pair must be indistinguishable.
 fn twin_ingest(case: &OpsCase) -> (ShardedDb, Tsdb, usize) {
     let sharded = ShardedDb::with_config(ShardedConfig::new(case.shards, case.block_capacity));
-    let report = pipeline_ingest(&sharded, &case.doc, 0, &case.ingest).unwrap();
+    let report = ingest_reader(&sharded, case.doc.as_bytes(), 0, &case.ingest).unwrap();
     assert!(report.is_clean(), "generated docs are valid: {report:?}");
     let oracle = Tsdb::with_config(TsdbConfig {
         block_capacity: case.block_capacity,
@@ -183,9 +183,10 @@ proptest! {
     #[test]
     fn pipeline_report_is_configuration_independent(case in ops_case()) {
         let db_a = ShardedDb::with_config(ShardedConfig::new(case.shards, case.block_capacity));
-        let report_a = pipeline_ingest(&db_a, &case.doc, 0, &case.ingest).unwrap();
+        let report_a = ingest_reader(&db_a, case.doc.as_bytes(), 0, &case.ingest).unwrap();
         let db_b = ShardedDb::with_config(ShardedConfig::new(1, case.block_capacity));
-        let report_b = pipeline_ingest(&db_b, &case.doc, 0, &IngestConfig::default()).unwrap();
+        let report_b =
+            ingest_reader(&db_b, case.doc.as_bytes(), 0, &IngestConfig::default()).unwrap();
         prop_assert_eq!(&report_a, &report_b);
         prop_assert_eq!(report_a.lines, case.doc.lines().count());
         // Every valid record contributes `fields` points.
@@ -222,11 +223,8 @@ proptest! {
         // v2 bytes are shard-count-invariant: a single-shard engine with
         // the same points writes the identical file.
         let v2_single = dir.join(format!("{stamp}_v2single.snap"));
-        let single = ShardedDb::from_tsdb(
-            &oracle,
-            ShardedConfig::new(1, case.block_capacity),
-        )
-        .unwrap();
+        let single = ShardedDb::with_config(ShardedConfig::new(1, case.block_capacity));
+        ingest_reader(&single, case.doc.as_bytes(), 0, &case.ingest).unwrap();
         single.save(&v2_single).unwrap();
         prop_assert_eq!(
             std::fs::read(&v2).unwrap(),
@@ -416,9 +414,9 @@ fn pipeline_ingest_under_concurrent_readers_stays_exact() {
                 }
             });
         }
-        let report = pipeline_ingest(
+        let report = ingest_reader(
             &db,
-            &doc,
+            doc.as_bytes(),
             0,
             &IngestConfig {
                 queue_depth: 2,

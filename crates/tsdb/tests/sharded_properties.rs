@@ -199,3 +199,85 @@ proptest! {
         );
     }
 }
+
+/// `WRITERS` threads each append `POINTS` points to a series of their
+/// own while another thread evicts everything in a loop; block capacity
+/// 1 seals every point at once, so nearly every write races an eviction
+/// that empties its series. Once a write returns `Ok`, its point must be
+/// either still stored or counted by an eviction:
+/// `written == evicted + stored`.
+fn assert_evictions_keep_acknowledged_writes(
+    write: impl Fn(&SeriesKey, DataPoint) -> bool + Sync,
+    evict: impl Fn(&[SeriesKey]) -> usize + Sync,
+    stored: impl Fn() -> usize,
+) {
+    const WRITERS: usize = 3;
+    const POINTS: i64 = 100_000;
+    let keys: Vec<SeriesKey> = (0..WRITERS).map(host).collect();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (written, evicted) = std::thread::scope(|scope| {
+        let evictor = scope.spawn(|| {
+            let mut evicted = 0;
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                evicted += evict(&keys);
+            }
+            evicted
+        });
+        let writers: Vec<_> = keys
+            .iter()
+            .map(|key| {
+                let write = &write;
+                scope.spawn(move || {
+                    (0..POINTS)
+                        .filter(|&t| write(key, DataPoint::new(t, t as f64)))
+                        .count()
+                })
+            })
+            .collect();
+        let written: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        done.store(true, std::sync::atomic::Ordering::Release);
+        (written, evictor.join().unwrap())
+    });
+    assert_eq!(written, WRITERS * POINTS as usize, "every write is in order");
+    let stored = stored();
+    assert_eq!(
+        written,
+        evicted + stored,
+        "{} acknowledged points neither stored nor evicted",
+        written as i64 - (evicted + stored) as i64
+    );
+}
+
+fn stored_points(stats: Vec<asap_tsdb::SeriesStats>) -> usize {
+    stats.iter().map(|s| s.points).sum()
+}
+
+#[test]
+fn tsdb_series_eviction_never_loses_acknowledged_writes() {
+    let db = Tsdb::with_config(TsdbConfig { block_capacity: 1 });
+    assert_evictions_keep_acknowledged_writes(
+        |key, p| db.write(key, p).is_ok(),
+        |keys| keys.iter().map(|k| db.evict_series_before(k, i64::MAX)).sum(),
+        || stored_points(db.stats()),
+    );
+}
+
+#[test]
+fn sharded_series_eviction_never_loses_acknowledged_writes() {
+    let db = ShardedDb::with_config(ShardedConfig::new(3, 1));
+    assert_evictions_keep_acknowledged_writes(
+        |key, p| db.write(key, p).is_ok(),
+        |keys| keys.iter().map(|k| db.evict_series_before(k, i64::MAX)).sum(),
+        || stored_points(db.stats()),
+    );
+}
+
+#[test]
+fn whole_store_eviction_never_loses_acknowledged_writes() {
+    let db = ShardedDb::with_config(ShardedConfig::new(3, 1));
+    assert_evictions_keep_acknowledged_writes(
+        |key, p| db.write(key, p).is_ok(),
+        |_| db.evict_before(i64::MAX),
+        || stored_points(db.stats()),
+    );
+}

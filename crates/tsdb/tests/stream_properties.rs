@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use asap_tsdb::query::Aggregator;
 use asap_tsdb::{
-    ingest_reader, line_protocol, pipeline_ingest, DataPoint, IngestConfig, IngestReport,
-    RangeQuery, Selector, SeriesKey, ShardWriters, ShardedConfig, ShardedDb, StreamIngestor,
-    StreamProgress, Tsdb, TsdbConfig,
+    ingest_reader, line_protocol, DataPoint, IngestConfig, IngestReport, RangeQuery, Selector,
+    SeriesKey, ShardWriters, ShardedConfig, ShardedDb, StreamIngestor, StreamProgress, Tsdb,
+    TsdbConfig,
 };
 use proptest::prelude::*;
 
@@ -313,7 +313,7 @@ proptest! {
         let streamed_report = ingest_reader(&streamed, reader, 100, &config).unwrap();
 
         let whole = ShardedDb::with_config(ShardedConfig::new(3, 8));
-        let whole_report = pipeline_ingest(&whole, &doc, 100, &config).unwrap();
+        let whole_report = ingest_reader(&whole, doc.as_bytes(), 100, &config).unwrap();
 
         prop_assert_eq!(&streamed_report, &whole_report);
         prop_assert_eq!(streamed_report.lines, doc.lines().count());
@@ -341,7 +341,7 @@ fn every_two_piece_split_matches_whole_document() {
         ..IngestConfig::default()
     };
     let whole = ShardedDb::with_config(ShardedConfig::new(2, 4));
-    let whole_report = pipeline_ingest(&whole, doc, 0, &config).unwrap();
+    let whole_report = ingest_reader(&whole, doc.as_bytes(), 0, &config).unwrap();
     let whole_out = whole.query_selector(&Selector::any(), full()).unwrap();
     for cut in 0..=doc.len() {
         let db = ShardedDb::with_config(ShardedConfig::new(2, 4));
