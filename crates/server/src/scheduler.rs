@@ -12,7 +12,10 @@
 //!
 //! The thread's lifecycle is tied to the server's: spawned by
 //! [`crate::Server::start`], joined during the drain after every ingest
-//! connection has flushed.
+//! connection has flushed. The compactor it builds holds only the
+//! policy — every rollup watermark is read from the store — so a server
+//! restarted from its chain picks up compacting where the last one
+//! stopped.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +27,7 @@ use crate::server::{CompactionClock, CompactionConfig, Shared};
 /// The scheduler thread body.
 pub(crate) fn run(shared: &Shared, config: &CompactionConfig) {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut compactor =
+    let compactor =
         Compactor::new(config.policy.clone()).expect("policy validated by Server::start");
     loop {
         let delay = config.schedule.next_delay(&mut rng);

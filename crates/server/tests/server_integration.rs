@@ -710,6 +710,151 @@ fn background_scheduler_compacts_like_serial_compactor() {
     assert_eq!(final_report.compaction.errors, 0);
 }
 
+/// A server compacting every 20 ms on the data watermark, booted from
+/// the chain in `chain_dir` into one shard. One shard's writer applies
+/// the stream in order, so every pass sees all series up to the same
+/// timestamp and never materializes a bucket whose points are still on
+/// the way.
+fn boot_compacting(chain_dir: &std::path::Path, policy: &RetentionPolicy) -> Server {
+    let (db, report) = load_chain_with_report(chain_dir, ShardedConfig::new(1, 16)).unwrap();
+    assert_eq!(report.damage, None);
+    let config = ServerConfig {
+        checkpoint: Some(CheckpointConfig {
+            dir: chain_dir.to_path_buf(),
+            ..CheckpointConfig::default()
+        }),
+        compaction: Some(CompactionConfig {
+            policy: policy.clone(),
+            schedule: Schedule::every(Duration::from_millis(20)),
+            seed: 7,
+            clock: CompactionClock::DataWatermark,
+        }),
+        ..ServerConfig::default()
+    };
+    Server::start(db, config).unwrap()
+}
+
+/// One `Mean` rollup level of `bucket`, no TTLs.
+fn rollup_policy(bucket: i64) -> RetentionPolicy {
+    RetentionPolicy {
+        raw_ttl: None,
+        rollups: vec![RollupLevel {
+            bucket,
+            aggregator: Aggregator::Mean,
+            ttl: None,
+        }],
+    }
+}
+
+/// Selects every rollup series.
+fn rollup_series() -> Selector {
+    Selector::any().tag_present(ROLLUP_TAG)
+}
+
+/// The compactor keeps no state outside the store, so a `--rollup`
+/// server restarted from its chain goes on compacting where it left
+/// off: every pass after the restart is `Ok`, `HEALTH` stays `OK`, and
+/// the rollups of old and new data ≡ one serial `Compactor::run` over
+/// the final data.
+#[test]
+fn a_restarted_rollup_server_keeps_compacting() {
+    const HOSTS: usize = 2;
+    const POINTS: i64 = 100;
+    let chain_dir =
+        std::env::temp_dir().join(format!("asap_server_rollup_restart_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&chain_dir);
+    let policy = rollup_policy(10);
+    let lines = sorted_doc(HOSTS, 2 * POINTS);
+    let (old, new) = lines.split_at(HOSTS * POINTS as usize);
+    let doc = |lines: &[String]| lines.join("\n") + "\n";
+
+    let first = boot_compacting(&chain_dir, &policy);
+    assert!(ingest_doc(first.ingest_addr(), &doc(old)).contains("clean=true"));
+    let first_rollups = HOSTS * 9; // buckets [0, 90) are complete at now = 99
+    wait_for_stats(first.query_addr(), "the first rollups", |stats| {
+        stat(stats, "compaction.rolled_up") as usize == first_rollups
+    });
+    let query_addr = first.query_addr();
+    let runner = std::thread::spawn(move || first.run());
+    assert_eq!(query(query_addr, "SHUTDOWN").trim(), "OK shutting down");
+    let drained = runner.join().unwrap();
+    assert_eq!(drained.compaction.errors, 0);
+    assert_eq!(drained.checkpoint.last_error, None);
+
+    let next = boot_compacting(&chain_dir, &policy);
+    assert!(ingest_doc(next.ingest_addr(), &doc(new)).contains("clean=true"));
+    let oracle = Tsdb::with_config(TsdbConfig { block_capacity: 16 });
+    line_protocol::ingest(&oracle, &doc(&lines), 0).unwrap();
+    let expected = Compactor::new(policy)
+        .unwrap()
+        .run(&oracle, 2 * POINTS - 1)
+        .unwrap();
+    let made = expected.rolled_up - first_rollups;
+    let stats = wait_for_stats(next.query_addr(), "the rollups of the new data", |stats| {
+        stat(stats, "compaction.rolled_up") as usize == made
+    });
+    // A few more passes over the finished data change nothing.
+    let runs = stat(&stats, "compaction.runs");
+    let stats = wait_for_stats(next.query_addr(), "two more passes", |stats| {
+        stat(stats, "compaction.runs") >= runs + 2
+    });
+    assert_eq!(stat(&stats, "compaction.errors"), 0);
+    assert_eq!(stat(&stats, "compaction.rolled_up") as usize, made);
+    assert!(query(next.query_addr(), "HEALTH").starts_with("OK healthy"));
+    assert_eq!(
+        next.db().query_selector(&rollup_series(), full()).unwrap(),
+        oracle.query_selector(&rollup_series(), full()).unwrap()
+    );
+    assert_eq!(next.shutdown().compaction.errors, 0);
+    std::fs::remove_dir_all(&chain_dir).ok();
+}
+
+/// A client line carrying the reserved `__rollup__` tag is one parse
+/// failure: written, it would land in the compactor's own series ahead
+/// of every bucket. The connection lives, and compaction goes on clean
+/// with the same rollups as the serial oracle of the other lines.
+#[test]
+fn a_forged_rollup_line_is_refused_and_compaction_stays_clean() {
+    let chain_dir =
+        std::env::temp_dir().join(format!("asap_server_forged_rollup_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&chain_dir);
+    let policy = rollup_policy(100);
+    let server = boot_compacting(&chain_dir, &policy);
+    let failures_before = stat(
+        &query(server.query_addr(), "STATS"),
+        "ingest.parse_failures",
+    );
+    let clean: String = (0..550).map(|t| format!("m v={} {t}\n", t % 7)).collect();
+    let report = ingest_doc(
+        server.ingest_addr(),
+        &format!("m,__rollup__=100 v=1 1000000\n{clean}"),
+    );
+    assert!(
+        report.contains(" points=550 ") && report.contains(" parse_failures=1 "),
+        "report: {report}"
+    );
+
+    let oracle = Tsdb::with_config(TsdbConfig { block_capacity: 16 });
+    line_protocol::ingest(&oracle, &clean, 0).unwrap();
+    let expected = Compactor::new(policy).unwrap().run(&oracle, 549).unwrap();
+    assert_eq!(expected.rolled_up, 5);
+    let stats = wait_for_stats(server.query_addr(), "the rollups", |stats| {
+        stat(stats, "compaction.rolled_up") as usize == expected.rolled_up
+    });
+    assert_eq!(stat(&stats, "ingest.parse_failures"), failures_before + 1);
+    assert_eq!(stat(&stats, "compaction.errors"), 0);
+    assert!(query(server.query_addr(), "HEALTH").starts_with("OK healthy"));
+    assert_eq!(
+        server
+            .db()
+            .query_selector(&rollup_series(), full())
+            .unwrap(),
+        oracle.query_selector(&rollup_series(), full()).unwrap()
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&chain_dir).ok();
+}
+
 /// A client's `SHUTDOWN` command ends [`Server::run`], which drains and
 /// returns the final report — the binary's lifecycle. The drain's last
 /// act is a chain checkpoint: the chain directory alone reloads to the

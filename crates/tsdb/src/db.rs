@@ -157,6 +157,14 @@ impl Tsdb {
             })
     }
 
+    /// The `(first, last)` timestamps of one series, read from its block
+    /// summaries and memtable without decoding; `None` when it is absent.
+    pub(crate) fn time_bounds(&self, key: &SeriesKey) -> Option<(i64, i64)> {
+        let map = self.series.read();
+        let store = map.get(key)?.read();
+        Some((store.first_timestamp()?, store.last_timestamp()?))
+    }
+
     /// Runs a query against one series.
     pub fn query(&self, key: &SeriesKey, query: RangeQuery) -> Result<Vec<DataPoint>, TsdbError> {
         query.validate()?;

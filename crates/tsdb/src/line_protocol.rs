@@ -10,11 +10,14 @@
 //!
 //! Supported subset: unquoted tag values, float/integer field values, `#`
 //! comments, blank lines. Each `(measurement, tags, field)` triple maps to
-//! one series, keyed as `measurement.field` with the record's tags.
+//! one series, keyed as `measurement.field` with the record's tags. The
+//! tag key `__rollup__` is reserved for the compactor's own series, so a
+//! record carrying it is a parse error.
 
 use crate::db::Tsdb;
 use crate::error::TsdbError;
 use crate::point::DataPoint;
+use crate::retention::ROLLUP_TAG;
 use crate::tags::SeriesKey;
 
 /// One parsed line-protocol record (one field ⇒ one [`ParsedPoint`]).
@@ -207,6 +210,11 @@ pub(crate) fn parse_line(
         if k.is_empty() || v.is_empty() {
             return Err(err("empty tag key or value"));
         }
+        // The compactor's own series: a client write there would become
+        // a rollup watermark.
+        if k == ROLLUP_TAG {
+            return Err(err("reserved tag key"));
+        }
         tags.push((k, v));
     }
 
@@ -287,6 +295,7 @@ mod tests {
             ("cpu =1 5", "empty field name"),
             ("cpu v=1 5 extra", "trailing tokens after timestamp"),
             (",host=a v=1 5", "empty measurement name"),
+            ("cpu,__rollup__=10 v=1 5", "reserved tag key"),
         ];
         for (text, want) in cases {
             let doc = format!("# comment\n{text}");
@@ -298,6 +307,29 @@ mod tests {
                 other => panic!("expected parse error for {text:?}, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_rollup_tag_is_reserved_but_the_self_tag_is_not() {
+        // A client line must not write into the compactor's series; the
+        // stream goes on past it.
+        let doc = "m v=1 1\nm,__rollup__=100 v=1 1000000\nm v=2 2";
+        let db = crate::sharded::ShardedDb::new();
+        let config = crate::ingest::IngestConfig::default();
+        let report = crate::ingest::ingest_reader(&db, doc.as_bytes(), 0, &config).unwrap();
+        assert_eq!(report.points, 2, "the lines around it are stored");
+        assert_eq!(
+            report.parse_failures,
+            vec![crate::ingest::ParseFailure {
+                line: 2,
+                reason: "reserved tag key"
+            }]
+        );
+        let forged = crate::tags::Selector::any().tag_present(ROLLUP_TAG);
+        assert!(db.list_series(&forged).is_empty());
+        // The self-scrape writes `__self__`-tagged series through here.
+        let pts = parse("m,__self__=1 v=1 5", 0).unwrap();
+        assert_eq!(pts[0].key.tag(crate::obs::SELF_TAG), Some("1"));
     }
 
     #[test]

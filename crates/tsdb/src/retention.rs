@@ -11,27 +11,39 @@
 //!   and simulations drive time) materializes completed rollup buckets into
 //!   `__rollup__`-tagged series and evicts expired blocks.
 //!
-//! Rollups are watermarked per `(series, level)`: each run only aggregates
-//! buckets that completed since the previous run, so repeated runs never
-//! double-count, and raw data is only evicted after it has been rolled up
-//! (eviction cutoffs are clamped to the rollup watermark).
+//! The compactor keeps no state of its own: the store is its state. Per
+//! `(base series, level)`, three rules decide what a pass does:
+//!
+//! * **The watermark is read from the store.** It is one bucket past the
+//!   newest point of the level's rollup series or, before the first
+//!   rollup, the base series' first bucket. A pass reads only the buckets
+//!   from there to the newest complete bucket the base series has data
+//!   in (its bounds come from block summaries, not a decode), so repeated
+//!   runs never double-count, a new compactor over a restarted or
+//!   reloaded store carries on where the last one stopped, and a series
+//!   that stopped reporting costs no query.
+//! * **The TTL floor.** A level never materializes a bucket that is
+//!   already past its own TTL, so a rollup series that expires does not
+//!   send its watermark back to the base's first bucket.
+//! * **A raw point that arrives behind a materialized bucket is never
+//!   rolled up.** Raw data is only evicted once every level has covered
+//!   it (eviction cutoffs are clamped per series).
 //!
 //! The compactor works on concrete [`Tsdb`] partitions. [`Compactor::run`]
 //! compacts one `Tsdb`; on a sharded store, [`Compactor::run_sharded`]
 //! fans the per-series work out across shards on scoped worker threads:
-//! each worker rolls up and evicts the base series its shard owns
-//! (rollup writes go to whichever shard the `__rollup__`-tagged key
-//! routes to, which may be another), and the per-worker watermark
-//! updates — disjoint by construction, as every base series lives on
-//! exactly one shard — merge back afterwards. The outcome (report and
-//! store state) is identical to the serial [`Compactor::run`] on the same
-//! data.
+//! each worker owns the base series that route to its shard — those it
+//! holds, plus the base of every rollup series whose raw series is gone,
+//! so those rollups still expire — and does every read, write and
+//! eviction of their rollup series itself, wherever the
+//! `__rollup__`-tagged keys route. No two workers touch the same series,
+//! and the outcome (report and store state) is identical to the serial
+//! [`Compactor::run`] on the same data.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 use crate::db::Tsdb;
 use crate::error::TsdbError;
-use crate::point::DataPoint;
 use crate::query::{Aggregator, RangeQuery};
 use crate::sharded::ShardedDb;
 use crate::tags::{Selector, SeriesKey};
@@ -173,204 +185,146 @@ pub struct CompactionReport {
 
 /// Periodic retention/rollup driver for one store: a single [`Tsdb`]
 /// ([`Compactor::run`]) or a [`ShardedDb`] ([`Compactor::run_sharded`]).
+/// It holds only its policy: every watermark is read from the store.
 #[derive(Debug)]
 pub struct Compactor {
     policy: RetentionPolicy,
-    /// Per `(base series, bucket)` end of the last materialized bucket.
-    watermarks: HashMap<(SeriesKey, i64), i64>,
 }
 
-/// Looks up the effective watermark for `(base, bucket)`: worker-local
-/// updates from this pass shadow the compactor's persisted map.
-fn effective_watermark(
-    local: &HashMap<(SeriesKey, i64), i64>,
-    persisted: &HashMap<(SeriesKey, i64), i64>,
-    base: &SeriesKey,
-    bucket: i64,
-) -> Option<i64> {
-    let wm_key = (base.clone(), bucket);
-    local.get(&wm_key).or_else(|| persisted.get(&wm_key)).copied()
+/// `t` rounded down to a multiple of `bucket`.
+fn align(t: i64, bucket: i64) -> i64 {
+    t.div_euclid(bucket) * bucket
 }
 
-/// The completed, not yet materialized buckets of one level for one base
-/// series in `db`. Returns `Some((buckets, new watermark))` when the
-/// watermark advances, `None` when there is nothing to do.
-fn completed_buckets(
-    db: &Tsdb,
-    base: &SeriesKey,
-    level: &RollupLevel,
-    prev_watermark: Option<i64>,
-    now: i64,
-) -> Result<Option<(Vec<DataPoint>, i64)>, TsdbError> {
-    // A bucket [t, t+bucket) is complete when t+bucket <= now.
-    let complete_end = now.div_euclid(level.bucket) * level.bucket;
-    let start = match prev_watermark {
-        Some(wm) => wm,
-        // First run: start from the series' oldest point, bucket-aligned.
-        None => match db
-            .query(base, RangeQuery::raw(i64::MIN + 1, i64::MAX))?
-            .first()
-        {
-            Some(p) => p.timestamp.div_euclid(level.bucket) * level.bucket,
-            None => return Ok(None),
-        },
-    };
-    if start >= complete_end {
-        return Ok(None);
-    }
-    let buckets = db.query(
-        base,
-        RangeQuery::bucketed(start, complete_end, level.bucket).aggregate(level.aggregator),
-    )?;
-    Ok(Some((buckets, complete_end)))
-}
-
-/// One compaction pass over a set of base series: roll up every level,
-/// then evict expired raw blocks (clamped to the slowest rollup
-/// watermark) and expired rollup blocks. `db` is the partition the base
-/// series live in; `route` returns the partition a rollup series lives
-/// in. Returns the report and this pass's watermark advances.
-#[allow(clippy::type_complexity)]
+/// One compaction pass over a set of base series. Per base: roll up every
+/// level's completed buckets, evict expired raw blocks (never past what
+/// every level has covered) and expired rollup blocks. `db` is the
+/// partition the base series route to; `route` returns the partition a
+/// rollup series lives in. A base whose raw series is gone only has its
+/// rollups expired.
 fn compact_series<'a>(
     db: &Tsdb,
     route: impl Fn(&SeriesKey) -> &'a Tsdb,
-    base_series: &[SeriesKey],
+    bases: &[SeriesKey],
     policy: &RetentionPolicy,
-    persisted: &HashMap<(SeriesKey, i64), i64>,
     now: i64,
-) -> Result<(CompactionReport, Vec<((SeriesKey, i64), i64)>), TsdbError> {
+) -> Result<CompactionReport, TsdbError> {
     let mut report = CompactionReport::default();
-    let mut advanced: HashMap<(SeriesKey, i64), i64> = HashMap::new();
-
-    // 1. Materialize completed rollup buckets.
-    for base in base_series {
-        for level in &policy.rollups {
-            let prev = effective_watermark(&advanced, persisted, base, level.bucket);
-            if let Some((buckets, wm)) = completed_buckets(db, base, level, prev, now)? {
-                if !buckets.is_empty() {
-                    let key = rollup_key(base, level.bucket);
-                    route(&key).write_batch(&key, &buckets)?;
+    for base in bases {
+        if let Some((first, last)) = db.time_bounds(base) {
+            // Raw data before `covered` is rolled up at every level (or
+            // past the level's TTL), so eviction may reach it.
+            let mut covered = i64::MAX;
+            for level in &policy.rollups {
+                let b = level.bucket;
+                let key = rollup_key(base, b);
+                let rollups = route(&key);
+                // The watermark: one bucket past the newest rollup. The
+                // TTL floor, `now - ttl` rounded up to a bucket: never
+                // make a bucket that is already expired.
+                let watermark = rollups
+                    .time_bounds(&key)
+                    .map_or(i64::MIN, |(_, newest)| align(newest, b).saturating_add(b));
+                let floor = level.ttl.map_or(i64::MIN, |ttl| -align(ttl - now, b));
+                let start = watermark.max(align(first, b)).max(floor);
+                // Up to the newest complete bucket ([t, t+b) with
+                // t+b <= now) that holds raw data.
+                let end = align(now, b).min(align(last, b).saturating_add(b));
+                if start < end {
+                    let query = RangeQuery::bucketed(start, end, b).aggregate(level.aggregator);
+                    let buckets = db.query(base, query)?;
+                    rollups.write_batch(&key, &buckets)?;
+                    report.rolled_up += buckets.len();
                 }
-                report.rolled_up += buckets.len();
-                advanced.insert((base.clone(), level.bucket), wm);
+                covered = covered.min(start.max(end));
+            }
+            if let Some(ttl) = policy.raw_ttl {
+                report.raw_evicted += db.evict_series_before(base, covered.min(now - ttl));
             }
         }
-    }
-
-    // 2. Evict expired raw blocks — but never past the slowest rollup
-    // watermark, so data is always rolled up before it disappears.
-    if let Some(ttl) = policy.raw_ttl {
-        let cutoff = now - ttl;
-        for base in base_series {
-            let safe_cutoff = policy
-                .rollups
-                .iter()
-                .map(|l| {
-                    effective_watermark(&advanced, persisted, base, l.bucket).unwrap_or(i64::MIN)
-                })
-                .min()
-                .map_or(cutoff, |wm| cutoff.min(wm));
-            report.raw_evicted += db.evict_series_before(base, safe_cutoff);
-        }
-    }
-
-    // 3. Evict expired rollup points per tier.
-    for level in &policy.rollups {
-        if let Some(ttl) = level.ttl {
-            let cutoff = now - ttl;
-            for base in base_series {
+        for level in &policy.rollups {
+            if let Some(ttl) = level.ttl {
                 let key = rollup_key(base, level.bucket);
-                report.rollup_evicted += route(&key).evict_series_before(&key, cutoff);
+                report.rollup_evicted += route(&key).evict_series_before(&key, now - ttl);
             }
         }
     }
-    Ok((report, advanced.into_iter().collect()))
+    Ok(report)
 }
 
 impl Compactor {
     /// Creates a compactor for `policy`.
     pub fn new(policy: RetentionPolicy) -> Result<Self, TsdbError> {
         policy.validate()?;
-        Ok(Self {
-            policy,
-            watermarks: HashMap::new(),
-        })
+        Ok(Self { policy })
     }
 
     /// Runs one serial compaction pass at logical time `now` over one
     /// [`Tsdb`].
-    pub fn run(&mut self, db: &Tsdb, now: i64) -> Result<CompactionReport, TsdbError> {
-        let base_series = base_series(db);
-        let (report, advanced) = compact_series(
-            db,
-            |_| db,
-            &base_series,
-            &self.policy,
-            &self.watermarks,
-            now,
-        )?;
-        self.watermarks.extend(advanced);
-        Ok(report)
+    pub fn run(&self, db: &Tsdb, now: i64) -> Result<CompactionReport, TsdbError> {
+        let bases = work_lists(std::slice::from_ref(db), |_| 0).remove(0);
+        compact_series(db, |_| db, &bases, &self.policy, now)
     }
 
     /// Runs one compaction pass at logical time `now` over a sharded
     /// store, fanning out across shards on scoped worker threads — one
-    /// worker per shard that owns base series.
+    /// worker per shard with work.
     ///
-    /// Each worker compacts exactly the base series its shard holds:
-    /// rollup reads and raw eviction hit the shard directly, while
-    /// rollup writes and rollup eviction go to the shard `db` routes the
-    /// `__rollup__`-tagged key to (it may be a different one). Because
-    /// every base series lives on exactly one shard, workers touch
-    /// disjoint watermark entries, and the merged outcome — report and
-    /// store state — equals a serial [`Compactor::run`] over the same
-    /// data (pinned by `tests/ops_properties.rs`).
-    pub fn run_sharded(
-        &mut self,
-        db: &ShardedDb,
-        now: i64,
-    ) -> Result<CompactionReport, TsdbError> {
+    /// Each worker compacts exactly the base series that route to its
+    /// shard: rollup reads and raw eviction hit the shard directly, while
+    /// rollup watermark reads, writes and eviction go to the shard `db`
+    /// routes the `__rollup__`-tagged key to (it may be a different one).
+    /// Every series is touched by one worker only, so the outcome —
+    /// report and store state — equals a serial [`Compactor::run`] over
+    /// the same data (pinned by `tests/ops_properties.rs`).
+    pub fn run_sharded(&self, db: &ShardedDb, now: i64) -> Result<CompactionReport, TsdbError> {
         let policy = &self.policy;
-        let persisted = &self.watermarks;
-        let mut merged = CompactionReport::default();
-        let mut advanced: Vec<((SeriesKey, i64), i64)> = Vec::new();
-        std::thread::scope(|scope| -> Result<(), TsdbError> {
-            let mut handles = Vec::new();
-            for shard in db.shards() {
-                let base_series = base_series(shard);
-                if base_series.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    let route = |key: &SeriesKey| db.shard(key);
-                    compact_series(shard, route, &base_series, policy, persisted, now)
-                }));
-            }
+        let lists = work_lists(db.shards(), |key| db.shard_of(key));
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = db
+                .shards()
+                .iter()
+                .zip(lists)
+                .filter(|(_, bases)| !bases.is_empty())
+                .map(|(shard, bases)| {
+                    scope.spawn(move || {
+                        compact_series(shard, |key| db.shard(key), &bases, policy, now)
+                    })
+                })
+                .collect();
+            let mut merged = CompactionReport::default();
             for handle in handles {
-                let (report, wms) = handle.join().expect("compaction worker panicked")?;
+                let report = handle.join().expect("compaction worker panicked")?;
                 merged.rolled_up += report.rolled_up;
                 merged.raw_evicted += report.raw_evicted;
                 merged.rollup_evicted += report.rollup_evicted;
-                advanced.extend(wms);
             }
-            Ok(())
-        })?;
-        self.watermarks.extend(advanced);
-        Ok(merged)
+            Ok(merged)
+        })
     }
 }
 
-/// The base (non-rollup) series of one partition, in key order.
-fn base_series(db: &Tsdb) -> Vec<SeriesKey> {
-    db.list_series(&Selector::any())
+/// Each partition's base series, in key order: the bases it holds, plus
+/// the base of every rollup series (in any partition) that `owner` routes
+/// to it — so rollups whose raw series is gone still expire.
+fn work_lists(partitions: &[Tsdb], owner: impl Fn(&SeriesKey) -> usize) -> Vec<Vec<SeriesKey>> {
+    let mut lists = vec![BTreeSet::new(); partitions.len()];
+    for partition in partitions {
+        for key in partition.list_series(&Selector::any()) {
+            let base = key.without_tag(ROLLUP_TAG);
+            lists[owner(&base)].insert(base);
+        }
+    }
+    lists
         .into_iter()
-        .filter(|k| k.tag(ROLLUP_TAG).is_none())
+        .map(|bases| bases.into_iter().collect())
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::point::DataPoint;
 
     fn fill(db: &Tsdb, key: &SeriesKey, ts: impl Iterator<Item = i64>) {
         for t in ts {
@@ -402,7 +356,7 @@ mod tests {
         let db = Tsdb::new();
         let key = SeriesKey::metric("cpu");
         fill(&db, &key, 0..25);
-        let mut c = Compactor::new(policy(1_000_000, 10)).unwrap();
+        let c = Compactor::new(policy(1_000_000, 10)).unwrap();
         let report = c.run(&db, 25).unwrap();
         // Buckets [0,10) and [10,20) complete; [20,30) still open.
         assert_eq!(report.rolled_up, 2);
@@ -418,7 +372,7 @@ mod tests {
         let db = Tsdb::new();
         let key = SeriesKey::metric("cpu");
         fill(&db, &key, 0..25);
-        let mut c = Compactor::new(policy(1_000_000, 10)).unwrap();
+        let c = Compactor::new(policy(1_000_000, 10)).unwrap();
         assert_eq!(c.run(&db, 25).unwrap().rolled_up, 2);
         assert_eq!(c.run(&db, 25).unwrap().rolled_up, 0, "no double counting");
         // More data completes the third bucket.
@@ -434,7 +388,7 @@ mod tests {
         db.flush().unwrap();
         // Raw TTL 10 at now=40 ⇒ naive cutoff 30, but the first run's
         // watermark also reaches 40, so eviction may proceed to 30.
-        let mut c = Compactor::new(policy(10, 10)).unwrap();
+        let c = Compactor::new(policy(10, 10)).unwrap();
         let report = c.run(&db, 40).unwrap();
         assert_eq!(report.rolled_up, 4);
         assert_eq!(report.raw_evicted, 30, "blocks [0..30) evicted");
@@ -457,7 +411,7 @@ mod tests {
                 ttl: Some(30),
             }],
         };
-        let mut c = Compactor::new(pol).unwrap();
+        let c = Compactor::new(pol).unwrap();
         c.run(&db, 100).unwrap();
         // Seal the rollup memtable so eviction (block-granular) can bite,
         // then run again at a later logical time.
@@ -471,7 +425,7 @@ mod tests {
         let db = Tsdb::new();
         let key = SeriesKey::metric("cpu");
         fill(&db, &key, 0..20);
-        let mut c = Compactor::new(policy(1_000_000, 10)).unwrap();
+        let c = Compactor::new(policy(1_000_000, 10)).unwrap();
         c.run(&db, 20).unwrap();
         c.run(&db, 20).unwrap();
         // Exactly two series exist: base + one rollup (no rollup-of-rollup).
@@ -493,8 +447,8 @@ mod tests {
         }
         sharded.flush().unwrap();
         serial.flush().unwrap();
-        let mut cs = Compactor::new(policy(10, 10)).unwrap();
-        let mut co = Compactor::new(policy(10, 10)).unwrap();
+        let cs = Compactor::new(policy(10, 10)).unwrap();
+        let co = Compactor::new(policy(10, 10)).unwrap();
         for now in [25, 25, 40, 60] {
             assert_eq!(
                 cs.run_sharded(&sharded, now).unwrap(),
@@ -521,14 +475,13 @@ mod tests {
             let key = SeriesKey::metric("cpu").with_tag("host", format!("h{h}"));
             fill_sharded(&db, &key, 0..25);
         }
-        let mut c = Compactor::new(policy(1_000_000, 10)).unwrap();
+        let c = Compactor::new(policy(1_000_000, 10)).unwrap();
         assert_eq!(c.run_sharded(&db, 25).unwrap().rolled_up, 2 * 5);
         assert_eq!(c.run_sharded(&db, 25).unwrap().rolled_up, 0, "no double counting");
-        // Serial and sharded passes share watermarks: serial runs over
-        // each shard right after also materialize nothing.
-        for shard in db.shards() {
-            assert_eq!(c.run(shard, 25).unwrap().rolled_up, 0);
-        }
+        // Every watermark is read from the store: a new compactor at
+        // the same `now` materializes nothing either.
+        let fresh = Compactor::new(policy(1_000_000, 10)).unwrap();
+        assert_eq!(fresh.run_sharded(&db, 25).unwrap().rolled_up, 0);
     }
 
     #[test]
@@ -537,13 +490,115 @@ mod tests {
         let key = SeriesKey::metric("cpu").with_tag("host", "a");
         fill_sharded(&db, &key, 0..40);
         db.flush().unwrap();
-        let mut c = Compactor::new(policy(10, 10)).unwrap();
+        let c = Compactor::new(policy(10, 10)).unwrap();
         let report = c.run_sharded(&db, 40).unwrap();
         assert_eq!(report.rolled_up, 4);
         assert_eq!(report.raw_evicted, 30, "blocks [0..30) evicted");
         let rk = rollup_key(&key, 10);
         let pts = db.query(&rk, RangeQuery::raw(i64::MIN + 1, i64::MAX)).unwrap();
         assert_eq!(pts.len(), 4, "rollup history survives raw eviction");
+    }
+
+    #[test]
+    fn a_new_compactor_resumes_where_the_store_left_off() {
+        let db = Tsdb::new();
+        let key = SeriesKey::metric("m.v");
+        fill(&db, &key, 0..550);
+        let first = Compactor::new(policy(1_000_000, 100)).unwrap();
+        assert_eq!(first.run(&db, 550).unwrap().rolled_up, 5);
+        // A restart: the watermark is read back from the rollup series.
+        let next = Compactor::new(policy(1_000_000, 100)).unwrap();
+        assert_eq!(next.run(&db, 550).unwrap().rolled_up, 0);
+        fill(&db, &key, 550..700);
+        assert_eq!(next.run(&db, 700).unwrap().rolled_up, 2);
+        let pts = db
+            .query(&rollup_key(&key, 100), RangeQuery::raw(0, i64::MAX))
+            .unwrap();
+        let expect: Vec<_> = (0..7)
+            .map(|b| DataPoint::new(b * 100, (b * 100) as f64 + 49.5))
+            .collect();
+        assert_eq!(pts, expect);
+    }
+
+    #[test]
+    fn late_points_behind_the_watermark_are_rolled_up() {
+        let db = Tsdb::with_config(crate::db::TsdbConfig { block_capacity: 4 });
+        let key = SeriesKey::metric("cpu");
+        fill(&db, &key, 0..16);
+        let c = Compactor::new(policy(5, 10)).unwrap();
+        assert_eq!(c.run(&db, 50).unwrap().rolled_up, 2);
+        // Late, but after every stored point: not behind a rollup bucket.
+        fill(&db, &key, [25, 35, 45].into_iter());
+        db.flush().unwrap();
+        let report = c.run(&db, 100).unwrap();
+        assert_eq!(report.rolled_up, 3);
+        let pts = db
+            .query(&rollup_key(&key, 10), RangeQuery::raw(0, i64::MAX))
+            .unwrap();
+        let stamps: Vec<_> = pts.iter().map(|p| p.timestamp).collect();
+        assert_eq!(stamps, [0, 10, 20, 30, 40]);
+        assert_eq!(pts[1].value, 12.5, "mean of 10..16");
+        assert_eq!(report.raw_evicted, 3, "evicted only once rolled up");
+    }
+
+    #[test]
+    fn an_expired_rollup_series_is_not_made_again() {
+        let db = Tsdb::with_config(crate::db::TsdbConfig { block_capacity: 2 });
+        let key = SeriesKey::metric("cpu");
+        fill(&db, &key, 0..100);
+        let c = Compactor::new(RetentionPolicy {
+            raw_ttl: None,
+            rollups: vec![RollupLevel {
+                bucket: 10,
+                aggregator: Aggregator::Mean,
+                ttl: Some(30),
+            }],
+        })
+        .unwrap();
+        c.run(&db, 100).unwrap();
+        db.flush().unwrap();
+        assert!(c.run(&db, 200).unwrap().rollup_evicted > 0);
+        assert_eq!(db.series_count(), 1, "the rollup series expired");
+        // No rollup series left, yet its watermark does not fall back to
+        // the raw series' first bucket: every bucket is past the TTL.
+        for now in [200, 300, 400] {
+            assert_eq!(
+                c.run(&db, now).unwrap(),
+                CompactionReport::default(),
+                "now={now}"
+            );
+        }
+    }
+
+    #[test]
+    fn rollups_outliving_their_raw_series_still_expire() {
+        let db = ShardedDb::with_config(crate::sharded::ShardedConfig::new(4, 2));
+        let hosts: Vec<_> = (0..6)
+            .map(|h| SeriesKey::metric("cpu").with_tag("host", format!("h{h}")))
+            .collect();
+        for key in &hosts {
+            fill_sharded(&db, key, 0..20);
+        }
+        let c = Compactor::new(RetentionPolicy {
+            raw_ttl: Some(5),
+            rollups: vec![RollupLevel {
+                bucket: 10,
+                aggregator: Aggregator::Mean,
+                ttl: Some(1000),
+            }],
+        })
+        .unwrap();
+        assert_eq!(c.run_sharded(&db, 20).unwrap().rolled_up, 2 * 6);
+        c.run_sharded(&db, 100).unwrap();
+        assert!(
+            hosts
+                .iter()
+                .all(|k| db.query(k, RangeQuery::raw(0, 100)).is_err()),
+            "raw series evicted and unlinked"
+        );
+        let report = c.run_sharded(&db, 100_000).unwrap();
+        assert_eq!(report.rollup_evicted, 2 * 6);
+        assert_eq!(db.series_count(), 0);
     }
 
     fn fill_sharded(db: &ShardedDb, key: &SeriesKey, ts: impl Iterator<Item = i64>) {
@@ -638,7 +693,7 @@ mod tests {
                 },
             ],
         };
-        let mut c = Compactor::new(pol).unwrap();
+        let c = Compactor::new(pol).unwrap();
         let report = c.run(&db, 100).unwrap();
         assert_eq!(report.rolled_up, 10 + 2);
         let fine = db

@@ -32,6 +32,14 @@ impl SeriesKey {
         self
     }
 
+    /// Removes tag `key`, if present.
+    pub(crate) fn without_tag(mut self, key: &str) -> Self {
+        if let Ok(i) = self.tags.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+            self.tags.remove(i);
+        }
+        self
+    }
+
     /// The metric name.
     pub fn metric_name(&self) -> &str {
         &self.metric

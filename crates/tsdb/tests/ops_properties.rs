@@ -16,6 +16,8 @@
 //! * the sharded compactor ≡ the serial compactor: same reports, same
 //!   store contents, no double-counted rollup buckets, raw eviction never
 //!   ahead of the rollup watermark;
+//! * compaction interrupted by a save → load between any two passes and
+//!   continued by a new compactor ≡ one compactor running uninterrupted;
 //! * saving under concurrent writers neither deadlocks nor produces an
 //!   unloadable file, and every loaded series is a prefix of the final
 //!   series.
@@ -237,8 +239,8 @@ proptest! {
     }
 
     /// The sharded compactor is indistinguishable from the serial one:
-    /// same reports at every step, same final store, watermarks shared —
-    /// repeated runs at the same logical time materialize nothing.
+    /// same reports at every step, same final store — repeated runs at
+    /// the same logical time materialize nothing.
     #[test]
     fn sharded_compaction_matches_serial_oracle(
         case in ops_case(),
@@ -256,8 +258,8 @@ proptest! {
                 RollupLevel { bucket: bucket * 4, aggregator: Aggregator::Max, ttl: None },
             ],
         };
-        let mut sharded_c = Compactor::new(policy()).unwrap();
-        let mut serial_c = Compactor::new(policy()).unwrap();
+        let sharded_c = Compactor::new(policy()).unwrap();
+        let serial_c = Compactor::new(policy()).unwrap();
         for now in [-500, 0, 0, 700, 700, 2_000, 30_000] {
             let a = sharded_c.run_sharded(&sharded, now).unwrap();
             let b = serial_c.run(&oracle, now).unwrap();
@@ -287,7 +289,7 @@ proptest! {
             raw_ttl: Some(raw_ttl),
             rollups: vec![RollupLevel { bucket, aggregator: Aggregator::Sum, ttl: None }],
         };
-        let mut c = Compactor::new(policy).unwrap();
+        let c = Compactor::new(policy).unwrap();
         let mut total_rolled = 0usize;
         for now in [-2_000, -900, 100, 100, 1_500] {
             let report = c.run_sharded(&sharded, now).unwrap();
@@ -324,6 +326,74 @@ proptest! {
             rollup_points += points.len();
         }
         prop_assert_eq!(rollup_points, total_rolled);
+    }
+
+    /// The compactor's state is the store: passes interrupted by a
+    /// `save` → `load` (into any shard count) after any step and carried
+    /// on by a new compactor give, pass by pass, the same `Ok` reports
+    /// and in the end the same store as one compactor never interrupted.
+    /// Each step feeds every series up to `upto`, compacts at
+    /// `upto + offset`, and restarts when `restart` names a shard count.
+    #[test]
+    fn compaction_resumes_from_a_reloaded_store(
+        gaps in prop::collection::vec(prop::collection::vec(1i64..30, 0..80), 1..4),
+        block_capacity in 1usize..12,
+        shards in 1usize..5,
+        ttls in (0i64..300, 0i64..300),
+        bucket in 1i64..30,
+        steps in prop::collection::vec((0i64..2_500, -300i64..300, 0usize..9), 1..8),
+    ) {
+        let runs: Vec<Vec<DataPoint>> = gaps
+            .iter()
+            .map(|gaps| {
+                let mut ts = 0;
+                gaps.iter().map(|gap| { ts += gap; DataPoint::new(ts, (ts % 17) as f64) }).collect()
+            })
+            .collect();
+        let ttl = |t: i64| (t > 0).then_some(t);
+        let policy = RetentionPolicy {
+            raw_ttl: ttl(ttls.0),
+            rollups: vec![
+                RollupLevel { bucket, aggregator: Aggregator::Mean, ttl: ttl(ttls.1) },
+                RollupLevel { bucket: bucket * 3, aggregator: Aggregator::Max, ttl: None },
+            ],
+        };
+        let config = |shards| ShardedConfig::new(shards, block_capacity);
+        let snapshot = std::env::temp_dir()
+            .join(format!("asap_ops_compaction_restart_{}.snap", std::process::id()));
+        let steady = ShardedDb::with_config(config(shards));
+        let steady_c = Compactor::new(policy.clone()).unwrap();
+        let mut restarted = ShardedDb::with_config(config(shards));
+        let mut restarted_c = Compactor::new(policy.clone()).unwrap();
+        let mut fed = vec![0usize; runs.len()];
+        for (upto, offset, restart) in steps {
+            for (h, run) in runs.iter().enumerate() {
+                let key = SeriesKey::metric("cpu").with_tag("host", format!("h{h}"));
+                for &p in run[fed[h]..].iter().take_while(|p| p.timestamp < upto) {
+                    steady.write(&key, p).unwrap();
+                    restarted.write(&key, p).unwrap();
+                    fed[h] += 1;
+                }
+            }
+            let now = upto + offset;
+            let a = steady_c.run_sharded(&steady, now);
+            let b = restarted_c.run_sharded(&restarted, now);
+            prop_assert!(a.is_ok() && b.is_ok(), "pass at now={} failed: {:?} / {:?}", now, a, b);
+            prop_assert_eq!(a.unwrap(), b.unwrap(), "reports diverge at now={}", now);
+            if restart > 4 {
+                // `save` seals every memtable; seal the steady store too,
+                // so both keep the same block boundaries.
+                steady.flush().unwrap();
+                restarted.save(&snapshot).unwrap();
+                restarted = ShardedDb::load(&snapshot, config(restart - 4)).unwrap();
+                restarted_c = Compactor::new(policy.clone()).unwrap();
+            }
+        }
+        std::fs::remove_file(&snapshot).ok();
+        prop_assert_eq!(
+            restarted.query_selector(&Selector::any(), full()).unwrap(),
+            steady.query_selector(&Selector::any(), full()).unwrap()
+        );
     }
 }
 
@@ -451,7 +521,7 @@ fn sharded_rollups_land_where_queries_find_them() {
             db.write(&key, DataPoint::new(t, t as f64)).unwrap();
         }
     }
-    let mut c = Compactor::new(RetentionPolicy {
+    let c = Compactor::new(RetentionPolicy {
         raw_ttl: None,
         rollups: vec![RollupLevel {
             bucket: 10,

@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         raw_rough, frame.result.roughness
     );
     // 5. Ops tier: age out raw data (7-day TTL), keep hourly means forever.
-    let mut compactor = Compactor::new(RetentionPolicy {
+    let compactor = Compactor::new(RetentionPolicy {
         raw_ttl: Some(7 * 86_400),
         rollups: vec![RollupLevel {
             bucket: 3_600,

@@ -118,7 +118,7 @@ fn retention_tiering_preserves_smoothability_of_history() {
     db.flush().unwrap();
 
     // Roll up to 30-minute means, keep raw for 2 days only.
-    let mut compactor = Compactor::new(RetentionPolicy {
+    let compactor = Compactor::new(RetentionPolicy {
         raw_ttl: Some(2 * 86_400),
         rollups: vec![RollupLevel {
             bucket: 1_800,
