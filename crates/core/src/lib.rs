@@ -163,6 +163,23 @@ mod tests {
         assert_eq!(res.aggregated.len(), data.len());
     }
 
+    /// A flat series has nothing to smooth. Its pixel groups are summed
+    /// one by one, so they stay exactly equal: no rounding noise for the
+    /// search to smooth, at any value, length or display width.
+    #[test]
+    fn flat_series_come_out_at_window_one() {
+        for v in [0.1, 1.0 / 3.0, -7.3, 1e15, 2.5e-300, 17.02, 0.0] {
+            for n in [5_000usize, 150_000, 1_000_003] {
+                let data = vec![v; n];
+                for resolution in [272usize, 800, 2304] {
+                    let asap = Asap::builder().resolution(resolution).build();
+                    let res = asap.smooth(&data).unwrap();
+                    assert_eq!(res.window, 1, "{v} × {n} points at {resolution} px");
+                }
+            }
+        }
+    }
+
     #[test]
     fn short_series_is_left_alone() {
         let data = vec![1.0, 2.0, 1.5];

@@ -6,8 +6,14 @@
 //! aggregated series (i.e. windows that are integer multiples of the ratio
 //! in raw units). Table 1 lists the resulting search-space reductions;
 //! Appendix A.2 bounds the roughness penalty by `(w_a + 1) / w_a`.
+//!
+//! Each group is summed on its own, in order from `+0.0`, and divided by
+//! the ratio: one pass over the raw points with nothing kept beside the
+//! output. That is the arithmetic of [`Pane::mean`], so the batch
+//! operator's groups and the streaming operator's panes (§4.5) are
+//! bit-identical, and a flat series stays exactly flat.
 
-use asap_timeseries::sma_strided;
+use crate::streaming::Pane;
 
 /// The point-to-pixel ratio for `n` points at `resolution` pixels:
 /// `max(1, ⌈n / resolution⌉)`.
@@ -29,8 +35,13 @@ pub fn preaggregate(data: &[f64], resolution: usize) -> (Vec<f64>, usize) {
     }
     // A trailing partial group is dropped (it would carry a different
     // variance and bias the kurtosis estimate).
-    let aggregated =
-        sma_strided(data, ratio, ratio).expect("ratio >= 2 and ratio <= len by construction");
+    let aggregated = data
+        .chunks_exact(ratio)
+        .map(|group| {
+            let sum = group.iter().fold(0.0, |sum, &x| sum + x);
+            Pane { sum, count: ratio }.mean()
+        })
+        .collect();
     (aggregated, ratio)
 }
 
@@ -76,6 +87,16 @@ mod tests {
         let (agg, ratio) = preaggregate(&data, 3);
         assert_eq!(ratio, 4);
         assert_eq!(agg, vec![1.5, 5.5, 9.5]);
+    }
+
+    #[test]
+    fn trailing_partial_group_is_dropped() {
+        // ratio ⌈10 / 3⌉ = 4: groups [0..4) and [4..8); the tail 8, 9 is
+        // not a full group.
+        let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
+        let (agg, ratio) = preaggregate(&data, 3);
+        assert_eq!(ratio, 4);
+        assert_eq!(agg, vec![1.5, 5.5]);
     }
 
     #[test]

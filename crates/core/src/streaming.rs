@@ -824,16 +824,15 @@ mod tests {
     fn pane_means_match_batch_tumbling_aggregation() {
         let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut agg = PaneAggregator::new(7);
-        let streamed: Vec<f64> = data
+        let streamed: Vec<u64> = data
             .iter()
             .filter_map(|&x| agg.push(x))
-            .map(|p| p.mean())
+            .map(|p| p.mean().to_bits())
             .collect();
-        let batch = asap_timeseries::sma_strided(&data, 7, 7).unwrap();
-        assert_eq!(streamed.len(), batch.len());
-        for (a, b) in streamed.iter().zip(&batch) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        let (batch, ratio) = crate::preagg::preaggregate(&data, 15);
+        assert_eq!(ratio, 7);
+        let batch: Vec<u64> = batch.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(streamed, batch);
     }
 
     #[test]

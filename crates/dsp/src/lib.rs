@@ -1,13 +1,14 @@
 //! Signal-processing substrate for the ASAP reproduction.
 //!
 //! Section 4.3 of the paper prunes ASAP's window search using the series'
-//! **autocorrelation function** (ACF), computed in O(n log n) with two FFTs,
-//! and Appendix B.2 compares SMA against alternative smoothing functions.
+//! **autocorrelation function** (ACF), computed by direct lag sums at the
+//! search's sizes and with two FFTs above a measured crossover, and
+//! Appendix B.2 compares SMA against alternative smoothing functions.
 //! This crate provides all of that machinery:
 //!
-//! * [`acf`] — the biased ACF estimator via FFT (production path, using
-//!   `rustfft`) and via brute force (the O(n²) oracle the FFT path is
-//!   property-tested against);
+//! * [`acf`] — the biased ACF estimator (direct lag sums below the FFT
+//!   crossover, `rustfft` above it) and its brute-force O(n²) oracle, which
+//!   both regimes are property-tested against;
 //! * [`peaks`] — autocorrelation peak detection (local maxima above a
 //!   correlation threshold, falling back to all lags for aperiodic data),
 //!   mirroring the reference ASAP implementation;

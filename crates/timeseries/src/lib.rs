@@ -9,9 +9,8 @@
 //!   the paper's trend-preservation measure, §3.2);
 //! * [`diff`] — first-difference series and **roughness** (σ of the first
 //!   differences, the paper's smoothness measure, §3.1);
-//! * [`mod@sma`] — the simple moving average smoothing function (§3.3), in both
-//!   naive and prefix-sum forms, plus strided/sliding variants used by the
-//!   pixel-aware preaggregation;
+//! * [`mod@sma`] — the simple moving average smoothing function (§3.3), in
+//!   naive, running-sum and prefix-sum forms;
 //! * [`normalize`] — z-score normalization used for all plots in the paper
 //!   ("we depict z-scores instead of raw values", §1 fn. 1);
 //! * [`series`] — an owned, timestamped series container with sampling
@@ -35,7 +34,7 @@ pub use diff::{first_differences, roughness};
 pub use error::TimeSeriesError;
 pub use normalize::{zscore, zscore_in_place};
 pub use series::TimeSeries;
-pub use sma::{sma, sma_naive, sma_strided, PrefixSum};
+pub use sma::{sma, sma_naive, PrefixSum};
 pub use stats::{kurtosis, mean, moments, stddev, variance, Moments};
 
 /// Validates that every sample is finite, reporting the first offender.

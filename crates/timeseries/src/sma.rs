@@ -12,10 +12,6 @@
 //!   [`PrefixSum`], the strategy ASAP's search uses when evaluating many
 //!   candidate windows over the same series.
 //!
-//! [`sma_strided`] additionally supports a slide size > 1, which is how the
-//! pixel-aware preaggregation (§4.4) reduces a raw stream to one point per
-//! point-to-pixel group (window = slide = ratio).
-//!
 //! Note on output length: the paper writes `SMA(X,w) = {y₁…y_{N−w}}`; we
 //! return all `N−w+1` full windows (the conventional definition — the
 //! paper's index set drops the final window; this off-by-one has no effect
@@ -66,12 +62,6 @@ impl PrefixSum {
     pub fn range_sum(&self, start: usize, end: usize) -> f64 {
         debug_assert!(start <= end && end < self.sums.len());
         self.sums[end] - self.sums[start]
-    }
-
-    /// Mean of `data[start..end)`.
-    #[inline]
-    pub fn range_mean(&self, start: usize, end: usize) -> f64 {
-        self.range_sum(start, end) / (end - start) as f64
     }
 
     /// Computes `SMA(X, w)` with slide 1 in O(N) using the prefix sums.
@@ -142,35 +132,6 @@ pub fn sma(data: &[f64], window: usize) -> Result<Vec<f64>, TimeSeriesError> {
     Ok(out)
 }
 
-/// Simple moving average with an explicit slide (hop) size.
-///
-/// Emits one output per `slide` input positions: output `k` is the mean of
-/// `data[k·slide .. k·slide + window)`. With `slide == window` this is the
-/// disjoint ("tumbling") aggregation the pixel-aware preaggregation uses
-/// (§4.4); with `slide == 1` it degenerates to [`sma`].
-pub fn sma_strided(
-    data: &[f64],
-    window: usize,
-    slide: usize,
-) -> Result<Vec<f64>, TimeSeriesError> {
-    validate_window(window, data.len())?;
-    if slide == 0 {
-        return Err(TimeSeriesError::InvalidParameter {
-            name: "slide",
-            message: "slide must be at least 1",
-        });
-    }
-    let ps = PrefixSum::new(data);
-    let n = data.len();
-    let mut out = Vec::with_capacity((n - window) / slide + 1);
-    let mut start = 0usize;
-    while start + window <= n {
-        out.push(ps.range_mean(start, start + window));
-        start += slide;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +161,6 @@ mod tests {
         let data = series(10);
         assert!(sma(&data, 0).is_err());
         assert!(sma(&data, 11).is_err());
-        assert!(sma_strided(&data, 4, 0).is_err());
         assert!(sma(&[], 1).is_err());
     }
 
@@ -237,32 +197,6 @@ mod tests {
         for w in [1usize, 2, 37, 100] {
             assert_eq!(sma(&data, w).unwrap().len(), 100 - w + 1);
         }
-    }
-
-    #[test]
-    fn strided_with_slide_one_matches_sma() {
-        let data = series(200);
-        let a = sma_strided(&data, 9, 1).unwrap();
-        let b = sma(&data, 9).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn tumbling_aggregation_groups_disjointly() {
-        let data: Vec<f64> = (0..12).map(|i| i as f64).collect();
-        let out = sma_strided(&data, 4, 4).unwrap();
-        assert_eq!(out, vec![1.5, 5.5, 9.5]);
-    }
-
-    #[test]
-    fn tumbling_with_remainder_drops_partial_tail() {
-        let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        // windows [0..4), [4..8); tail 8,9 is not a full window
-        let out = sma_strided(&data, 4, 4).unwrap();
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

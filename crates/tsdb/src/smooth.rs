@@ -251,6 +251,21 @@ mod tests {
     }
 
     #[test]
+    fn flat_stored_series_is_left_unsmoothed() {
+        let db = Tsdb::new();
+        let key = SeriesKey::metric("temp");
+        for i in 0..5_000 {
+            db.write(&key, DataPoint::new(i, 0.1)).unwrap();
+        }
+        let asap = Asap::builder().resolution(800).build();
+        let frame = smooth_query(&db, &key, &asap, 0, 5_000, 1).unwrap();
+        assert_eq!(frame.result.pixel_ratio, 7);
+        assert_eq!(frame.result.window, 1);
+        let smoothed = &frame.result.smoothed;
+        assert!(smoothed.iter().all(|&v| v == smoothed[0]));
+    }
+
+    #[test]
     fn missing_series_reports_storage_error() {
         let db = Tsdb::new();
         let asap = Asap::builder().resolution(50).build();

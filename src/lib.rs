@@ -32,7 +32,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`timeseries`] | `asap-timeseries` | moments, roughness, kurtosis, SMA |
-//! | [`dsp`] | `asap-dsp` | FFT autocorrelation, peaks, smoothing filters |
+//! | [`dsp`] | `asap-dsp` | autocorrelation (direct / FFT), peaks, smoothing filters |
 //! | [`data`] | `asap-data` | simulators of the paper's 11 evaluation datasets |
 //! | [`core`] | `asap-core` | the ASAP search (Algorithms 1–3), batch and streaming |
 //! | [`baselines`] | `asap-baselines` | M4, PAA, Visvalingam–Whyatt, oversmooth |

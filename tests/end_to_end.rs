@@ -178,3 +178,24 @@ fn twitter_stays_unsmoothed_through_the_facade() {
     assert!(result.is_unsmoothed(), "window {}", result.window);
     assert_eq!(result.smoothed.len(), result.aggregated.len());
 }
+
+/// Translation does not move the window: `window(x + c) == window(x)` on
+/// every small catalog dataset at 800 px, for offsets up to 1e12. (At
+/// 1e15 the shifted input itself is rounded to steps of 0.125, so no
+/// invariance is owed there.)
+#[test]
+fn window_is_invariant_to_translation() {
+    let asap = Asap::builder().resolution(800).build();
+    for info in asap::data::all_datasets() {
+        if info.n_points > 100_000 {
+            continue; // gas_sensor: the one large dataset
+        }
+        let values = info.generate().into_values();
+        let window = asap.smooth(&values).unwrap().window;
+        for c in [1e3, 1e6, 1e9, 1e12] {
+            let shifted: Vec<f64> = values.iter().map(|v| v + c).collect();
+            let moved = asap.smooth(&shifted).unwrap().window;
+            assert_eq!(moved, window, "{} shifted by {c}", info.name);
+        }
+    }
+}

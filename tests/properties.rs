@@ -21,6 +21,21 @@ fn varied_series() -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
+/// A series of 2..=4096 points with variance, offset by up to ±1e6, and a
+/// `max_lag` drawn from `[0, n − 1]`.
+fn acf_case() -> impl Strategy<Value = (Vec<f64>, usize)> {
+    (2usize..4097)
+        .prop_flat_map(|n| {
+            (
+                prop::collection::vec(-1e3..1e3f64, n..n + 1),
+                0..n,
+                -1e6..1e6f64,
+            )
+        })
+        .prop_filter("needs variance", |(v, _, _)| v.iter().any(|&x| x != v[0]))
+        .prop_map(|(v, max_lag, offset)| (v.iter().map(|x| x + offset).collect(), max_lag))
+}
+
 proptest! {
     /// The O(N) running-sum SMA equals the textbook definition.
     #[test]
@@ -34,17 +49,18 @@ proptest! {
         }
     }
 
-    /// FFT-based ACF equals the O(n²) estimator at every lag.
+    /// The ACF equals the O(n²) estimator to 1e-9 at every lag, for every
+    /// length up to 4096 and every `max_lag` below it: both the direct
+    /// regime and the FFT regime above the crossover.
     #[test]
-    fn fft_acf_equals_brute_force(data in varied_series()) {
-        let max_lag = data.len() / 4;
-        prop_assume!(max_lag >= 1);
+    fn acf_equals_brute_force(case in acf_case()) {
+        let (data, max_lag) = case;
         let fast = autocorrelation(&data, max_lag).unwrap();
         let slow = acf_brute_force(&data, max_lag).unwrap();
         for k in 0..=max_lag {
             prop_assert!(
-                (fast.at(k) - slow.at(k)).abs() < 1e-7,
-                "lag {}: {} vs {}", k, fast.at(k), slow.at(k)
+                (fast.at(k) - slow.at(k)).abs() <= 1e-9,
+                "n {} lag {} of {}: {} vs {}", data.len(), k, max_lag, fast.at(k), slow.at(k)
             );
         }
     }
@@ -177,23 +193,20 @@ proptest! {
         }
     }
 
-    /// Pane-based streaming aggregation equals batch tumbling aggregation
-    /// (the §4.5 sub-aggregation correctness).
+    /// Pane-based streaming aggregation equals batch preaggregation bit
+    /// for bit (the §4.4/§4.5 sub-aggregation correctness).
     #[test]
-    fn panes_equal_batch_tumbling(data in varied_series(), pane in 1usize..16) {
-        prop_assume!(pane <= data.len());
-        let mut agg = asap::core::streaming::PaneAggregator::new(pane);
+    fn panes_equal_batch_tumbling(data in varied_series(), resolution in 1usize..64) {
+        let (batch, ratio) = preaggregate(&data, resolution);
+        let mut agg = asap::core::streaming::PaneAggregator::new(ratio);
         let mut streamed = Vec::new();
         for &x in &data {
             if let Some(p) = agg.push(x) {
-                streamed.push(p.mean());
+                streamed.push(p.mean().to_bits());
             }
         }
-        let batch = asap::timeseries::sma_strided(&data, pane, pane).unwrap();
-        prop_assert_eq!(streamed.len(), batch.len());
-        for (a, b) in streamed.iter().zip(&batch) {
-            prop_assert!((a - b).abs() < 1e-7);
-        }
+        let batch: Vec<u64> = batch.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(streamed, batch);
     }
 
     /// SMA always reduces (or preserves) roughness relative to the window-1
