@@ -18,10 +18,10 @@ use std::time::{Duration, Instant};
 use asap_core::Asap;
 use asap_tsdb::obs::{self, MetricSample};
 use asap_tsdb::{
-    ApplyHook, ChainCheckpointReport, CheckpointChain, CompactionReport, Counter, Histogram,
-    IngestConfig, IngestMetrics, IngestReport, ObsRegistry, ProgressWatch, RangeQuery,
-    RetentionPolicy, Schedule, Selector, ShardWriters, ShardedDb, SnapshotError, StreamProgress,
-    TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
+    smooth_query_selector, ApplyHook, ChainCheckpointReport, CheckpointChain, CompactionReport,
+    Counter, Histogram, IngestConfig, IngestMetrics, IngestReport, ObsRegistry, ProgressWatch,
+    RangeQuery, RetentionPolicy, Schedule, Selector, ShardWriters, ShardedDb, SnapshotError,
+    StreamProgress, TsdbError, Wal, WalConfig, WalMetrics, WalReplayReport, ROLLUP_TAG, SELF_TAG,
 };
 
 use crate::event::Waker;
@@ -1491,10 +1491,7 @@ fn dispatch(
             }
             let selector = confine_internal(selector);
             let asap = Asap::builder().resolution(resolution).build();
-            match shared
-                .db
-                .smooth_query_selector(&selector, &asap, start, end, bucket)
-            {
+            match smooth_query_selector(&shared.db, &selector, &asap, start, end, bucket) {
                 Ok(frames) => {
                     let rows = frames.len();
                     let render_started = Instant::now();

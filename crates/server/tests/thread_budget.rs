@@ -1,24 +1,31 @@
-//! Thread-budget wall: ingest connections and self-scrapes cost no
-//! threads. The server runs one writer per shard for its whole lifetime
-//! and parses ingest bytes on the event worker that read them, so after
+//! Thread-budget wall: ingest connections, self-scrapes and `SMOOTH`
+//! cost no threads. The server runs one writer per shard for its whole
+//! lifetime, parses ingest bytes on the event worker that read them and
+//! smooths on the event worker that read the request, so after
 //! `Server::start` the process thread count stays fixed whatever the
-//! number of connections — and the shared writers still give every
-//! connection its own exact report.
+//! number of connections or requests — and the shared writers still give
+//! every connection its own exact report.
 //!
 //! This is a test binary of its own, holding one test: it reads the whole
 //! process's thread count (`Threads:` in `/proc/self/status`), which
 //! sibling tests running in parallel would move.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use asap_server::{Server, ServerConfig};
+use asap_core::Asap;
+use asap_server::{protocol, Server, ServerConfig};
 use asap_tsdb::{
-    line_protocol, RangeQuery, Selector, ShardedConfig, ShardedDb, Tsdb, SELF_TAG,
+    line_protocol, smooth_query_selector, DataPoint, RangeQuery, Selector, SeriesKey,
+    ShardedConfig, ShardedDb, Tsdb, SELF_TAG,
 };
 
 const CONNECTIONS: usize = 64;
+/// Query connections looping `SMOOTH`, one client thread each.
+const SMOOTH_CLIENTS: usize = 4;
+const SMOOTH_ROUNDS: usize = 25;
 
 /// Threads of this process right now.
 fn threads() -> usize {
@@ -30,6 +37,22 @@ fn threads() -> usize {
         .trim()
         .parse()
         .expect("numeric thread count")
+}
+
+/// Sends `command` and reads its response up to `END` or an `ERR` line.
+fn ask(conn: &TcpStream, reader: &mut impl BufRead, command: &str) -> String {
+    (&*conn)
+        .write_all(format!("{command}\n").as_bytes())
+        .expect("send command");
+    let mut response = String::new();
+    loop {
+        let start = response.len();
+        assert_ne!(reader.read_line(&mut response).expect("read response"), 0);
+        let line = &response[start..];
+        if line == "END\n" || line.starts_with("ERR") {
+            return response;
+        }
+    }
 }
 
 /// One `STATS` counter, read on a fresh query connection.
@@ -105,5 +128,55 @@ fn idle_connections_and_scrapes_add_no_threads() {
         oracle.query_selector(&user, full).unwrap()
     );
     assert_eq!(threads(), baseline, "after every connection closed");
+
+    // One noisy series on each shard, so `SMOOTH *` reads every shard.
+    let mut by_shard = BTreeMap::new();
+    for host in 0..64 {
+        let key = SeriesKey::metric("load").with_tag("host", format!("h{host}"));
+        by_shard.entry(db.shard_of(&key)).or_insert(key);
+    }
+    assert_eq!(by_shard.len(), 4, "64 hosts cover the 4 shards");
+    for (shard, key) in &by_shard {
+        let points: Vec<DataPoint> = (0..4_000i64)
+            .map(|t| {
+                let noise = if t % 2 == 0 { 0.3 } else { -0.3 };
+                DataPoint::new(t, (t as f64 / (40.0 + *shard as f64)).sin() + noise)
+            })
+            .collect();
+        db.write_batch(key, &points).expect("write load series");
+    }
+    let (start, end, bucket, resolution) = (0, 4_000, 1, 200);
+    let command = format!("SMOOTH * {start} {end} {bucket} {resolution}");
+    let asap = Asap::builder().resolution(resolution).build();
+    let frames = smooth_query_selector(&db, &user, &asap, start, end, bucket).unwrap();
+    assert_eq!(frames.len(), CONNECTIONS + 4);
+    let expected = protocol::render_smooth(&frames);
+    let peak = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..SMOOTH_CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let conn = TcpStream::connect(server.query_addr()).expect("connect query");
+                    let mut reader = BufReader::new(&conn);
+                    for _ in 0..SMOOTH_ROUNDS {
+                        assert_eq!(ask(&conn, &mut reader, &command), expected);
+                    }
+                })
+            })
+            .collect();
+        let mut peak = threads();
+        while !clients.iter().all(|c| c.is_finished()) {
+            peak = peak.max(threads());
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        for client in clients {
+            client.join().expect("SMOOTH client");
+        }
+        peak
+    });
+    assert!(
+        peak <= baseline + SMOOTH_CLIENTS,
+        "{SMOOTH_CLIENTS} clients looping `SMOOTH *` peaked at {peak} threads, \
+         budget {baseline} + {SMOOTH_CLIENTS}"
+    );
     server.shutdown();
 }

@@ -19,6 +19,12 @@ pub struct BlockSummary {
     pub count: usize,
 }
 
+/// The refusal of a block with no points.
+const EMPTY_BLOCK: TsdbError = TsdbError::InvalidParameter {
+    name: "points",
+    message: "cannot seal an empty block",
+};
+
 /// An immutable compressed run of points with skip-scan metadata.
 #[derive(Debug, Clone)]
 pub struct Block {
@@ -35,14 +41,8 @@ impl Block {
     /// Returns [`TsdbError::InvalidParameter`] on empty input; ordering and
     /// finiteness are the ingestion path's invariants and are debug-asserted.
     pub fn seal(points: &[DataPoint]) -> Result<Self, TsdbError> {
-        let (first, last) = match (points.first(), points.last()) {
-            (Some(f), Some(l)) => (f, l),
-            _ => {
-                return Err(TsdbError::InvalidParameter {
-                    name: "points",
-                    message: "cannot seal an empty block",
-                })
-            }
+        let (Some(first), Some(last)) = (points.first(), points.last()) else {
+            return Err(EMPTY_BLOCK);
         };
         let mut enc = GorillaEncoder::new();
         let mut prev_ts = None;
@@ -64,16 +64,42 @@ impl Block {
         })
     }
 
-    /// Rebuilds a block from its compressed payload, recomputing the
-    /// summary by decoding (which also validates the payload).
+    /// Rebuilds a block from its compressed payload, building the summary
+    /// and validating the payload in one decode pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TsdbError::CorruptBlock`] when the payload does not
+    /// decode, or decodes to timestamps that are not strictly increasing
+    /// or to a non-finite value — the invariants [`Block::seal`] holds
+    /// its input to — and [`TsdbError::InvalidParameter`] when it holds
+    /// no points.
     pub fn from_chunk(chunk: CompressedChunk) -> Result<Self, TsdbError> {
-        let points = chunk.decode()?;
-        let block = Self::seal(&points)?;
-        // Keep the original payload rather than the re-encoded one; they
-        // are byte-identical for a valid chunk, and this avoids surprises
-        // if future encoder versions change bit layouts.
+        let mut span: Option<(i64, i64)> = None;
+        for p in chunk.iter() {
+            let p = p?;
+            if !p.value.is_finite() {
+                return Err(TsdbError::CorruptBlock {
+                    reason: "non-finite value",
+                });
+            }
+            span = match span {
+                Some((_, last)) if p.timestamp <= last => {
+                    return Err(TsdbError::CorruptBlock {
+                        reason: "timestamps not strictly increasing",
+                    })
+                }
+                Some((first, _)) => Some((first, p.timestamp)),
+                None => Some((p.timestamp, p.timestamp)),
+            };
+        }
+        let (start, end) = span.ok_or(EMPTY_BLOCK)?;
         Ok(Self {
-            summary: block.summary,
+            summary: BlockSummary {
+                start,
+                end,
+                count: chunk.count,
+            },
             chunk,
         })
     }
@@ -117,26 +143,12 @@ impl Block {
     pub fn decode(&self) -> Result<Vec<DataPoint>, TsdbError> {
         self.chunk.decode()
     }
-
-    /// Decompresses only the points with timestamps in `[start, end)`.
-    pub fn decode_range(&self, start: i64, end: i64) -> Result<Vec<DataPoint>, TsdbError> {
-        let mut out = Vec::new();
-        for p in self.chunk.iter() {
-            let p = p?;
-            if p.timestamp >= end {
-                break; // points are time-ordered; nothing later can match
-            }
-            if p.timestamp >= start {
-                out.push(p);
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitWriter;
 
     fn sample(n: i64) -> Vec<DataPoint> {
         (0..n).map(|i| DataPoint::new(i * 10, (i as f64) * 0.5)).collect()
@@ -181,14 +193,51 @@ mod tests {
     }
 
     #[test]
-    fn decode_range_filters_half_open() {
-        let pts = sample(20); // ts 0,10,...,190
-        let b = Block::seal(&pts).unwrap();
-        let got = b.decode_range(30, 70).unwrap();
-        let ts: Vec<_> = got.iter().map(|p| p.timestamp).collect();
-        assert_eq!(ts, vec![30, 40, 50, 60]);
-        assert!(b.decode_range(200, 300).unwrap().is_empty());
-        assert_eq!(b.decode_range(0, i64::MAX).unwrap(), pts);
+    fn from_chunk_keeps_payload_and_summary() {
+        let b = Block::seal(&sample(100)).unwrap();
+        let loaded = Block::from_chunk(b.chunk().clone()).unwrap();
+        assert_eq!(loaded.summary(), b.summary());
+        assert_eq!(loaded.chunk(), b.chunk());
+        assert!(matches!(
+            Block::from_chunk(GorillaEncoder::new().finish()),
+            Err(TsdbError::InvalidParameter { .. })
+        ));
+    }
+
+    #[test]
+    fn from_chunk_refuses_non_finite_values() {
+        let mut enc = GorillaEncoder::new();
+        enc.append(DataPoint::new(0, 1.0));
+        enc.append(DataPoint::new(10, f64::NAN));
+        assert!(matches!(
+            Block::from_chunk(enc.finish()),
+            Err(TsdbError::CorruptBlock { .. })
+        ));
+    }
+
+    #[test]
+    fn from_chunk_refuses_backwards_timestamps() {
+        // Header (ts 100, value 1.0), then one record whose delta-of-delta
+        // takes the 64-bit bucket (`1111`) and steps back to ts 50, with
+        // an unchanged value (`0`). The encoder never writes this.
+        let mut bits = BitWriter::new();
+        bits.write_bits(100, 64);
+        bits.write_bits(1.0f64.to_bits(), 64);
+        bits.write_bits(0b1111, 4);
+        bits.write_bits(-50i64 as u64, 64);
+        bits.write_bit(false);
+        let (data, len_bits) = bits.finish();
+        let chunk = CompressedChunk {
+            data,
+            len_bits,
+            count: 2,
+        };
+        let points = chunk.decode().unwrap();
+        assert_eq!(points[1], DataPoint::new(50, 1.0), "the payload decodes");
+        assert!(matches!(
+            Block::from_chunk(chunk),
+            Err(TsdbError::CorruptBlock { .. })
+        ));
     }
 
     #[test]

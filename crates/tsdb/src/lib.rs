@@ -15,8 +15,8 @@
 //! * [`tags`] / [`db`] — metric+tag series identity, selectors, and
 //!   [`Tsdb`], the concurrent storage partition;
 //! * [`sharded`] — the horizontally sharded engine that routes series
-//!   across `Tsdb` partitions by tag-aware hash and fans multi-series
-//!   smoothing queries out across shard-parallel worker threads;
+//!   across `Tsdb` partitions by tag-aware hash; its reads, smoothing
+//!   included, run on the caller's thread;
 //! * [`query`] — range scans, bucketed aggregation, and the grid
 //!   alignment + gap-fill ASAP's equi-spaced SMA model requires;
 //! * [`line_protocol`] — InfluxDB-style text ingestion;

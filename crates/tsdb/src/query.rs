@@ -58,17 +58,18 @@ pub enum Aggregator {
 }
 
 impl Aggregator {
-    /// Reduces a non-empty value slice.
-    fn reduce(self, values: &[f64]) -> f64 {
-        debug_assert!(!values.is_empty());
+    /// Reduces the values of a non-empty run of points.
+    fn reduce(self, run: &[DataPoint]) -> f64 {
+        debug_assert!(!run.is_empty());
+        let values = run.iter().map(|p| p.value);
         match self {
-            Aggregator::Mean => values.iter().sum::<f64>() / values.len() as f64,
-            Aggregator::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-            Aggregator::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregator::Sum => values.iter().sum(),
-            Aggregator::Count => values.len() as f64,
-            Aggregator::First => values[0],
-            Aggregator::Last => values[values.len() - 1],
+            Aggregator::Mean => values.sum::<f64>() / run.len() as f64,
+            Aggregator::Min => values.fold(f64::INFINITY, f64::min),
+            Aggregator::Max => values.fold(f64::NEG_INFINITY, f64::max),
+            Aggregator::Sum => values.sum(),
+            Aggregator::Count => run.len() as f64,
+            Aggregator::First => run[0].value,
+            Aggregator::Last => run[run.len() - 1].value,
         }
     }
 }
@@ -182,22 +183,13 @@ impl RangeQuery {
         let span = (self.end - self.start) as u64;
         let n_buckets = span.div_ceil(bucket as u64) as usize;
         let mut grid: Vec<Option<f64>> = vec![None; n_buckets];
-        let mut scratch: Vec<f64> = Vec::new();
-        let mut current: Option<usize> = None;
-        for p in points {
+        let index = |p: &DataPoint| {
             debug_assert!(p.timestamp >= self.start && p.timestamp < self.end);
-            let idx = ((p.timestamp - self.start) / bucket) as usize;
-            if current != Some(idx) {
-                if let Some(prev) = current {
-                    grid[prev] = Some(self.aggregator.reduce(&scratch));
-                    scratch.clear();
-                }
-                current = Some(idx);
-            }
-            scratch.push(p.value);
-        }
-        if let Some(prev) = current {
-            grid[prev] = Some(self.aggregator.reduce(&scratch));
+            ((p.timestamp - self.start) / bucket) as usize
+        };
+        // Time-ordered points put each bucket's points in one run.
+        for run in points.chunk_by(|a, b| index(a) == index(b)) {
+            grid[index(&run[0])] = Some(self.aggregator.reduce(run));
         }
         Ok(self.fill_grid(grid, bucket))
     }

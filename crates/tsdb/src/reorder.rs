@@ -136,7 +136,11 @@ impl<W: SeriesWriter> ReorderBuffer<W> {
                 timestamp: point.timestamp,
             });
         }
-        let buf = self.buffers.entry(key.clone()).or_default();
+        // Clone the key only for a series seen for the first time.
+        let buf = match self.buffers.get_mut(key) {
+            Some(buf) => buf,
+            None => self.buffers.entry(key.clone()).or_default(),
+        };
         // A point is too late once the watermark has passed it — unless
         // this series has seen nothing yet (max_seen still at its i64::MIN
         // sentinel).

@@ -96,17 +96,28 @@ impl SeriesStore {
     }
 
     /// All points with timestamps in `[start, end)`, oldest first.
+    ///
+    /// Each overlapping block is decoded straight into the output, and
+    /// its decode stops at the first point at or past `end`.
     pub fn scan(&self, start: i64, end: i64) -> Result<Vec<DataPoint>, TsdbError> {
         if start >= end {
             return Ok(Vec::new());
         }
-        let mut out = Vec::new();
-        for block in &self.blocks {
-            if block.overlaps(start, end) {
-                out.extend(block.decode_range(start, end)?);
+        let overlapping = || self.blocks.iter().filter(move |b| b.overlaps(start, end));
+        let tail = self.memtable.range(start, end);
+        let mut out = Vec::with_capacity(overlapping().map(Block::len).sum::<usize>() + tail.len());
+        for block in overlapping() {
+            for p in block.chunk().iter() {
+                let p = p?;
+                if p.timestamp >= end {
+                    break;
+                }
+                if p.timestamp >= start {
+                    out.push(p);
+                }
             }
         }
-        out.extend_from_slice(self.memtable.range(start, end));
+        out.extend_from_slice(tail);
         Ok(out)
     }
 
@@ -194,6 +205,18 @@ mod tests {
         let mid = s.scan(85, 215).unwrap();
         let ts: Vec<_> = mid.iter().map(|p| p.timestamp).collect();
         assert_eq!(ts, vec![90, 100, 110, 120, 130, 140, 150, 160, 170, 180, 190, 200, 210]);
+    }
+
+    #[test]
+    fn scan_filters_blocks_half_open() {
+        let s = filled(20, 20); // one sealed block: ts 0, 10, ..., 190
+        assert_eq!(s.block_count(), 1);
+        let ts = |start, end| -> Vec<i64> {
+            s.scan(start, end).unwrap().iter().map(|p| p.timestamp).collect()
+        };
+        assert_eq!(ts(30, 70), vec![30, 40, 50, 60]);
+        assert!(ts(200, 300).is_empty());
+        assert_eq!(s.scan(0, i64::MAX).unwrap(), s.blocks()[0].decode().unwrap());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Horizontally partitioned engine: N [`Tsdb`] partitions + parallel
-//! query fan-out.
+//! Horizontally partitioned engine: N [`Tsdb`] partitions behind one
+//! router.
 //!
 //! The paper's deployment story (§2) is a dashboard backend smoothing
 //! *many* series for *many* users at once. A single series map — however
@@ -15,9 +15,10 @@
 //! * ingest (writes) and smoothing queries (reads) proceed concurrently —
 //!   each shard is guarded by a `RwLock`, and cross-shard operations touch
 //!   one shard at a time;
-//! * multi-series smoothing queries fan out across shards on
-//!   scoped worker threads ([`ShardedDb::smooth_query_selector`]),
-//!   then merge per-shard results into deterministic key order.
+//! * reads run on the calling thread: selector queries merge per-shard
+//!   results into deterministic key order, and smoothing goes through
+//!   the same serial [`crate::smooth::smooth_query_selector`] over the
+//!   [`SeriesReader`] impl below, so a read never spawns a thread.
 //!
 //! Every shard is a plain [`Tsdb`], so a `ShardedDb` answers every query
 //! byte-for-byte the same as a single `Tsdb` holding the same points —
@@ -26,14 +27,11 @@
 
 use std::sync::Arc;
 
-use asap_core::Asap;
-
 use crate::block::Block;
 use crate::db::{SeriesStats, ShardOccupancy, Tsdb, TsdbConfig};
 use crate::error::TsdbError;
 use crate::point::DataPoint;
 use crate::query::{RangeQuery, SeriesReader, SeriesWriter};
-use crate::smooth::{smooth_query, SmoothQueryError, SmoothedFrame};
 use crate::tags::{Selector, SeriesKey};
 
 /// Configuration of a [`ShardedDb`].
@@ -279,56 +277,6 @@ impl ShardedDb {
         out.sort_by(|a, b| a.key.cmp(&b.key));
         out
     }
-
-    /// Smooths every series matching `selector` over `[start, end)` at
-    /// grid step `bucket`, fanning the per-series ASAP searches out across
-    /// shards on scoped worker threads (one worker per non-empty shard).
-    ///
-    /// The result is deterministic: per-shard frames are merged into key
-    /// order, and any per-series error is reported for the first failing
-    /// key in that same order — exactly what the serial
-    /// [`crate::smooth::smooth_query_selector`] over a single-shard store
-    /// produces.
-    pub fn smooth_query_selector(
-        &self,
-        selector: &Selector,
-        asap: &Asap,
-        start: i64,
-        end: i64,
-        bucket: i64,
-    ) -> Result<Vec<(SeriesKey, SmoothedFrame)>, SmoothQueryError> {
-        type KeyedResult = (SeriesKey, Result<SmoothedFrame, SmoothQueryError>);
-        let per_shard_keys: Vec<Vec<SeriesKey>> = self
-            .shards
-            .iter()
-            .map(|s| s.list_series(selector))
-            .collect();
-        let mut keyed: Vec<KeyedResult> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (shard, keys) in self.shards.iter().zip(&per_shard_keys) {
-                if keys.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    keys.iter()
-                        .map(|key| {
-                            let frame = smooth_query(shard, key, asap, start, end, bucket);
-                            (key.clone(), frame)
-                        })
-                        .collect::<Vec<KeyedResult>>()
-                }));
-            }
-            for handle in handles {
-                keyed.extend(handle.join().expect("smoothing worker panicked"));
-            }
-        });
-        keyed.sort_by(|(a, _), (b, _)| a.cmp(b));
-        keyed
-            .into_iter()
-            .map(|(key, frame)| frame.map(|f| (key, f)))
-            .collect()
-    }
 }
 
 impl SeriesReader for ShardedDb {
@@ -351,6 +299,8 @@ impl SeriesWriter for ShardedDb {
 mod tests {
     use super::*;
     use crate::query::Aggregator;
+    use crate::smooth::smooth_query_selector;
+    use asap_core::Asap;
 
     fn cpu(host: &str) -> SeriesKey {
         SeriesKey::metric("cpu").with_tag("host", host)
@@ -470,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_smoothing_matches_serial_and_is_deterministic() {
+    fn sharded_smoothing_matches_serial_and_is_deterministic() {
         let sharded = ShardedDb::with_config(ShardedConfig::new(4, 256));
         let oracle = Tsdb::with_config(TsdbConfig { block_capacity: 256 });
         for h in 0..6 {
@@ -485,22 +435,17 @@ mod tests {
         }
         let asap = Asap::builder().resolution(200).build();
         let sel = Selector::metric("cpu");
-        let parallel = sharded
-            .smooth_query_selector(&sel, &asap, 0, 10_000, 5)
-            .unwrap();
-        let serial =
-            crate::smooth::smooth_query_selector(&oracle, &sel, &asap, 0, 10_000, 5).unwrap();
-        assert_eq!(parallel.len(), 6);
-        assert_eq!(parallel, serial, "shard-parallel ≡ serial oracle");
-        // Re-running is bit-identical (no scheduling nondeterminism leaks).
-        let again = sharded
-            .smooth_query_selector(&sel, &asap, 0, 10_000, 5)
-            .unwrap();
-        assert_eq!(parallel, again);
+        let frames = smooth_query_selector(&sharded, &sel, &asap, 0, 10_000, 5).unwrap();
+        let serial = smooth_query_selector(&oracle, &sel, &asap, 0, 10_000, 5).unwrap();
+        assert_eq!(frames.len(), 6);
+        assert_eq!(frames, serial, "sharded ≡ single-shard oracle");
+        // Re-running is bit-identical.
+        let again = smooth_query_selector(&sharded, &sel, &asap, 0, 10_000, 5).unwrap();
+        assert_eq!(frames, again);
     }
 
     #[test]
-    fn parallel_smoothing_reports_first_failing_key_in_key_order() {
+    fn sharded_smoothing_reports_first_failing_key_in_key_order() {
         let sharded = ShardedDb::with_config(ShardedConfig::new(4, 64));
         // h0 has data only in [5000, 6000): smoothing [0, 1000) fails for
         // it with Empty; other hosts succeed.
@@ -511,23 +456,14 @@ mod tests {
             sharded.write(&cpu("h1"), DataPoint::new(i, 1.0)).unwrap();
         }
         let asap = Asap::builder().resolution(50).build();
-        let err = sharded
-            .smooth_query_selector(&Selector::metric("cpu"), &asap, 0, 1000, 10)
-            .unwrap_err();
+        let sel = Selector::metric("cpu");
+        let err = smooth_query_selector(&sharded, &sel, &asap, 0, 1000, 10).unwrap_err();
         let oracle = Tsdb::new();
         for i in 0..100 {
             oracle.write(&cpu("h0"), DataPoint::new(5000 + i, 1.0)).unwrap();
             oracle.write(&cpu("h1"), DataPoint::new(i, 1.0)).unwrap();
         }
-        let serial_err = crate::smooth::smooth_query_selector(
-            &oracle,
-            &Selector::metric("cpu"),
-            &asap,
-            0,
-            1000,
-            10,
-        )
-        .unwrap_err();
+        let serial_err = smooth_query_selector(&oracle, &sel, &asap, 0, 1000, 10).unwrap_err();
         assert_eq!(err, serial_err);
     }
 }

@@ -10,6 +10,11 @@
 //! 3. hands the values to [`asap_core::Asap::smooth`];
 //! 4. re-attaches timestamps to the smoothed series so the caller can plot
 //!    time on the x-axis.
+//!
+//! The functions here are generic over [`SeriesReader`], so one serial
+//! code path serves a single [`crate::db::Tsdb`], a whole
+//! [`crate::sharded::ShardedDb`] (the server's `SMOOTH`), and every test
+//! oracle alike.
 
 use asap_core::{Asap, SmoothingResult};
 use asap_timeseries::TimeSeriesError;
@@ -135,9 +140,9 @@ pub fn smooth_query_with_fill<D: SeriesReader + ?Sized>(
 ///
 /// Fails on the first failing key in key order — e.g. a matching series
 /// with no data in the interval reports
-/// [`TimeSeriesError::Empty`]. The shard-parallel
-/// [`crate::sharded::ShardedDb::smooth_query_selector`] is defined to
-/// produce exactly this function's output (frames and errors alike).
+/// [`TimeSeriesError::Empty`]. Over a [`crate::sharded::ShardedDb`] the
+/// keys come back merged across shards in the same order, so frames and
+/// errors equal those of a single-shard store holding the same points.
 pub fn smooth_query_selector<D: SeriesReader + ?Sized>(
     db: &D,
     selector: &Selector,

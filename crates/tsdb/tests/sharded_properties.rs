@@ -142,9 +142,9 @@ proptest! {
             // wherever the shard's seals happened to fall.
             let mut decoded = Vec::new();
             for (block, oracle_block) in blocks.iter().zip(&oracle_blocks) {
-                let pts = block.decode_range(i64::MIN, i64::MAX).unwrap();
+                let pts = block.decode().unwrap();
                 prop_assert_eq!(block.len(), pts.len());
-                prop_assert_eq!(&pts, &oracle_block.decode_range(i64::MIN, i64::MAX).unwrap());
+                prop_assert_eq!(&pts, &oracle_block.decode().unwrap());
                 decoded.extend(pts);
             }
             prop_assert_eq!(&decoded, points, "round trip through sealed blocks");
@@ -190,11 +190,11 @@ proptest! {
                 smooth_query(&oracle, &key, &asap, 0, 4_000, 5)
             );
         }
-        // The shard-parallel fan-out equals the serial oracle pipeline,
-        // frames and order alike.
+        // Selector smoothing over the shards equals the single-shard
+        // oracle, frames and order alike.
         let sel = Selector::metric("cpu");
         prop_assert_eq!(
-            sharded.smooth_query_selector(&sel, &asap, 0, 4_000, 5),
+            smooth_query_selector(&sharded, &sel, &asap, 0, 4_000, 5),
             smooth_query_selector(&oracle, &sel, &asap, 0, 4_000, 5)
         );
     }

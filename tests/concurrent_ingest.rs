@@ -17,7 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use asap::core::Asap;
 use asap::tsdb::{
-    smooth_query, DataPoint, RangeQuery, Selector, SeriesKey, ShardedConfig, ShardedDb,
+    smooth_query, smooth_query_selector, DataPoint, RangeQuery, Selector, SeriesKey, ShardedConfig,
+    ShardedDb,
 };
 
 const WRITERS: usize = 8;
@@ -132,9 +133,9 @@ fn racing_writers_and_smoothing_readers_lose_nothing() {
 
 #[test]
 fn concurrent_multi_series_smoothing_is_stable_under_writes() {
-    // Parallel smooth_query_selector while new points stream in: each call
-    // sees *some* consistent prefix per series and returns key-ordered
-    // frames; two calls after quiescence are identical.
+    // smooth_query_selector over the shards while new points stream in:
+    // each call sees *some* consistent prefix per series and returns
+    // key-ordered frames; two calls after quiescence are identical.
     let db = ShardedDb::with_config(ShardedConfig::new(4, 256));
     for w in 0..4 {
         for t in 0..4_000i64 {
@@ -157,8 +158,7 @@ fn concurrent_multi_series_smoothing_is_stable_under_writes() {
             stop.store(true, Ordering::Release);
         });
         while !stop.load(Ordering::Acquire) {
-            let frames = db
-                .smooth_query_selector(&sel, &asap, 0, 4_000, 10)
+            let frames = smooth_query_selector(&db, &sel, &asap, 0, 4_000, 10)
                 .expect("the written prefix is always smoothable");
             assert_eq!(frames.len(), 4);
             let hosts: Vec<_> = frames.iter().map(|(k, _)| k.tag("host").unwrap()).collect();
@@ -166,7 +166,7 @@ fn concurrent_multi_series_smoothing_is_stable_under_writes() {
         }
     });
 
-    let a = db.smooth_query_selector(&sel, &asap, 0, 8_000, 10).unwrap();
-    let b = db.smooth_query_selector(&sel, &asap, 0, 8_000, 10).unwrap();
+    let a = smooth_query_selector(&db, &sel, &asap, 0, 8_000, 10).unwrap();
+    let b = smooth_query_selector(&db, &sel, &asap, 0, 8_000, 10).unwrap();
     assert_eq!(a, b, "quiescent smoothing is deterministic");
 }
