@@ -146,8 +146,9 @@ pub enum Command {
     /// `HEALTH` — a single-line liveness summary (`OK healthy ...`, or
     /// `DEGRADED ...` while a subsystem's latest pass is failing).
     Health,
-    /// `SNAPSHOT <name>` — write a v2 snapshot of the whole store into
-    /// the server's configured snapshot directory.
+    /// `SNAPSHOT <name>` — write an export of the whole store (one
+    /// link-format file, `ShardedDb::save`) into the server's configured
+    /// snapshot directory.
     Snapshot {
         /// Destination relative to the snapshot directory; the server
         /// refuses absolute paths and `..` components.

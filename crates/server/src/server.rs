@@ -932,7 +932,8 @@ impl Server {
     /// threads (compaction, checkpoint, self-scrape), and returns the
     /// running server. The thread count is fixed from here on:
     /// `1 + event_workers + shards` plus the background threads,
-    /// whatever the number of connections.
+    /// whatever the number of connections, requests, checkpoint passes
+    /// or `SNAPSHOT` exports.
     ///
     /// Fails fast on configuration errors ([`ServerError::Config`]) and
     /// socket errors ([`ServerError::Io`]); nothing is spawned on
@@ -1328,7 +1329,7 @@ fn resolved(path: &Path) -> PathBuf {
 /// the chain directory and the WAL directory are equal or nested.
 /// [`resolve_snapshot_path`] confines an export to `snapshot_dir`, which
 /// protects nothing when durable state lives under it: `SNAPSHOT
-/// chain/MANIFEST` would overwrite the manifest with a v2 file, and the
+/// chain/MANIFEST` would overwrite the manifest with an export, and the
 /// next boot would serve an empty store. The chain and the log also
 /// each assume they own their directory's file names.
 fn check_disjoint_dirs(config: &ServerConfig) -> Result<(), TsdbError> {
@@ -1554,8 +1555,9 @@ fn dispatch(
 /// gate the caller holds. With a chain, first advance it — one real
 /// checkpoint pass, so the operator's freshest on-disk state is the
 /// state recovery boots from (and the covered WAL generations go away);
-/// then, chain or not, write the named v2 export. The export itself
-/// never truncates the log: recovery does not boot from it.
+/// then, chain or not, write the named export. The export itself
+/// never truncates the log: recovery does not boot from it. Neither
+/// step starts a thread.
 fn snapshot_command(shared: &Shared, target: &Path) -> Result<(), String> {
     if shared.has_chain() {
         shared.run_checkpoint()?;

@@ -146,6 +146,34 @@ fn retired_and_unsafe_durable_layouts_exit_2() {
     assert!(log.contains("ShardedDb::load"), "{log}");
     assert_eq!(std::fs::read(&file).unwrap(), before);
 
+    // A chain of the retired layout: a CRC-valid version-1 manifest over
+    // a version-2 base. Refused by name; no file is touched.
+    let v1_chain = dir.join("v1-chain");
+    std::fs::create_dir_all(&v1_chain).unwrap();
+    let mut manifest = b"ASAPCHN1".to_vec();
+    manifest.extend_from_slice(&1u32.to_le_bytes()); // version
+    manifest.extend_from_slice(&1u64.to_le_bytes()); // chain id
+    manifest.extend_from_slice(&1u32.to_le_bytes()); // link count
+    manifest.extend_from_slice(&0u64.to_le_bytes()); // the base's seq
+    let crc = asap_tsdb::wal::crc32(&manifest);
+    manifest.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(v1_chain.join("MANIFEST"), &manifest).unwrap();
+    let mut base = b"ASAPTSDB".to_vec();
+    base.extend_from_slice(&2u32.to_le_bytes()); // version
+    base.extend_from_slice(&0u32.to_le_bytes()); // series count
+    let base_path = v1_chain.join("base-0000000000000001-00000000.snap");
+    std::fs::write(&base_path, &base).unwrap();
+    let log = refused(&["--snapshot", path_str(&v1_chain)]);
+    assert!(log.contains("chain manifest version 1"), "{log}");
+    assert!(log.contains("retired"), "{log}");
+    assert_eq!(std::fs::read(v1_chain.join("MANIFEST")).unwrap(), manifest);
+    assert_eq!(std::fs::read(&base_path).unwrap(), base);
+    assert_eq!(
+        std::fs::read_dir(&v1_chain).unwrap().count(),
+        2,
+        "a refusal wrote a file"
+    );
+
     // `--snapshot-dir` an ancestor of the chain: `SNAPSHOT
     // chain/MANIFEST` would overwrite the manifest.
     let chain = dir.join("chain");

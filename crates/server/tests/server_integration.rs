@@ -595,7 +595,7 @@ fn query_connection_cap_rejects_excess_clients() {
     server.shutdown();
 }
 
-/// `SNAPSHOT` writes a loadable v2 snapshot equal to the live store —
+/// `SNAPSHOT` writes a loadable export equal to the live store —
 /// confined to the configured snapshot directory; escaping targets are
 /// refused.
 #[test]
@@ -1037,7 +1037,7 @@ fn restart_from_the_chain_alone_recovers_the_drained_state() {
 /// Regression for a data loss: `SNAPSHOT` names are confined to the
 /// snapshot directory, which protects nothing when the chain or the
 /// log lives under it — `SNAPSHOT chain/MANIFEST` used to answer `OK`,
-/// turn the manifest into a v2 file, and let the next boot serve an
+/// turn the manifest into an export, and let the next boot serve an
 /// empty store. Such a configuration is now refused at start-up; with
 /// disjoint directories the very same request sequence (ingest →
 /// `SNAPSHOT chain/MANIFEST` → `SHUTDOWN` → restart) loses nothing.

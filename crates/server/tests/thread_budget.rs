@@ -1,14 +1,16 @@
-//! Thread-budget wall: ingest connections, self-scrapes and `SMOOTH`
-//! cost no threads. The server runs one writer per shard for its whole
-//! lifetime, parses ingest bytes on the event worker that read them and
-//! smooths on the event worker that read the request, so after
+//! Thread-budget wall: ingest connections, self-scrapes, `SMOOTH` and
+//! `SNAPSHOT` cost no threads. The server runs one writer per shard for
+//! its whole lifetime, parses ingest bytes on the event worker that read
+//! them, smooths on the event worker that read the request, and runs a
+//! `SNAPSHOT`'s checkpoint pass and export there too, serially, so after
 //! `Server::start` the process thread count stays fixed whatever the
 //! number of connections or requests — and the shared writers still give
 //! every connection its own exact report.
 //!
-//! This is a test binary of its own, holding one test: it reads the whole
-//! process's thread count (`Threads:` in `/proc/self/status`), which
-//! sibling tests running in parallel would move.
+//! This is a test binary of its own, holding one test that runs its legs
+//! one after another: it reads the whole process's thread count
+//! (`Threads:` in `/proc/self/status`), which sibling tests running in
+//! parallel would move.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -16,9 +18,9 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use asap_core::Asap;
-use asap_server::{protocol, Server, ServerConfig};
+use asap_server::{protocol, CheckpointConfig, Server, ServerConfig};
 use asap_tsdb::{
-    line_protocol, smooth_query_selector, DataPoint, RangeQuery, Selector, SeriesKey,
+    line_protocol, smooth_query_selector, DataPoint, RangeQuery, Schedule, Selector, SeriesKey,
     ShardedConfig, ShardedDb, Tsdb, SELF_TAG,
 };
 
@@ -26,6 +28,11 @@ const CONNECTIONS: usize = 64;
 /// Query connections looping `SMOOTH`, one client thread each.
 const SMOOTH_CLIENTS: usize = 4;
 const SMOOTH_ROUNDS: usize = 25;
+/// `SNAPSHOT` requests the snapshot leg's one client sends.
+const SNAPSHOT_ROUNDS: usize = 20;
+/// Series of the snapshot leg's store: enough that listing and cloning
+/// them takes an export measurable time.
+const SNAPSHOT_SERIES: usize = 20_000;
 
 /// Threads of this process right now.
 fn threads() -> usize {
@@ -179,4 +186,76 @@ fn idle_connections_and_scrapes_add_no_threads() {
          budget {baseline} + {SMOOTH_CLIENTS}"
     );
     server.shutdown();
+
+    snapshot_leg();
+}
+
+/// A chain-configured 4-shard server answering `SNAPSHOT` in a loop —
+/// each request a checkpoint pass plus an export — stays within its
+/// post-start thread count plus the one client thread, and the export
+/// it leaves holds the store.
+fn snapshot_leg() {
+    let root = std::env::temp_dir().join(format!("asap-thread-budget-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let exports = root.join("exports");
+    std::fs::create_dir_all(&exports).expect("create the export directory");
+    let db = ShardedDb::with_config(ShardedConfig::new(4, 64));
+    for series in 0..SNAPSHOT_SERIES {
+        let key = SeriesKey::metric("disk").with_tag("dev", format!("d{series}"));
+        let points: Vec<DataPoint> = (0..16i64)
+            .map(|t| DataPoint::new(t, (series as f64 + t as f64).sin()))
+            .collect();
+        db.write_batch(&key, &points).expect("write disk series");
+    }
+    let server = Server::start(
+        db.clone(),
+        ServerConfig {
+            checkpoint: Some(CheckpointConfig {
+                dir: root.join("chain"),
+                schedule: Schedule::every(Duration::from_secs(3_600)),
+                ..CheckpointConfig::default()
+            }),
+            snapshot_dir: Some(exports.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let baseline = threads();
+    let peak = std::thread::scope(|scope| {
+        let client = scope.spawn(|| {
+            let conn = TcpStream::connect(server.query_addr()).expect("connect query");
+            let mut reader = BufReader::new(&conn);
+            for _ in 0..SNAPSHOT_ROUNDS {
+                (&conn)
+                    .write_all(b"SNAPSHOT export.snap\n")
+                    .expect("send SNAPSHOT");
+                let mut response = String::new();
+                reader
+                    .read_line(&mut response)
+                    .expect("read SNAPSHOT response");
+                assert_eq!(response, "OK snapshot export.snap\n");
+            }
+        });
+        let mut peak = threads();
+        while !client.is_finished() {
+            peak = peak.max(threads());
+            std::thread::yield_now();
+        }
+        client.join().expect("SNAPSHOT client");
+        peak
+    });
+    assert!(
+        peak <= baseline + 1,
+        "one client looping `SNAPSHOT` peaked at {peak} threads, budget {baseline} + 1"
+    );
+    let restored = ShardedDb::load(&exports.join("export.snap"), ShardedConfig::new(2, 64))
+        .expect("the export loads");
+    let full = RangeQuery::raw(i64::MIN + 1, i64::MAX);
+    let disk = Selector::metric("disk");
+    assert_eq!(
+        restored.query_selector(&disk, full).unwrap(),
+        db.query_selector(&disk, full).unwrap()
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -1,46 +1,35 @@
-//! Incremental checkpoint chains — snapshot format v3.
+//! Incremental checkpoint chains.
 //!
-//! A whole-store snapshot ([`crate::persist::save_sharded`])
-//! re-serializes the **entire** store every time, so its cost scales
-//! with total data. A long-running server checkpointing every minute
-//! needs the opposite: cost proportional to what changed since the last
-//! checkpoint. This module provides that as a *chain* — a directory
-//! holding one full base snapshot plus a sequence of per-series delta
-//! links, indexed by a manifest. The chain directory is the only state
-//! a server boots from; a chain with zero deltas is just a v2 base:
+//! A whole-store export ([`crate::persist::save_sharded`]) re-serializes
+//! the **entire** store every time, so its cost scales with total data.
+//! A long-running server checkpointing every minute needs the opposite:
+//! cost proportional to what changed since the last checkpoint. This
+//! module provides that as a *chain* — a directory holding one full base
+//! plus a sequence of per-series delta links, indexed by a manifest.
+//! Every link is one file of [`crate::persist`]'s link format: the base
+//! is an export under the chain's id, and a delta holds only the series
+//! that changed. The chain directory is the only state a server boots
+//! from:
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST                          which links are live, in order
-//!   base-<chain_id:016x>-00000000.snap    a plain v2 snapshot
+//!   MANIFEST                              which links are live, in order
+//!   base-<chain_id:016x>-00000000.snap    link seq 0: every series, replaced
 //!   delta-<chain_id:016x>-<seq:08>.snap   series that changed since seq-1
 //! ```
 //!
 //! ## Manifest (little-endian)
 //!
 //! ```text
-//! magic "ASAPCHN1" | u32 1 | u64 chain_id | u32 link_count
+//! magic "ASAPCHN1" | u32 2 | u64 chain_id | u32 link_count
 //! per link: u64 seq          (link 0 is the base, the rest are deltas)
 //! u32 crc32 of all preceding bytes
 //! ```
 //!
-//! ## Delta link (little-endian)
-//!
-//! ```text
-//! magic "ASAPTSDB" | u32 3 | u64 chain_id | u64 seq | u32 series_count
-//! directory, series sorted by key:
-//!   u32 key_len | key bytes | u8 mode | u32 start_block | u32 block_count
-//!   u64 payload_offset (from file start) | u64 payload_len
-//! payloads, same order: block records as in v2
-//! ```
-//!
-//! `mode` 0 is **append**: the link's blocks extend the series, and
-//! `start_block` must equal the folded block count at apply time (a
-//! cheap cross-check that the delta really follows its predecessors).
-//! `mode` 1 is **replace**: drop the series and import these blocks from
-//! scratch — used for new series, for series whose old blocks were
-//! evicted by retention (the previous prefix no longer matches), and,
-//! with zero blocks, as a tombstone for a series evicted entirely.
+//! Manifest version 1 indexed the retired unchecksummed links. A
+//! CRC-valid version-1 manifest is refused by name — a hard error from
+//! [`load_chain_with_report`] and [`CheckpointChain::open`], never damage
+//! that boots an empty store — and nothing on disk is touched.
 //!
 //! ## Change detection
 //!
@@ -50,9 +39,10 @@
 //! every memtable, so watermark advances materialize as new sealed
 //! blocks), a series whose current blocks extend a matching prefix
 //! yields an append of just the new blocks; anything else yields a
-//! replace. Fingerprints are process-local: the first checkpoint after
-//! [`CheckpointChain::open`] always writes a fresh base (re-base), which
-//! also bounds recovery of a chain left behind by an older process.
+//! replace, and a series the store no longer holds a zero-block replace
+//! (a tombstone). Fingerprints are process-local: the first checkpoint
+//! after [`CheckpointChain::open`] always writes a fresh base (re-base),
+//! which also bounds recovery of a chain left behind by an older process.
 //!
 //! ## Crash safety
 //!
@@ -73,31 +63,31 @@
 //! The in-memory chain state (links, fingerprints) only advances after
 //! step 3 succeeds, so a *failed* step (as opposed to a kill) leaves the
 //! writer consistent with the on-disk manifest and the next checkpoint
-//! simply overwrites the orphan. [`load_chain`] folds base + deltas in
-//! manifest order, validating each link **fully before applying it**,
-//! and degrades to the newest loadable prefix on any damage — the WAL
-//! tail (which was only discarded once covered) supplies the rest.
-//! `tests/crash_properties.rs` kills a checkpoint between every step
-//! and proves recovery ≡ the surviving-prefix oracle.
+//! simply overwrites the orphan. A checkpoint pass starts no thread.
+//! [`load_chain`] folds the links in manifest order through the one link
+//! reader and the one fold, so each link is validated **fully before it
+//! is applied**, and degrades to the newest loadable prefix on any
+//! damage — the WAL tail (which was only discarded once covered)
+//! supplies the rest. `tests/crash_properties.rs` kills a checkpoint
+//! between every step, truncates and bit-flips every link, and proves
+//! recovery ≡ the surviving-prefix oracle.
 
 use std::collections::BTreeMap;
-use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::block::Block;
 use crate::error::TsdbError;
 use crate::persist::{
-    corrupt, encoded_len, export_all, read_blocks, read_header, read_key, read_u32, read_u64,
-    read_v2, replace_file, write_blocks, write_v2, ExportedSeries, SnapshotError, MAGIC,
+    apply_link, checked_body, corrupt, export_all, is_refusal, read_link, read_u32, read_u64,
+    replace_file, retired, write_link, Entry, Mode, SnapshotError,
 };
 use crate::sharded::{ShardedConfig, ShardedDb};
 use crate::tags::SeriesKey;
-use crate::wal::{crc32, Wal};
+use crate::wal::Wal;
 
 const CHAIN_MAGIC: &[u8; 8] = b"ASAPCHN1";
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
 const MANIFEST_NAME: &str = "MANIFEST";
-const VERSION_V3: u32 = 3;
 
 /// The steps of one incremental checkpoint, in execution order. Passed
 /// to [`CheckpointChain::checkpoint_until`] by the fault-injection tests
@@ -184,29 +174,13 @@ fn prefix_matches(blocks: &[Block], fp: &Fingerprint) -> bool {
         && prefix[fp.blocks - 1].summary().end == fp.end_ts
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeltaMode {
-    Append,
-    Replace,
+/// The file name of link `seq` of chain `chain_id`: seq 0 is the base.
+fn link_name(chain_id: u64, seq: u64) -> String {
+    let role = if seq == 0 { "base" } else { "delta" };
+    format!("{role}-{chain_id:016x}-{seq:08}.snap")
 }
 
-/// One decoded (or about-to-be-encoded) delta directory entry.
-struct DeltaEntry {
-    key: SeriesKey,
-    mode: DeltaMode,
-    start_block: u32,
-    blocks: Vec<Block>,
-}
-
-fn base_name(chain_id: u64, seq: u64) -> String {
-    format!("base-{chain_id:016x}-{seq:08}.snap")
-}
-
-fn delta_name(chain_id: u64, seq: u64) -> String {
-    format!("delta-{chain_id:016x}-{seq:08}.snap")
-}
-
-/// Parses `base-…`/`delta-…` link file names back into (chain id, seq).
+/// Parses `base-…`/`delta-…` link file names back into their chain id.
 fn parse_link_name(name: &str) -> Option<u64> {
     let stem = name.strip_suffix(".snap")?;
     let rest = stem
@@ -222,48 +196,49 @@ struct Manifest {
     links: Vec<u64>,
 }
 
-fn parse_manifest(bytes: &[u8]) -> Option<Manifest> {
-    let fixed = CHAIN_MAGIC.len() + 4 + 8 + 4;
-    if bytes.len() < fixed + 4 {
-        return None;
+/// Checks the CRC, then the version: a damaged manifest is damage, a
+/// CRC-valid retired one a refusal.
+fn parse_manifest(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
+    let damaged = || corrupt("chain manifest is damaged");
+    let body = checked_body(bytes).ok_or_else(damaged)?;
+    if body.len() < CHAIN_MAGIC.len() + 4 + 8 + 4 || &body[..8] != CHAIN_MAGIC {
+        return Err(damaged());
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().ok()?) {
-        return None;
+    let mut r = &body[8..];
+    match read_u32(&mut r)? {
+        MANIFEST_VERSION => {}
+        1 => {
+            return Err(retired(
+                "chain manifest version 1 (a chain of links without checksums) is retired; \
+                 this build reads manifest version 2 only and carries no migration",
+            ))
+        }
+        _ => return Err(corrupt("unsupported chain manifest version")),
     }
-    if &body[..8] != CHAIN_MAGIC {
-        return None;
+    let chain_id = read_u64(&mut r)?;
+    let count = read_u32(&mut r)? as usize;
+    if r.len() != count * 8 {
+        return Err(damaged());
     }
-    if u32::from_le_bytes(body[8..12].try_into().ok()?) != MANIFEST_VERSION {
-        return None;
-    }
-    let chain_id = u64::from_le_bytes(body[12..20].try_into().ok()?);
-    let count = u32::from_le_bytes(body[20..24].try_into().ok()?) as usize;
-    if count > 1 << 16 || body.len() != fixed + count * 8 {
-        return None;
-    }
-    let links = body[fixed..]
+    let links = r
         .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .map(|c| u64::from_le_bytes(c.try_into().expect("eight bytes")))
         .collect();
-    Some(Manifest { chain_id, links })
+    Ok(Manifest { chain_id, links })
 }
 
 /// Reads the manifest; `Ok(None)` means no manifest exists (an empty
-/// chain), `Err` means one exists but is damaged.
+/// chain), `Err` means one exists but is damaged or retired.
 fn read_manifest(dir: &Path) -> Result<Option<Manifest>, SnapshotError> {
-    let bytes = match std::fs::read(dir.join(MANIFEST_NAME)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    parse_manifest(&bytes)
-        .map(Some)
-        .ok_or_else(|| corrupt("chain manifest is damaged"))
+    match std::fs::read(dir.join(MANIFEST_NAME)) {
+        Ok(bytes) => parse_manifest(&bytes).map(Some),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
 }
 
 fn write_manifest(dir: &Path, chain_id: u64, links: &[u64]) -> Result<(), SnapshotError> {
-    let mut body = Vec::with_capacity(24 + links.len() * 8);
+    let mut body = Vec::with_capacity(24 + links.len() * 8 + 4);
     body.extend_from_slice(CHAIN_MAGIC);
     body.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
     body.extend_from_slice(&chain_id.to_le_bytes());
@@ -271,158 +246,36 @@ fn write_manifest(dir: &Path, chain_id: u64, links: &[u64]) -> Result<(), Snapsh
     for seq in links {
         body.extend_from_slice(&seq.to_le_bytes());
     }
-    let crc = crc32(&body);
-    replace_file(&dir.join(MANIFEST_NAME), |w| {
-        w.write_all(&body)?;
-        w.write_all(&crc.to_le_bytes())?;
-        Ok(())
-    })
+    replace_file(&dir.join(MANIFEST_NAME), body).map(drop)
 }
 
 /// Computes the delta entries between the chain's fingerprints and a
 /// fresh export: appends for cleanly-extended series, replaces for new
 /// or rewritten ones, zero-block replaces (tombstones) for series the
 /// store no longer holds.
-fn diff(
-    prev: &BTreeMap<SeriesKey, Fingerprint>,
-    exports: &[ExportedSeries],
-) -> Vec<DeltaEntry> {
-    let mut entries = Vec::new();
-    for (key, blocks) in exports {
-        match prev.get(key) {
-            Some(fp) if prefix_matches(blocks, fp) => {
-                if blocks.len() > fp.blocks {
-                    entries.push(DeltaEntry {
-                        key: key.clone(),
-                        mode: DeltaMode::Append,
+fn diff(prev: &BTreeMap<SeriesKey, Fingerprint>, exports: &[Entry]) -> Vec<Entry> {
+    let mut entries: Vec<Entry> = prev
+        .keys()
+        .filter(|key| exports.binary_search_by(|e| e.key.cmp(key)).is_err())
+        .map(|key| Entry::replace(key.clone(), Vec::new()))
+        .collect();
+    for export in exports {
+        match prev.get(&export.key) {
+            Some(fp) if prefix_matches(&export.blocks, fp) => {
+                if export.blocks.len() > fp.blocks {
+                    entries.push(Entry {
+                        key: export.key.clone(),
+                        mode: Mode::Append,
                         start_block: fp.blocks as u32,
-                        blocks: blocks[fp.blocks..].to_vec(),
+                        blocks: export.blocks[fp.blocks..].to_vec(),
                     });
                 }
             }
-            _ => entries.push(DeltaEntry {
-                key: key.clone(),
-                mode: DeltaMode::Replace,
-                start_block: 0,
-                blocks: blocks.clone(),
-            }),
-        }
-    }
-    let live: std::collections::BTreeSet<&SeriesKey> = exports.iter().map(|(k, _)| k).collect();
-    for key in prev.keys() {
-        if !live.contains(key) {
-            entries.push(DeltaEntry {
-                key: key.clone(),
-                mode: DeltaMode::Replace,
-                start_block: 0,
-                blocks: Vec::new(),
-            });
+            _ => entries.push(export.clone()),
         }
     }
     entries.sort_by(|a, b| a.key.cmp(&b.key));
     entries
-}
-
-fn write_delta(
-    path: &Path,
-    chain_id: u64,
-    seq: u64,
-    entries: &[DeltaEntry],
-) -> Result<(), SnapshotError> {
-    let names: Vec<String> = entries.iter().map(|e| e.key.to_string()).collect();
-    let header_len = MAGIC.len() + 4 + 8 + 8 + 4;
-    let dir_len: usize = names.iter().map(|n| 4 + n.len() + 1 + 4 + 4 + 8 + 8).sum();
-    replace_file(path, |w| {
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION_V3.to_le_bytes())?;
-        w.write_all(&chain_id.to_le_bytes())?;
-        w.write_all(&seq.to_le_bytes())?;
-        w.write_all(&(entries.len() as u32).to_le_bytes())?;
-        let mut offset = (header_len + dir_len) as u64;
-        for (entry, name) in entries.iter().zip(&names) {
-            let mode = match entry.mode {
-                DeltaMode::Append => 0u8,
-                DeltaMode::Replace => 1u8,
-            };
-            let len = encoded_len(&entry.blocks);
-            w.write_all(&(name.len() as u32).to_le_bytes())?;
-            w.write_all(name.as_bytes())?;
-            w.write_all(&[mode])?;
-            w.write_all(&entry.start_block.to_le_bytes())?;
-            w.write_all(&(entry.blocks.len() as u32).to_le_bytes())?;
-            w.write_all(&offset.to_le_bytes())?;
-            w.write_all(&len.to_le_bytes())?;
-            offset += len;
-        }
-        for entry in entries {
-            write_blocks(&entry.blocks, w)?;
-        }
-        Ok(())
-    })
-}
-
-fn read_u8(r: &mut impl Read) -> Result<u8, SnapshotError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-/// Decodes a delta link **fully** (header checks, bounded payload reads,
-/// block decode) before anything is applied, so a damaged link never
-/// half-applies.
-fn read_delta(
-    path: &Path,
-    expect_chain: u64,
-    expect_seq: u64,
-) -> Result<Vec<DeltaEntry>, SnapshotError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    if read_header(&mut r)? != VERSION_V3 {
-        return Err(corrupt("link is not a delta file"));
-    }
-    if read_u64(&mut r)? != expect_chain {
-        return Err(corrupt("delta belongs to a foreign chain"));
-    }
-    if read_u64(&mut r)? != expect_seq {
-        return Err(corrupt("delta sequence does not match the manifest"));
-    }
-    let series_count = read_u32(&mut r)?;
-    if series_count > 1 << 20 {
-        return Err(corrupt("implausible delta series count"));
-    }
-    let mut dir = Vec::with_capacity(series_count as usize);
-    for _ in 0..series_count {
-        let key = read_key(&mut r)?;
-        let mode = match read_u8(&mut r)? {
-            0 => DeltaMode::Append,
-            1 => DeltaMode::Replace,
-            _ => return Err(corrupt("unknown delta entry mode")),
-        };
-        let start_block = read_u32(&mut r)?;
-        let block_count = read_u32(&mut r)?;
-        let offset = read_u64(&mut r)?;
-        let len = read_u64(&mut r)?;
-        if len > 1 << 40 {
-            return Err(corrupt("implausible delta payload length"));
-        }
-        dir.push((key, mode, start_block, block_count, offset, len));
-    }
-    let mut entries = Vec::with_capacity(dir.len());
-    for (key, mode, start_block, block_count, offset, len) in dir {
-        r.seek(SeekFrom::Start(offset))?;
-        let mut bounded = (&mut r).take(len);
-        let blocks = read_blocks(&mut bounded, block_count)?;
-        if bounded.limit() != 0 {
-            return Err(corrupt("delta payload shorter than directory claims"));
-        }
-        entries.push(DeltaEntry {
-            key,
-            mode,
-            start_block,
-            blocks,
-        });
-    }
-    Ok(entries)
 }
 
 /// A regular file where the chain directory belongs is a boot snapshot
@@ -442,17 +295,16 @@ fn refuse_single_file(dir: &Path) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-fn sealed_block_count(db: &ShardedDb, key: &SeriesKey) -> usize {
-    db.export_blocks(key).map(|b| b.len()).unwrap_or(0)
-}
-
 /// Folds a checkpoint-chain directory into a fresh [`ShardedDb`],
 /// returning how much of the chain was loadable. Damage — a garbage
-/// manifest, a missing or foreign delta, a torn payload — stops the fold
-/// at the newest loadable prefix instead of failing: the WAL tail
-/// (never discarded past the manifest's coverage) supplies the rest via
-/// [`crate::persist::recover_sharded`]. The one hard error is a regular
-/// file at `dir` (a retired single-file boot snapshot).
+/// manifest, a missing, foreign or torn link, a link that does not
+/// extend its predecessors — stops the fold at the newest loadable
+/// prefix instead of failing: the WAL tail (never discarded past the
+/// manifest's coverage) supplies the rest via
+/// [`crate::persist::recover_sharded`]. The hard errors are refusals of
+/// a retired layout — a regular file at `dir` (a single-file boot
+/// snapshot), a version-1 manifest, a version 1–3 link — which boot
+/// nothing and touch nothing.
 pub fn load_chain_with_report(
     dir: &Path,
     config: ShardedConfig,
@@ -463,6 +315,7 @@ pub fn load_chain_with_report(
     let manifest = match read_manifest(dir) {
         Ok(Some(manifest)) => manifest,
         Ok(None) => return Ok((db, report)),
+        Err(e) if is_refusal(&e) => return Err(e),
         Err(e) => {
             report.damage = Some(e.to_string());
             return Ok((db, report));
@@ -470,59 +323,24 @@ pub fn load_chain_with_report(
     };
     report.links_total = manifest.links.len();
     for (index, &seq) in manifest.links.iter().enumerate() {
-        let decoded = if index == 0 {
-            // The base link is a plain v2 file: every series replaces.
-            read_v2(&dir.join(base_name(manifest.chain_id, seq)), &db).map(|series| {
-                series
-                    .into_iter()
-                    .map(|(key, blocks)| DeltaEntry {
-                        key,
-                        mode: DeltaMode::Replace,
-                        start_block: 0,
-                        blocks,
-                    })
-                    .collect()
-            })
-        } else {
-            read_delta(&dir.join(delta_name(manifest.chain_id, seq)), manifest.chain_id, seq)
-        };
-        let entries = match decoded {
-            Ok(entries) => entries,
+        let path = dir.join(link_name(manifest.chain_id, seq));
+        let folded = read_link(&path, &db).and_then(|link| {
+            if link.chain_id != manifest.chain_id {
+                return Err(corrupt("link belongs to a foreign chain"));
+            }
+            if link.seq != seq {
+                return Err(corrupt("link sequence does not match the manifest"));
+            }
+            apply_link(&db, link.entries)
+        });
+        match folded {
+            Ok(()) => report.links_loaded += 1,
+            Err(e) if is_refusal(&e) => return Err(e),
             Err(e) => {
                 report.damage = Some(format!("link {index} (seq {seq}): {e}"));
                 break;
             }
-        };
-        // Cross-check every append offset against the folded state
-        // before touching it — entries are per-key disjoint, so the
-        // checks are independent and the link applies all-or-nothing.
-        let misaligned = entries.iter().any(|e| {
-            e.mode == DeltaMode::Append
-                && sealed_block_count(&db, &e.key) != e.start_block as usize
-        });
-        if misaligned {
-            report.damage = Some(format!(
-                "link {index} (seq {seq}): delta does not extend the folded chain"
-            ));
-            break;
         }
-        let mut failed = None;
-        for entry in entries {
-            if entry.mode == DeltaMode::Replace {
-                db.evict_series_before(&entry.key, i64::MAX);
-            }
-            if !entry.blocks.is_empty() {
-                if let Err(e) = db.import_blocks(&entry.key, entry.blocks) {
-                    failed = Some(format!("link {index} (seq {seq}): {e}"));
-                    break;
-                }
-            }
-        }
-        if let Some(damage) = failed {
-            report.damage = Some(damage);
-            break;
-        }
-        report.links_loaded += 1;
     }
     Ok((db, report))
 }
@@ -554,7 +372,8 @@ impl CheckpointChain {
     ///
     /// Fingerprints do not survive restarts, so the first checkpoint of
     /// a fresh instance always re-bases. A regular file at `dir` (a
-    /// retired single-file boot snapshot) is refused.
+    /// retired single-file boot snapshot) and a retired version-1
+    /// manifest are refused, before anything on disk is touched.
     pub fn open(dir: &Path, max_depth: usize) -> Result<Self, SnapshotError> {
         refuse_single_file(dir)?;
         if max_depth == 0 {
@@ -563,26 +382,24 @@ impl CheckpointChain {
                 message: "the checkpoint chain depth must be at least 1",
             }));
         }
+        let (chain_id, links) = match read_manifest(dir) {
+            Ok(Some(manifest)) => (manifest.chain_id, manifest.links),
+            Err(e) if is_refusal(&e) => return Err(e),
+            // No manifest, or a damaged one: the first checkpoint
+            // re-bases under a fresh id anyway.
+            _ => (0, Vec::new()),
+        };
         std::fs::create_dir_all(dir)?;
         // New chain ids must never collide with any file already in the
         // directory, including orphans from chains whose manifest is
         // gone — scan everything, not just the manifest.
-        let mut highest = 0u64;
+        let mut highest = chain_id;
         for entry in std::fs::read_dir(dir)? {
             let name = entry?.file_name();
             if let Some(chain_id) = name.to_str().and_then(parse_link_name) {
                 highest = highest.max(chain_id);
             }
         }
-        let (chain_id, links) = match read_manifest(dir) {
-            Ok(Some(manifest)) => {
-                highest = highest.max(manifest.chain_id);
-                (manifest.chain_id, manifest.links)
-            }
-            // No manifest, or a damaged one: the first checkpoint
-            // re-bases under a fresh id anyway.
-            _ => (0, Vec::new()),
-        };
         Ok(Self {
             dir: dir.to_path_buf(),
             max_depth,
@@ -642,22 +459,21 @@ impl CheckpointChain {
         // A fully evicted series is absent from the chain (a tombstone
         // in a delta), not an empty entry.
         let mut exports = export_all(db)?;
-        exports.retain(|(_, blocks)| !blocks.is_empty());
+        exports.retain(|e| !e.blocks.is_empty());
         let fingerprints: BTreeMap<SeriesKey, Fingerprint> = exports
             .iter()
-            .map(|(key, blocks)| (key.clone(), fingerprint(blocks)))
+            .map(|e| (e.key.clone(), fingerprint(&e.blocks)))
             .collect();
 
         let deltas = self.links.len().saturating_sub(1);
         if self.series.is_none() || self.links.is_empty() || deltas >= self.max_depth {
-            // Re-base: a fresh full snapshot under a fresh chain id.
+            // Re-base: a fresh full base under a fresh chain id.
             report.rebased = true;
             report.link_written = true;
             report.series_written = exports.len();
             let chain_id = self.next_chain_id;
-            let base = self.dir.join(base_name(chain_id, 0));
-            replace_file(&base, |w| write_v2(&exports, w))?;
-            report.bytes_written = std::fs::metadata(&base)?.len();
+            let base = self.dir.join(link_name(chain_id, 0));
+            report.bytes_written = write_link(&base, chain_id, 0, &exports)?;
             if stop(ChainStep::BaseWritten) {
                 return Ok(report);
             }
@@ -684,11 +500,10 @@ impl CheckpointChain {
                 self.series = Some(fingerprints);
             } else {
                 let seq = self.links.last().copied().unwrap_or(0) + 1;
-                let path = self.dir.join(delta_name(self.chain_id, seq));
+                let path = self.dir.join(link_name(self.chain_id, seq));
                 report.link_written = true;
                 report.series_written = entries.len();
-                write_delta(&path, self.chain_id, seq, &entries)?;
-                report.bytes_written = std::fs::metadata(&path)?.len();
+                report.bytes_written = write_link(&path, self.chain_id, seq, &entries)?;
                 if stop(ChainStep::DeltaWritten) {
                     return Ok(report);
                 }
@@ -946,7 +761,7 @@ mod tests {
 
     #[test]
     fn regular_file_at_the_chain_path_is_a_retired_boot_snapshot() {
-        // A well-formed v2 file where the chain directory belongs — the
+        // A well-formed export where the chain directory belongs — the
         // single-file boot layout is gone, and must be refused by name
         // by both the writer and the loader rather than misread.
         let dir = temp_dir("retired");
@@ -967,6 +782,73 @@ mod tests {
             );
         }
         assert_eq!(std::fs::read(&file).unwrap(), before, "the file was touched");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file in `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&p).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn retired_manifest_and_links_are_refused_and_left_alone() {
+        let dir = temp_dir("retired-layouts");
+        let db = db();
+        write_points(&db, "a", 0, 80);
+        let mut chain = CheckpointChain::open(&dir, 8).unwrap();
+        chain.checkpoint(&db, None).unwrap();
+        write_points(&db, "a", 10_000, 10);
+        chain.checkpoint(&db, None).unwrap();
+        drop(chain);
+
+        // A CRC-valid version-1 manifest: a chain of retired links.
+        let manifest = dir.join(MANIFEST_NAME);
+        let current = std::fs::read(&manifest).unwrap();
+        let mut body = current[..current.len() - 4].to_vec();
+        body[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crate::wal::crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(&manifest, &body).unwrap();
+        let before = dir_bytes(&dir);
+        let loaded = load_chain_with_report(&dir, ShardedConfig::default())
+            .map(|_| ())
+            .unwrap_err();
+        let opened = CheckpointChain::open(&dir, 8).map(|_| ()).unwrap_err();
+        let via_load = ShardedDb::load(&dir, ShardedConfig::default())
+            .map(|_| ())
+            .unwrap_err();
+        for err in [loaded, opened, via_load] {
+            assert!(is_refusal(&err), "{err}");
+            assert!(
+                err.to_string().contains("chain manifest version 1"),
+                "{err}"
+            );
+        }
+        assert_eq!(dir_bytes(&dir), before, "a refusal touched the chain");
+
+        // A current manifest over a version-3 delta: the fold refuses
+        // the link instead of degrading past it.
+        std::fs::write(&manifest, &current).unwrap();
+        let delta = link_files(&dir)
+            .into_iter()
+            .find(|n| n.starts_with("delta-"))
+            .map(|n| dir.join(n))
+            .unwrap();
+        let mut bytes = std::fs::read(&delta).unwrap();
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&delta, &bytes).unwrap();
+        let err = load_chain_with_report(&dir, ShardedConfig::default())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("format version 3"), "{err}");
+        assert_eq!(std::fs::read(&delta).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 

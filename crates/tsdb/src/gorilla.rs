@@ -270,8 +270,11 @@ impl<'a> GorillaDecoder<'a> {
         } else {
             self.bits.read_bits(64)? as i64
         };
-        self.prev_delta += dod;
-        self.prev_ts += self.prev_delta;
+        // Wrapping, as in a release build: a corrupt delta must decode to
+        // a wrong timestamp (which the caller's checks reject), never
+        // panic a debug build.
+        self.prev_delta = self.prev_delta.wrapping_add(dod);
+        self.prev_ts = self.prev_ts.wrapping_add(self.prev_delta);
         Ok(self.prev_ts)
     }
 

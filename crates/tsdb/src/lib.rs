@@ -33,15 +33,16 @@
 //!   (atomic counters, gauges, log-bucketed latency histograms), a
 //!   leveled structured logger, and the Prometheus/line-protocol
 //!   renderers behind the server's `METRICS` verb and self-scrape;
-//! * [`persist`] — the single-file v2 snapshot format (exports and
-//!   chain base links; one parallel exporter, one parallel
-//!   validate-then-import reader) and the snapshot+WAL-tail recovery
-//!   entry point;
-//! * [`chain`] — incremental checkpoint chains (snapshot v3), the one
-//!   durable boot state: a base v2 snapshot plus per-series delta links
-//!   under a CRC-guarded manifest, so online checkpoint cost scales
-//!   with write activity instead of total data, folded transparently
-//!   by the recovery entry points;
+//! * [`persist`] — the checksummed link format, the one file type of an
+//!   export, a chain base and a delta (one serial writer, one reader
+//!   that decodes in parallel before anything is imported, one
+//!   all-or-nothing fold), and the snapshot+WAL-tail recovery entry
+//!   point;
+//! * [`chain`] — incremental checkpoint chains, the one durable boot
+//!   state: a base link plus per-series delta links under a CRC-guarded
+//!   manifest, so online checkpoint cost scales with write activity
+//!   instead of total data, folded transparently by the recovery entry
+//!   points;
 //! * [`wal`] — per-shard append-only write-ahead log: CRC-checked
 //!   length-prefixed records of applied points, configurable fsync
 //!   policy, generation-based rotation, and idempotent crash replay;

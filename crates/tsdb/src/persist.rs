@@ -1,63 +1,72 @@
-//! Snapshot persistence: serialize an engine to a single file and back.
+//! The link format: the one file type a store is written to disk in.
 //!
 //! The engine is in-memory (like the hot tier of Gorilla, which keeps 26
-//! hours in RAM); snapshots are whole-store copies: flush every series'
-//! memtable and write all sealed blocks to disk in a compact binary
-//! format. Blocks are stored as their Gorilla-compressed payloads, so a
-//! snapshot is roughly the engine's compressed in-memory footprint. A
-//! single v2 file is the *export* format (`SNAPSHOT <name>`,
-//! [`ShardedDb::save`]) and the base link of a checkpoint chain; the
-//! state a server boots from is always a chain directory (below).
+//! hours in RAM); writing it flushes every series' memtable and stores
+//! the sealed blocks as their Gorilla-compressed payloads, so a file is
+//! roughly the engine's compressed in-memory footprint. One file type —
+//! a *link* — plays three roles:
 //!
-//! ## Format version 2 (little-endian)
+//! * an **export** (`SNAPSHOT <name>`, [`ShardedDb::save`]) is chain 0,
+//!   sequence 0, with every entry a replace;
+//! * a checkpoint chain's **base** is the same thing under its chain id;
+//! * a **delta** holds only the series that changed since the previous
+//!   link of its chain ([`crate::chain`]).
+//!
+//! The state a server boots from is always a chain directory.
+//!
+//! ## Link format version 4 (little-endian)
 //!
 //! ```text
-//! magic "ASAPTSDB" | u32 2 | u32 series_count
+//! magic "ASAPTSDB" | u32 4 | u64 chain_id | u64 seq | u32 series_count
 //! directory, series sorted by key:
 //!   u32 key_len | key bytes (display form: metric{k=v,...})
-//!   u32 block_count
+//!   u8 mode | u32 start_block | u32 block_count
 //!   u64 payload_offset (from file start) | u64 payload_len
 //! payloads, same order; per block:
 //!   u64 count | u64 len_bits | u32 byte_len | payload bytes
+//! u32 crc32 of every preceding byte
 //! ```
 //!
-//! Produced by [`save_sharded`]: one worker per shard exports its
-//! series concurrently, and the per-shard results are merged into key
-//! order before anything touches the file — so the bytes are
-//! **independent of the writer's shard count** (a 1-shard and an 8-shard
-//! store holding the same points produce identical files). The
-//! directory's offsets let the one v2 reader hand each shard worker its
-//! own file handle and decode payloads in parallel — every payload is
-//! validated before anything is imported; series re-route by hash, so a
-//! file loads into any shard count. Any other version number (including
-//! the retired sequential version 1) is refused as an unsupported
-//! snapshot version.
+//! `mode` 1 is **replace**: drop the series, then import the entry's
+//! blocks (with zero blocks, a tombstone). `mode` 0 is **append**: the
+//! blocks extend the series, and `start_block` must equal the series'
+//! block count when the link is applied.
 //!
-//! ## Format version 3 — incremental checkpoint chains
+//! There is one writer, one reader and one fold:
 //!
-//! Version 3 is not a single file but a **directory**: a base v2
-//! snapshot plus per-series delta links indexed by a CRC-guarded
-//! manifest, written by [`crate::chain::CheckpointChain`] so that online
-//! checkpoint cost scales with write activity instead of total data.
-//! [`load_sharded`] (and therefore [`recover_sharded`]) folds a chain
-//! directory transparently; see the [`crate::chain`] module docs for the
-//! layout and crash-safety argument.
+//! * `write_link` builds the whole link in memory and writes it, CRC
+//!   appended, through `replace_file`;
+//! * `read_link` reads the file once, checks the CRC and then the
+//!   version, parses the directory, and decodes the payloads in
+//!   parallel — one worker per shard of the destination store that owns
+//!   a series — importing nothing;
+//! * `apply_link` cross-checks every append against the store first,
+//!   then applies the link all or nothing. [`load_sharded`] on a file
+//!   and every link of a chain fold go through it.
+//!
+//! Entries are merged into key order before writing, so export bytes
+//! are **independent of the writer's shard count**; series re-route by
+//! hash, so a file loads into any shard count.
+//!
+//! Versions 1–3 are retired: the sequential v1 file, the unchecksummed
+//! v2 export/base and the v3 delta. A file naming one is refused by name
+//! with [`TsdbError::InvalidParameter`]; there is no migration code.
 //!
 //! The display form of [`SeriesKey`] is unambiguous as long as metric and
 //! tag tokens exclude the structural characters `{`, `}`, `,`, `=`;
-//! saving rejects keys that violate this (line-protocol ingestion can
+//! writing rejects keys that violate this (line-protocol ingestion can
 //! never produce them).
 //!
 //! ## Consistency under concurrent writers
 //!
-//! Saving never holds more than one series lock at a time, and each only
-//! briefly: the initial flush seals memtables series-by-series, and each
-//! series' blocks are then cloned under that series' read lock alone. The
-//! snapshot therefore captures a **per-series consistency point** — every
-//! series is internally consistent as of the moment its blocks were
-//! exported — but not a single cross-series cut: a writer racing the save
-//! may land a sealed block in series B after A was exported and before B
-//! is. Concretely:
+//! Exporting never holds more than one series lock at a time, and each
+//! only briefly: the initial flush seals memtables series-by-series, and
+//! each series' blocks are then cloned (reference-counted payloads) under
+//! that series' read lock alone. A link therefore captures a
+//! **per-series consistency point** — every series is internally
+//! consistent as of the moment its blocks were exported — but not a
+//! single cross-series cut: a writer racing the export may land a sealed
+//! block in series B after A was exported and before B is. Concretely:
 //!
 //! * each saved series is a prefix (in time) of that series' final
 //!   contents — never torn mid-block;
@@ -70,13 +79,16 @@
 //!
 //! Callers needing a true cross-series cut must quiesce writers first.
 //!
-//! Writers stage into a sibling `*.tmp` file, fsync it, rename it over
-//! `path` and fsync the directory, so a save that fails partway (full
-//! disk, crash, unsnapshotable key) never clobbers an existing good
-//! snapshot, and a save that returned is on disk before any WAL
-//! generation it covers is discarded.
+//! Exporting starts no thread, so a checkpoint pass or a `SNAPSHOT`
+//! leaves a server's thread count alone. The link is built in memory
+//! before its one write: writing a base or an export holds one extra
+//! copy of the compressed store. Files are staged into a sibling `*.tmp`
+//! file, fsynced, renamed over `path`, and the directory is fsynced, so a
+//! write that fails partway never clobbers an existing good file, and one
+//! that returned is on disk before any WAL generation it covers is
+//! discarded.
 
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
 use bytes::Bytes;
@@ -86,10 +98,12 @@ use crate::error::TsdbError;
 use crate::gorilla::CompressedChunk;
 use crate::sharded::{ShardedConfig, ShardedDb};
 use crate::tags::{Selector, SeriesKey};
-use crate::wal::WalReplayReport;
+use crate::wal::{crc32, WalReplayReport};
 
-pub(crate) const MAGIC: &[u8; 8] = b"ASAPTSDB";
-pub(crate) const VERSION_V2: u32 = 2;
+const MAGIC: &[u8; 8] = b"ASAPTSDB";
+const VERSION: u32 = 4;
+/// `magic | version | chain_id | seq | series_count`.
+const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 4;
 
 /// Error of snapshot I/O: either the storage engine or the filesystem.
 #[derive(Debug)]
@@ -134,50 +148,66 @@ pub(crate) fn corrupt(reason: &'static str) -> SnapshotError {
     SnapshotError::Tsdb(TsdbError::CorruptBlock { reason })
 }
 
-/// Writes a snapshot through `write` into a sibling temp file, fsyncs
-/// it, renames it over `path`, then fsyncs the directory — so a save
-/// that fails partway (full disk, crash, unsnapshotable key discovered
-/// mid-write) never destroys a previous good snapshot at `path`, and a
-/// save that returned `Ok` is durable: callers discard the WAL
-/// generations a file covers only after this returns.
-pub(crate) fn replace_file(
-    path: &Path,
-    write: impl FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), SnapshotError>,
-) -> Result<(), SnapshotError> {
+/// The parameter a [`retired`] refusal names.
+const RETIRED: &str = "on-disk format";
+
+/// Refuses a retired on-disk layout by name. Nothing is migrated, so
+/// this is a hard error — a chain fold passes it on ([`is_refusal`])
+/// rather than degrading past it.
+pub(crate) fn retired(message: &'static str) -> SnapshotError {
+    SnapshotError::Tsdb(TsdbError::InvalidParameter {
+        name: RETIRED,
+        message,
+    })
+}
+
+/// Whether `e` is a [`retired`] refusal rather than damage.
+pub(crate) fn is_refusal(e: &SnapshotError) -> bool {
+    matches!(e, SnapshotError::Tsdb(TsdbError::InvalidParameter { name, .. }) if *name == RETIRED)
+}
+
+/// Writes `body` with its CRC-32 appended into a sibling temp file,
+/// fsyncs it, renames it over `path`, then fsyncs the directory — so a
+/// write that fails partway (full disk, crash) never destroys a previous
+/// good file at `path`, and one that returned `Ok` is durable: callers
+/// discard the WAL generations a file covers only after this returns.
+/// Returns the bytes written.
+pub(crate) fn replace_file(path: &Path, mut body: Vec<u8>) -> Result<u64, SnapshotError> {
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
     let mut tmp_name = path
         .file_name()
         .map(std::ffi::OsString::from)
         .unwrap_or_else(|| std::ffi::OsString::from("snapshot"));
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    let result = (|| {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
-        write(&mut w)?;
-        w.flush()?;
-        w.get_ref().sync_all()?;
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            std::fs::rename(&tmp, path)?;
-            // The rename is only durable once the directory entry is.
-            #[cfg(unix)]
-            {
-                let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-                std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
-            }
-            Ok(())
-        }
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
-        }
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(&body)?;
+        file.sync_all()
+    });
+    if let Err(e) = written {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e.into());
     }
+    std::fs::rename(&tmp, path)?;
+    // The rename is only durable once the directory entry is.
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(body.len() as u64)
+}
+
+/// The body of a file [`replace_file`] wrote, or `None` when its trailing
+/// CRC-32 does not match.
+pub(crate) fn checked_body(bytes: &[u8]) -> Option<&[u8]> {
+    let (body, crc) = bytes.split_at(bytes.len().checked_sub(4)?);
+    (crc32(body).to_le_bytes() == crc).then_some(body)
 }
 
 /// Rejects keys whose display form would not parse back.
-pub(crate) fn validate_key(key: &SeriesKey) -> Result<(), SnapshotError> {
+fn validate_key(key: &SeriesKey) -> Result<(), SnapshotError> {
     let structural = |t: &str| t.contains(['{', '}', ',', '=']);
     if structural(key.metric_name())
         || key.tags().iter().any(|(k, v)| structural(k) || structural(v))
@@ -191,13 +221,12 @@ pub(crate) fn validate_key(key: &SeriesKey) -> Result<(), SnapshotError> {
 }
 
 /// Bytes [`write_blocks`] emits for `blocks`.
-pub(crate) fn encoded_len(blocks: &[Block]) -> u64 {
+fn encoded_len(blocks: &[Block]) -> u64 {
     blocks.iter().map(|b| 8 + 8 + 4 + b.chunk().data.len() as u64).sum()
 }
 
-/// Writes one series' block records (the payload form v2 files and
-/// chain links share).
-pub(crate) fn write_blocks(blocks: &[Block], w: &mut impl Write) -> std::io::Result<()> {
+/// Writes one series' block records (a link entry's payload).
+fn write_blocks(blocks: &[Block], w: &mut impl Write) -> std::io::Result<()> {
     for block in blocks {
         let chunk = block.chunk();
         w.write_all(&(chunk.count as u64).to_le_bytes())?;
@@ -209,7 +238,7 @@ pub(crate) fn write_blocks(blocks: &[Block], w: &mut impl Write) -> std::io::Res
 }
 
 /// Reads `block_count` block records (see [`write_blocks`]).
-pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Block>, SnapshotError> {
+fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Block>, SnapshotError> {
     // `block_count` is untrusted input: cap the pre-allocation so a
     // corrupt field yields a clean error once the payload runs out,
     // never an allocator abort.
@@ -236,99 +265,265 @@ pub(crate) fn read_blocks(r: &mut impl Read, block_count: u32) -> Result<Vec<Blo
     Ok(blocks)
 }
 
-/// One exported series: its key and sealed blocks.
-pub(crate) type ExportedSeries = (SeriesKey, Vec<Block>);
+/// How a link entry's blocks apply to its series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Extend the series; `start_block` is its block count beforehand.
+    Append = 0,
+    /// Drop the series, then import the blocks.
+    Replace = 1,
+}
 
-/// Exports every series' sealed blocks, one worker per non-empty shard,
-/// merged into key order — the one exporter behind [`save_sharded`] and
-/// the chain writer ([`crate::chain`]). Call after `db.flush()` so
-/// memtable contents are included; see the module docs for the
-/// consistency point under concurrent writers.
-pub(crate) fn export_all(db: &ShardedDb) -> Result<Vec<ExportedSeries>, SnapshotError> {
-    let mut all: Vec<ExportedSeries> = Vec::new();
-    std::thread::scope(|scope| -> Result<(), SnapshotError> {
-        let mut handles = Vec::new();
-        for shard in db.shards() {
-            if shard.series_count() == 0 {
-                continue;
-            }
-            handles.push(scope.spawn(move || -> Result<Vec<ExportedSeries>, SnapshotError> {
-                let mut out = Vec::new();
-                for key in shard.list_series(&Selector::any()) {
-                    validate_key(&key)?;
-                    let blocks = shard.export_blocks(&key)?;
-                    out.push((key, blocks));
-                }
-                Ok(out)
-            }));
+/// One link directory entry with its decoded blocks.
+#[derive(Debug, Clone)]
+pub(crate) struct Entry {
+    pub(crate) key: SeriesKey,
+    pub(crate) mode: Mode,
+    pub(crate) start_block: u32,
+    pub(crate) blocks: Vec<Block>,
+}
+
+impl Entry {
+    pub(crate) fn replace(key: SeriesKey, blocks: Vec<Block>) -> Self {
+        Self {
+            key,
+            mode: Mode::Replace,
+            start_block: 0,
+            blocks,
         }
-        for handle in handles {
-            all.extend(handle.join().expect("snapshot worker panicked")?);
+    }
+}
+
+/// A decoded link: its place in a chain and its entries.
+pub(crate) struct Link {
+    pub(crate) chain_id: u64,
+    pub(crate) seq: u64,
+    pub(crate) entries: Vec<Entry>,
+}
+
+/// Exports every series' sealed blocks as replace entries in key order —
+/// the one exporter behind [`save_sharded`] and the chain writer. It
+/// clones block handles under one short series read lock at a time and
+/// starts no thread. Call after `db.flush()` so memtable contents are
+/// included; see the module docs for the consistency point under
+/// concurrent writers.
+pub(crate) fn export_all(db: &ShardedDb) -> Result<Vec<Entry>, SnapshotError> {
+    let mut all = Vec::new();
+    for shard in db.shards() {
+        for key in shard.list_series(&Selector::any()) {
+            validate_key(&key)?;
+            let blocks = shard.export_blocks(&key)?;
+            all.push(Entry::replace(key, blocks));
         }
-        Ok(())
-    })?;
-    all.sort_by(|(a, _), (b, _)| a.cmp(b));
+    }
+    all.sort_by(|a, b| a.key.cmp(&b.key));
     Ok(all)
 }
 
-/// Writes the v2 header + directory + payloads for key-sorted `entries`.
-/// Shared between [`save_sharded`] and the chain writer's base links
-/// ([`crate::chain`]), which are byte-for-byte plain v2 snapshots.
-pub(crate) fn write_v2(entries: &[ExportedSeries], w: &mut impl Write) -> Result<(), SnapshotError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V2.to_le_bytes())?;
-    w.write_all(&(entries.len() as u32).to_le_bytes())?;
-
-    let names: Vec<String> = entries.iter().map(|(k, _)| k.to_string()).collect();
-    let dir_len: usize = names.iter().map(|n| 4 + n.len() + 4 + 8 + 8).sum();
-    let mut offset = (MAGIC.len() + 4 + 4 + dir_len) as u64;
-    for ((_, blocks), name) in entries.iter().zip(&names) {
-        let len = encoded_len(blocks);
-        w.write_all(&(name.len() as u32).to_le_bytes())?;
-        w.write_all(name.as_bytes())?;
-        w.write_all(&(blocks.len() as u32).to_le_bytes())?;
-        w.write_all(&offset.to_le_bytes())?;
-        w.write_all(&len.to_le_bytes())?;
+/// The one link writer: builds the header, the directory and the
+/// payloads of key-sorted `entries` in memory, then writes them with
+/// their CRC in one [`replace_file`]. Returns the bytes written.
+pub(crate) fn write_link(
+    path: &Path,
+    chain_id: u64,
+    seq: u64,
+    entries: &[Entry],
+) -> Result<u64, SnapshotError> {
+    let names: Vec<String> = entries.iter().map(|e| e.key.to_string()).collect();
+    let dir_len: usize = names.iter().map(|n| 4 + n.len() + 1 + 4 + 4 + 8 + 8).sum();
+    let mut offset = (HEADER_LEN + dir_len) as u64;
+    let payload_len: u64 = entries.iter().map(|e| encoded_len(&e.blocks)).sum();
+    let mut out = Vec::with_capacity((offset + payload_len) as usize + 4);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&chain_id.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (entry, name) in entries.iter().zip(&names) {
+        let len = encoded_len(&entry.blocks);
+        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        out.push(entry.mode as u8);
+        out.extend_from_slice(&entry.start_block.to_le_bytes());
+        out.extend_from_slice(&(entry.blocks.len() as u32).to_le_bytes());
+        out.extend_from_slice(&offset.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
         offset += len;
     }
-    for (_, blocks) in entries {
-        write_blocks(blocks, w)?;
+    for entry in entries {
+        write_blocks(&entry.blocks, &mut out)?;
+    }
+    replace_file(path, out)
+}
+
+/// The checked body of a link file. A retired layout carries no CRC, so
+/// its version is refused first; then the CRC, then the version.
+fn link_body(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+    if bytes.len() < 12 || &bytes[..8] != MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    match u32::from_le_bytes(bytes[8..12].try_into().expect("four bytes")) {
+        1 => {
+            return Err(retired(
+                "snapshot format version 1 (the sequential single file) is retired; \
+                 this build reads link format version 4 only and carries no migration",
+            ))
+        }
+        2 => {
+            return Err(retired(
+                "snapshot format version 2 (an export or chain base without a checksum) \
+                 is retired; this build reads link format version 4 only and carries no \
+                 migration",
+            ))
+        }
+        3 => {
+            return Err(retired(
+                "snapshot format version 3 (a delta link without a checksum) is retired; \
+                 this build reads link format version 4 only and carries no migration",
+            ))
+        }
+        _ => {}
+    }
+    let body = checked_body(bytes)
+        .filter(|body| body.len() >= HEADER_LEN)
+        .ok_or_else(|| corrupt("link checksum mismatch"))?;
+    if body[8..12] != VERSION.to_le_bytes() {
+        return Err(corrupt("unsupported link version"));
+    }
+    Ok(body)
+}
+
+/// The one link reader: reads `path` once, checks it ([`link_body`]),
+/// parses the directory, and decodes every payload **without importing
+/// anything**, so a damaged link never half-applies. Payloads decode in
+/// parallel, one worker per shard of `db` (the store the link will fold
+/// into) that owns any of its series.
+pub(crate) fn read_link(path: &Path, db: &ShardedDb) -> Result<Link, SnapshotError> {
+    let bytes = std::fs::read(path)?;
+    let body = link_body(&bytes)?;
+    let mut r = &body[12..];
+    let chain_id = read_u64(&mut r)?;
+    let seq = read_u64(&mut r)?;
+    let series_count = read_u32(&mut r)?;
+    let mut dir = Vec::with_capacity(series_count.min(1 << 20) as usize);
+    for _ in 0..series_count {
+        let key = read_key(&mut r)?;
+        let mode = match read_u8(&mut r)? {
+            0 => Mode::Append,
+            1 => Mode::Replace,
+            _ => return Err(corrupt("unknown link entry mode")),
+        };
+        let start_block = read_u32(&mut r)?;
+        let block_count = read_u32(&mut r)?;
+        let (offset, len) = (read_u64(&mut r)?, read_u64(&mut r)?);
+        let payload = usize::try_from(offset)
+            .ok()
+            .zip(usize::try_from(len).ok())
+            .and_then(|(at, len)| body.get(at..at.checked_add(len)?))
+            .ok_or_else(|| corrupt("series payload outside the link"))?;
+        let entry = Entry {
+            key,
+            mode,
+            start_block,
+            blocks: Vec::new(),
+        };
+        dir.push((entry, block_count, payload));
+    }
+    if dir.windows(2).any(|w| w[0].0.key >= w[1].0.key) {
+        return Err(corrupt("link directory is not key-sorted"));
+    }
+    let mut by_shard: Vec<Vec<_>> = (0..db.shard_count()).map(|_| Vec::new()).collect();
+    for item in dir {
+        by_shard[db.shard_of(&item.0.key)].push(item);
+    }
+    let mut entries = Vec::new();
+    std::thread::scope(|scope| -> Result<(), SnapshotError> {
+        let handles: Vec<_> = by_shard
+            .into_iter()
+            .filter(|items| !items.is_empty())
+            .map(|items| {
+                scope.spawn(move || {
+                    let mut out = Vec::with_capacity(items.len());
+                    for (mut entry, block_count, mut payload) in items {
+                        entry.blocks = read_blocks(&mut payload, block_count)?;
+                        if !payload.is_empty() {
+                            return Err(corrupt("series payload longer than its blocks"));
+                        }
+                        out.push(entry);
+                    }
+                    Ok(out)
+                })
+            })
+            .collect();
+        for handle in handles {
+            entries.extend(handle.join().expect("link decode worker panicked")?);
+        }
+        Ok(())
+    })?;
+    Ok(Link {
+        chain_id,
+        seq,
+        entries,
+    })
+}
+
+/// The one fold: applies a decoded link to `db` all or nothing. Every
+/// entry is cross-checked first — its blocks mutually ordered, and an
+/// append starting at the series' block count and after its last block —
+/// so a link that does not extend `db` touches nothing.
+pub(crate) fn apply_link(db: &ShardedDb, entries: Vec<Entry>) -> Result<(), SnapshotError> {
+    let before = |a: &Block, b: &Block| a.summary().end < b.summary().start;
+    for entry in &entries {
+        let aligned = entry.mode == Mode::Replace || {
+            let held = db.export_blocks(&entry.key).unwrap_or_default();
+            held.len() == entry.start_block as usize
+                && match (held.last(), entry.blocks.first()) {
+                    (Some(last), Some(first)) => before(last, first),
+                    _ => true,
+                }
+        };
+        if !aligned || !entry.blocks.windows(2).all(|w| before(&w[0], &w[1])) {
+            return Err(corrupt("link does not extend the folded store"));
+        }
+    }
+    for entry in entries {
+        if entry.mode == Mode::Replace {
+            db.evict_series_before(&entry.key, i64::MAX);
+        }
+        if !entry.blocks.is_empty() {
+            db.import_blocks(&entry.key, entry.blocks)?;
+        }
     }
     Ok(())
 }
 
-/// Writes a version-2 snapshot of `db` to `path`, exporting shards in
-/// parallel (one worker per non-empty shard) and merging the per-shard
-/// results into key order — so the file bytes are independent of the
+/// Writes an export of `db` to `path`: one link, chain 0, sequence 0,
+/// every series a replace — so the file bytes are independent of the
 /// shard count.
 ///
 /// The store is flushed first (memtables sealed into blocks) so the
-/// snapshot captures every point accepted before the call; see the
-/// module docs for the exact consistency point under concurrent writers.
+/// export captures every point accepted before the call; see the module
+/// docs for the exact consistency point under concurrent writers.
 pub fn save_sharded(db: &ShardedDb, path: &Path) -> Result<(), SnapshotError> {
     db.flush()?;
-    let entries = export_all(db)?;
-    replace_file(path, |w| write_v2(&entries, w))
+    write_link(path, 0, 0, &export_all(db)?).map(drop)
 }
 
-/// Loads a snapshot from `path` into a fresh [`ShardedDb`] with
+/// Loads a link file from `path` into a fresh [`ShardedDb`] with
 /// `config`. Series re-route to `config.shards` partitions regardless of
-/// the writer's shard count; payloads are decoded in parallel and
-/// imported only once the whole file validated (`read_v2`).
+/// the writer's shard count; the link is read and folded like any chain
+/// link, so a damaged or retired file is an error and imports nothing.
 ///
 /// When `path` is a **directory** it is treated as an incremental
-/// checkpoint chain (snapshot v3) and folded transparently via
-/// [`crate::chain::load_chain`]: base v2 snapshot, then every delta link
-/// the chain manifest lists, degrading to the newest loadable prefix on
-/// damage.
+/// checkpoint chain and folded via [`crate::chain::load_chain`]: every
+/// link the chain manifest lists, degrading to the newest loadable
+/// prefix on damage.
 pub fn load_sharded(path: &Path, config: ShardedConfig) -> Result<ShardedDb, SnapshotError> {
     if path.is_dir() {
         return crate::chain::load_chain(path, config);
     }
     let db = ShardedDb::with_config(config);
-    for (key, blocks) in read_v2(path, &db)? {
-        db.import_blocks(&key, blocks)?;
-    }
+    apply_link(&db, read_link(path, &db)?.entries)?;
     Ok(db)
 }
 
@@ -357,91 +552,8 @@ pub fn recover_sharded(
     Ok((db, report))
 }
 
-/// Checks the magic and returns the format version.
-pub(crate) fn read_header(r: &mut impl Read) -> Result<u32, SnapshotError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    read_u32(r)
-}
-
-/// One v2 directory entry.
-struct DirEntry {
-    key: SeriesKey,
-    block_count: u32,
-    offset: u64,
-    len: u64,
-}
-
-/// Reads the v2 series directory (assumes the header was consumed).
-fn read_directory(r: &mut impl Read) -> Result<Vec<DirEntry>, SnapshotError> {
-    let series_count = read_u32(r)?;
-    let mut out = Vec::with_capacity(series_count.min(1 << 20) as usize);
-    for _ in 0..series_count {
-        let key = read_key(r)?;
-        let block_count = read_u32(r)?;
-        let offset = read_u64(r)?;
-        let len = read_u64(r)?;
-        if len > 1 << 40 {
-            return Err(corrupt("implausible series payload length"));
-        }
-        out.push(DirEntry {
-            key,
-            block_count,
-            offset,
-            len,
-        });
-    }
-    Ok(out)
-}
-
-/// Decodes a v2 file **fully** — header, directory, every payload —
-/// without importing anything, so a damaged file never half-applies.
-/// This is the one v2 reader: [`load_sharded`] on a file and the chain's
-/// base link ([`crate::chain`]) both go through it. Payloads decode in
-/// parallel, one worker per shard of `db` (the store the caller will
-/// import into) that owns any series, each with its own file handle.
-pub(crate) fn read_v2(path: &Path, db: &ShardedDb) -> Result<Vec<ExportedSeries>, SnapshotError> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
-    if read_header(&mut r)? != VERSION_V2 {
-        return Err(corrupt("unsupported snapshot version"));
-    }
-    let mut by_shard: Vec<Vec<DirEntry>> = (0..db.shard_count()).map(|_| Vec::new()).collect();
-    for entry in read_directory(&mut r)? {
-        by_shard[db.shard_of(&entry.key)].push(entry);
-    }
-    drop(r);
-    let mut all = Vec::new();
-    std::thread::scope(|scope| -> Result<(), SnapshotError> {
-        let mut handles = Vec::new();
-        for entries in by_shard.into_iter().filter(|e| !e.is_empty()) {
-            handles.push(scope.spawn(move || -> Result<Vec<ExportedSeries>, SnapshotError> {
-                let mut r = BufReader::new(std::fs::File::open(path)?);
-                let mut out = Vec::with_capacity(entries.len());
-                for entry in entries {
-                    r.seek(SeekFrom::Start(entry.offset))?;
-                    let mut bounded = (&mut r).take(entry.len);
-                    let blocks = read_blocks(&mut bounded, entry.block_count)?;
-                    if bounded.limit() != 0 {
-                        return Err(corrupt("series payload shorter than directory claims"));
-                    }
-                    out.push((entry.key, blocks));
-                }
-                Ok(out)
-            }));
-        }
-        for handle in handles {
-            all.extend(handle.join().expect("snapshot load worker panicked")?);
-        }
-        Ok(())
-    })?;
-    Ok(all)
-}
-
 /// Reads a length-prefixed series key in display form.
-pub(crate) fn read_key(r: &mut impl Read) -> Result<SeriesKey, SnapshotError> {
+fn read_key(r: &mut impl Read) -> Result<SeriesKey, SnapshotError> {
     let key_len = read_u32(r)? as usize;
     if key_len > 1 << 20 {
         return Err(corrupt("implausible key length"));
@@ -450,6 +562,12 @@ pub(crate) fn read_key(r: &mut impl Read) -> Result<SeriesKey, SnapshotError> {
     r.read_exact(&mut key_bytes)?;
     let name = String::from_utf8(key_bytes).map_err(|_| corrupt("key is not UTF-8"))?;
     parse_series_key(&name)
+}
+
+fn read_u8(r: &mut impl Read) -> Result<u8, SnapshotError> {
+    let mut b = [0u8; 1];
+    r.read_exact(&mut b)?;
+    Ok(b[0])
 }
 
 pub(crate) fn read_u32(r: &mut impl Read) -> Result<u32, SnapshotError> {
@@ -522,6 +640,14 @@ mod tests {
 
     fn full() -> RangeQuery {
         RangeQuery::raw(i64::MIN + 1, i64::MAX)
+    }
+
+    /// Replaces a link's trailing CRC with the checksum of its edited
+    /// body, so a test reaches the check behind the CRC.
+    fn reseal(bytes: &mut Vec<u8>) {
+        bytes.truncate(bytes.len() - 4);
+        let crc = crc32(bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -625,7 +751,7 @@ mod tests {
         assert_eq!(
             std::fs::read(&a).unwrap(),
             std::fs::read(&b).unwrap(),
-            "v2 snapshot bytes must not depend on the writer's shard count"
+            "export bytes must not depend on the writer's shard count"
         );
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
@@ -647,14 +773,17 @@ mod tests {
         std::fs::write(&path, &bytes[..24]).unwrap();
         assert!(load_sharded(&path, ShardedConfig::default()).is_err());
 
-        // Unknown version.
+        // Unknown version, under a valid CRC.
         let mut bad = bytes.clone();
         bad[8] = 99;
+        reseal(&mut bad);
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            load_sharded(&path, ShardedConfig::default()),
-            Err(SnapshotError::Tsdb(TsdbError::CorruptBlock { .. }))
-        ));
+        let err = load_sharded(&path, ShardedConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Tsdb(TsdbError::CorruptBlock { .. })),
+            "{err}"
+        );
+        assert!(err.to_string().contains("unsupported link version"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -668,10 +797,36 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes()); // series_count
         std::fs::write(&path, &bytes).unwrap();
         let err = load_sharded(&path, ShardedConfig::default()).unwrap_err();
+        assert!(is_refusal(&err), "{err}");
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert!(err.to_string().contains("retired"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn retired_v2_export_is_refused_by_name() {
+        // A well-formed version-2 export of one empty series: no
+        // checksum, no chain position. Refused as a retired format — a
+        // typed error naming the version — never read as damage.
+        let path = tmp("v2_export.snap");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes()); // version
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // series_count
+        bytes.extend_from_slice(&3u32.to_le_bytes()); // key_len
+        bytes.extend_from_slice(b"cpu");
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // block_count
+        let payload_offset = (bytes.len() + 16) as u64;
+        bytes.extend_from_slice(&payload_offset.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // payload_len
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_sharded(&path, ShardedConfig::default()).unwrap_err();
         assert!(
-            err.to_string().contains("unsupported snapshot version"),
+            matches!(err, SnapshotError::Tsdb(TsdbError::InvalidParameter { .. })),
             "{err}"
         );
+        assert!(err.to_string().contains("format version 2"), "{err}");
+        assert!(err.to_string().contains("retired"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the file was touched");
         std::fs::remove_file(&path).ok();
     }
 
@@ -697,8 +852,8 @@ mod tests {
 
     #[test]
     fn structural_keys_rejected_by_both_writers() {
-        // The single-file writer and the chain writer share the key
-        // check: neither may emit a key that would not parse back.
+        // Exports and chain links share the one writer's key check:
+        // neither may hold a key that would not parse back.
         let db = store_with_structural_key();
         let path = tmp("badkey.snap");
         assert!(save_sharded(&db, &path).is_err());
@@ -729,19 +884,25 @@ mod tests {
 
     #[test]
     fn implausible_block_count_is_an_error_not_an_abort() {
-        // A v2 directory claiming one series with u32::MAX blocks over
-        // an empty payload must surface as a clean error (the
-        // pre-allocation is capped), not an allocator abort.
+        // A CRC-valid link whose directory claims one series with
+        // u32::MAX blocks over an empty payload must surface as a clean
+        // error (the pre-allocation is capped), not an allocator abort.
         let path = tmp("hugeblocks.snap");
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&VERSION_V2.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // chain_id
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // seq
         bytes.extend_from_slice(&1u32.to_le_bytes()); // series_count
         bytes.extend_from_slice(&3u32.to_le_bytes()); // key_len
         bytes.extend_from_slice(b"cpu");
+        bytes.push(Mode::Replace as u8);
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // start_block
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // block_count
         let payload_offset = (bytes.len() + 16) as u64;
         bytes.extend_from_slice(&payload_offset.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes()); // payload_len
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_sharded(&path, ShardedConfig::default()).is_err());
         std::fs::remove_file(&path).ok();
@@ -749,18 +910,20 @@ mod tests {
 
     #[test]
     fn v2_payload_overrun_rejected() {
-        // Shrink a directory len field so the payload read overruns the
-        // declared extent.
+        // Shrink a directory len field, under a valid CRC, so the
+        // payload read overruns the declared extent.
         let db = seeded(2);
         let path = tmp("lenlie.snap");
         save_sharded(&db, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // First directory entry: magic(8) version(4) count(4) key_len(4)
-        // + key + block_count(4) + offset(8), then the 8-byte len.
-        let key_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-        let len_pos = 20 + key_len + 4 + 8;
+        // First directory entry: the 32-byte header, key_len(4) + key +
+        // mode(1) + start_block(4) + block_count(4) + offset(8), then
+        // the 8-byte len.
+        let key_len = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
+        let len_pos = 36 + key_len + 1 + 4 + 4 + 8;
         let len = u64::from_le_bytes(bytes[len_pos..len_pos + 8].try_into().unwrap());
         bytes[len_pos..len_pos + 8].copy_from_slice(&(len - 1).to_le_bytes());
+        reseal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         assert!(load_sharded(&path, ShardedConfig::default()).is_err());
         std::fs::remove_file(&path).ok();

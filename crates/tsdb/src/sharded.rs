@@ -150,21 +150,23 @@ impl ShardedDb {
     }
 
     /// The underlying shard array. Crate-internal: the operations layer —
-    /// the ingest pipeline, parallel snapshot persistence, and per-shard
-    /// retention — fans its workers out over this.
+    /// the ingest pipeline and per-shard retention fan their workers out
+    /// over it, and the exporter walks it.
     pub(crate) fn shards(&self) -> &[Tsdb] {
         &self.shards
     }
 
-    /// Writes a version-2 snapshot of the whole store to `path`, shards
-    /// serialized in parallel; see [`crate::persist::save_sharded`].
+    /// Writes an export of the whole store to `path`: one link-format
+    /// file, whose bytes do not depend on the shard count; see
+    /// [`crate::persist::save_sharded`].
     pub fn save(&self, path: &std::path::Path) -> Result<(), crate::persist::SnapshotError> {
         crate::persist::save_sharded(self, path)
     }
 
-    /// Loads a snapshot file or checkpoint-chain directory from `path`
+    /// Loads an export file or checkpoint-chain directory from `path`
     /// into a fresh engine with `config` (series re-route to the new
-    /// shard count); see [`crate::persist::load_sharded`].
+    /// shard count); see [`crate::persist::load_sharded`]. A retired
+    /// on-disk format is an error that names it.
     pub fn load(
         path: &std::path::Path,
         config: ShardedConfig,

@@ -28,6 +28,13 @@
 //!   manifest referencing a missing delta, delta from a foreign chain —
 //!   folding must degrade to the newest loadable prefix, never panic,
 //!   and never lose acknowledged data while the WAL tail survives;
+//! * fuzz every **link** of a base + two-delta chain — truncated at
+//!   every byte, one bit flipped at every byte offset (strided unless
+//!   `CRASH_EXTENDED=1`) — the link's CRC refuses each case, the fold
+//!   loads exactly the links before it, and recovery with the WAL tail
+//!   is the full oracle;
+//! * flip every single bit of a standalone export — every flip is an
+//!   error, never a load of different data;
 //! * checkpoint repeatedly **under a live concurrent ingest pipeline**
 //!   and recover ≡ the live store.
 //!
@@ -559,24 +566,7 @@ fn chain_index_fuzz_degrades_to_the_newest_loadable_prefix() {
     let b = batch(&keys, 1_000, 9);
     let c = batch(&keys, 2_000, 5);
 
-    // base(a) + delta(b) + delta(c); the WAL holds every record because
-    // the chain runs un-walled here (no generation ever discarded).
-    let build = |tag: &str| -> PathBuf {
-        let root = temp_dir(tag);
-        let wal_dir = root.join("wal");
-        let chain_dir = root.join("chain");
-        let db = ShardedDb::with_config(ShardedConfig::new(2, 32));
-        let wal = Wal::open(&wal_dir, 2, FsyncPolicy::EveryN(4)).unwrap();
-        let mut chain = CheckpointChain::open(&chain_dir, 8).unwrap();
-        apply_batch(&db, &wal, &a);
-        chain.checkpoint(&db, None).unwrap();
-        apply_batch(&db, &wal, &b);
-        chain.checkpoint(&db, None).unwrap();
-        apply_batch(&db, &wal, &c);
-        chain.checkpoint(&db, None).unwrap();
-        wal.seal().unwrap();
-        root
-    };
+    let build = |tag: &str| build_unwalled_chain(tag, &[&a, &b, &c]);
     let full_oracle = oracle_of_batches(&[&a, &b, &c]);
 
     // Garbage manifest — including a bit-flip sweep over every byte
@@ -683,6 +673,116 @@ fn chain_index_fuzz_degrades_to_the_newest_loadable_prefix() {
         fs::remove_dir_all(&root).unwrap();
         fs::remove_dir_all(&other_root).unwrap();
     }
+}
+
+/// Builds a chain of one link per batch — base(first) + one delta per
+/// later batch — under `<root>/chain`, with a WAL under `<root>/wal`.
+/// The chain runs un-walled (no generation is ever discarded), so the
+/// log holds every record and acknowledged data stays recoverable
+/// whatever happens to the chain. Returns the root.
+fn build_unwalled_chain(tag: &str, batches: &[&[(usize, SeriesKey, DataPoint)]]) -> PathBuf {
+    let root = temp_dir(tag);
+    let db = ShardedDb::with_config(ShardedConfig::new(2, 32));
+    let wal = Wal::open(&root.join("wal"), 2, FsyncPolicy::EveryN(4)).unwrap();
+    let mut chain = CheckpointChain::open(&root.join("chain"), 8).unwrap();
+    for batch in batches {
+        apply_batch(&db, &wal, batch);
+        chain.checkpoint(&db, None).unwrap();
+    }
+    wal.seal().unwrap();
+    root
+}
+
+/// Satellite wall: every link of a base + two-delta chain, truncated at
+/// every byte and bit-flipped at every byte offset (strided unless
+/// `CRASH_EXTENDED=1`). The link's CRC catches each case: the fold
+/// never panics, never applies the damaged link, loads exactly the
+/// links before it (≡ the oracle of their batches), and recovery with
+/// the WAL tail ≡ the full oracle.
+#[test]
+fn link_fuzz_folds_to_the_newest_loadable_prefix() {
+    let keys = chain_keys();
+    let batches = [batch(&keys, 0, 12), batch(&keys, 1_000, 9), batch(&keys, 2_000, 5)];
+    let batches: Vec<&[_]> = batches.iter().map(Vec::as_slice).collect();
+    let root = build_unwalled_chain("link-fuzz", &batches);
+    let chain_dir = root.join("chain");
+    let config = ShardedConfig::new(2, 32);
+    let full_oracle = oracle_of_batches(&batches);
+    // base-… sorts before delta-…-00000001 before delta-…-00000002.
+    let mut links: Vec<PathBuf> = fs::read_dir(&chain_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "snap"))
+        .collect();
+    links.sort();
+    assert_eq!(links.len(), 3, "{links:?}");
+
+    let stride = if extended() { 1 } else { 5 };
+    for (index, link) in links.iter().enumerate() {
+        let prefix_oracle = oracle_of_batches(&batches[..index]);
+        let pristine = fs::read(link).unwrap();
+        let truncations = (0..pristine.len()).map(|n| pristine[..n].to_vec());
+        let flips = (0..pristine.len()).step_by(stride).map(|i| {
+            let mut bytes = pristine.clone();
+            bytes[i] ^= 1 << (i % 8);
+            bytes
+        });
+        for (case, bytes) in truncations.chain(flips).enumerate() {
+            fs::write(link, &bytes).unwrap();
+            let (folded, report) = load_chain_with_report(&chain_dir, config).unwrap();
+            assert_eq!(
+                (report.links_total, report.links_loaded),
+                (3, index),
+                "link {index}, case {case}: {report:?}"
+            );
+            assert!(report.damage.is_some(), "link {index}, case {case} went undetected");
+            assert_equiv(&folded, &prefix_oracle);
+            let (recovered, _) =
+                recover_sharded(Some(&chain_dir), Some(&root.join("wal")), config).unwrap();
+            assert_equiv(&recovered, &full_oracle);
+        }
+        fs::write(link, &pristine).unwrap();
+    }
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// Satellite wall: a standalone export — one 200-point series, the size
+/// of a small dashboard panel — with every single bit flipped in turn.
+/// Each flip must be refused (`Err`), whether or not it would have
+/// changed the data: a snapshot never loads silently wrong.
+#[test]
+fn every_single_bit_flip_of_an_export_is_refused() {
+    let dir = temp_dir("export-flips");
+    let path = dir.join("export.snap");
+    let db = ShardedDb::with_config(ShardedConfig::new(2, 64));
+    let key = SeriesKey::metric("cpu").with_tag("host", "a");
+    for t in 0..200i64 {
+        db.write(&key, DataPoint::new(t * 10, (t as f64 / 7.0).sin())).unwrap();
+    }
+    db.save(&path).unwrap();
+    let pristine = fs::read(&path).unwrap();
+    let original = db.query_selector(&Selector::any(), full()).unwrap();
+    let (mut loaded, mut differing) = (0, 0);
+    for bit in 0..pristine.len() * 8 {
+        let mut bytes = pristine.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        fs::write(&path, &bytes).unwrap();
+        if let Ok(db) = ShardedDb::load(&path, ShardedConfig::new(2, 64)) {
+            loaded += 1;
+            if db.query_selector(&Selector::any(), full()).unwrap() != original {
+                differing += 1;
+            }
+        }
+    }
+    assert_eq!(
+        loaded,
+        0,
+        "{loaded} of {} single-bit flips of a {}-byte export loaded, {differing} of them \
+         with different data",
+        pristine.len() * 8,
+        pristine.len()
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Store writes without a WAL — for scratch stores in the fuzz setup.

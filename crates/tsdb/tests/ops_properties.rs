@@ -205,13 +205,13 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let stamp = format!("{}_{}", std::process::id(), case.doc.len());
 
-        // v2 written by the sharded engine, reloaded at a different shard
-        // count, must equal the oracle.
-        let v2 = dir.join(format!("{stamp}_v2.snap"));
-        sharded.save(&v2).unwrap();
+        // An export written by the sharded engine, reloaded at a
+        // different shard count, must equal the oracle.
+        let export = dir.join(format!("{stamp}_export.snap"));
+        sharded.save(&export).unwrap();
         let reload_shards = (case.shards % 6) + 1;
         let restored =
-            ShardedDb::load(&v2, ShardedConfig::new(reload_shards, case.block_capacity))
+            ShardedDb::load(&export, ShardedConfig::new(reload_shards, case.block_capacity))
                 .unwrap();
         prop_assert_eq!(
             restored.query_selector(&Selector::any(), full()).unwrap(),
@@ -222,18 +222,18 @@ proptest! {
         oracle.flush().unwrap();
         prop_assert_eq!(restored.stats(), oracle.stats());
 
-        // v2 bytes are shard-count-invariant: a single-shard engine with
-        // the same points writes the identical file.
-        let v2_single = dir.join(format!("{stamp}_v2single.snap"));
+        // Export bytes are shard-count-invariant: a single-shard engine
+        // with the same points writes the identical file.
+        let export_single = dir.join(format!("{stamp}_export_single.snap"));
         let single = ShardedDb::with_config(ShardedConfig::new(1, case.block_capacity));
         ingest_reader(&single, case.doc.as_bytes(), 0, &case.ingest).unwrap();
-        single.save(&v2_single).unwrap();
+        single.save(&export_single).unwrap();
         prop_assert_eq!(
-            std::fs::read(&v2).unwrap(),
-            std::fs::read(&v2_single).unwrap()
+            std::fs::read(&export).unwrap(),
+            std::fs::read(&export_single).unwrap()
         );
 
-        for p in [v2, v2_single] {
+        for p in [export, export_single] {
             std::fs::remove_file(p).ok();
         }
     }

@@ -3,6 +3,11 @@
 //! Invariants checked:
 //! * Gorilla compression is bit-lossless for arbitrary ordered `(i64, f64)`
 //!   streams (including negative zero and subnormals);
+//! * a Gorilla chunk cut at any bit decodes to exactly its clean prefix
+//!   and then one "bit stream exhausted mid-record" error, and a chunk
+//!   with any one bit flipped decodes to at most `count` items, the only
+//!   error last, without a panic — the errors a word-at-a-time bit reader
+//!   (ROADMAP direction 1a) must reproduce exactly;
 //! * a [`SeriesStore`] scan equals the brute-force filter of the written
 //!   points regardless of where block seals fall;
 //! * bucketed mean aggregation equals the brute-force per-bucket mean;
@@ -10,7 +15,8 @@
 
 use asap_tsdb::query::{Aggregator, FillPolicy, RangeQuery};
 use asap_tsdb::series::SeriesStore;
-use asap_tsdb::{DataPoint, GorillaEncoder};
+use asap_tsdb::{CompressedChunk, DataPoint, GorillaEncoder, TsdbError};
+use bytes::Bytes;
 use proptest::prelude::*;
 
 /// Strategy: a strictly-increasing timestamp sequence with finite values.
@@ -33,7 +39,65 @@ fn ordered_points(max_len: usize) -> impl Strategy<Value = Vec<DataPoint>> {
     })
 }
 
+/// Encodes `points`, returning the chunk and the bit offset at which
+/// each point's record ends.
+fn encode_with_record_ends(points: &[DataPoint]) -> (CompressedChunk, Vec<usize>) {
+    let mut enc = GorillaEncoder::new();
+    let ends = points
+        .iter()
+        .map(|&p| {
+            enc.append(p);
+            enc.size_bits()
+        })
+        .collect();
+    (enc.finish(), ends)
+}
+
 proptest! {
+    #[test]
+    fn truncated_chunks_decode_the_clean_prefix_then_one_error(points in ordered_points(24)) {
+        let (chunk, ends) = encode_with_record_ends(&points);
+        for len_bits in 0..=chunk.len_bits {
+            let cut = CompressedChunk {
+                data: Bytes::from(chunk.data[..len_bits.div_ceil(8)].to_vec()),
+                len_bits,
+                count: chunk.count,
+            };
+            let decoded: Vec<_> = cut.iter().collect();
+            let clean = ends.iter().take_while(|&&end| end <= len_bits).count();
+            prop_assert_eq!(decoded.len(), clean + usize::from(clean < points.len()));
+            for (got, want) in decoded.iter().zip(&points).take(clean) {
+                let got = got.as_ref().expect("a clean record decodes");
+                prop_assert_eq!(got.timestamp, want.timestamp);
+                prop_assert_eq!(got.value.to_bits(), want.value.to_bits());
+            }
+            if clean < points.len() {
+                prop_assert_eq!(
+                    decoded[clean].clone(),
+                    Err(TsdbError::CorruptBlock { reason: "bit stream exhausted mid-record" })
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bit_flipped_chunks_yield_at_most_one_trailing_error(points in ordered_points(24)) {
+        let (chunk, _) = encode_with_record_ends(&points);
+        for bit in 0..chunk.len_bits {
+            let mut data = chunk.data.to_vec();
+            data[bit / 8] ^= 0x80 >> (bit % 8);
+            let flipped = CompressedChunk { data: Bytes::from(data), ..chunk.clone() };
+            let decoded: Vec<_> = flipped.iter().collect();
+            prop_assert!(decoded.len() <= chunk.count);
+            let errors = decoded.iter().filter(|r| r.is_err()).count();
+            prop_assert!(errors <= 1, "bit {}: {} errors", bit, errors);
+            if errors == 1 {
+                let last_is_err = decoded.last().is_some_and(Result::is_err);
+                prop_assert!(last_is_err, "bit {}: error not last", bit);
+            }
+        }
+    }
+
     #[test]
     fn gorilla_round_trips_bit_exactly(points in ordered_points(300)) {
         let mut enc = GorillaEncoder::new();
