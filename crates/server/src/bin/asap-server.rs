@@ -38,7 +38,8 @@
 //! Durability: `--snapshot DIR` names the **checkpoint-chain
 //! directory**, the one state the server boots from: a full base
 //! snapshot plus per-checkpoint deltas holding only the series that
-//! changed, committed by a CRC-guarded manifest. An existing chain is
+//! changed, each a CRC-checked link that names its own place in the
+//! chain, so the directory is its own index. An existing chain is
 //! folded at boot (a damaged one degrades to its newest loadable prefix
 //! and is logged as a warning), a background thread checkpoints into it
 //! on jittered ticks while the server runs, and the drain ends with one

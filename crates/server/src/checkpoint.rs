@@ -10,8 +10,9 @@
 //! client `SNAPSHOT` save (and vice versa), and (4) runs one pass via
 //! [`crate::server::Shared::run_checkpoint`]: rotate the WAL, write a
 //! delta link holding only the series that changed since the previous
-//! pass (or re-base once the chain reaches its configured depth),
-//! commit the chain manifest, and discard the covered log generations.
+//! pass (or re-base once the chain reaches its configured depth) — the
+//! link's rename is the commit — and discard the covered log
+//! generations.
 //! The outcome folds into the server's [`crate::CheckpointStats`]
 //! (surfaced through `STATS` as `checkpoint.*`).
 //!

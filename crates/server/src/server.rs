@@ -72,8 +72,8 @@ pub struct ServerConfig {
     /// written at drain). When set, the server maintains a
     /// [`CheckpointChain`] in the configured directory: each scheduled
     /// pass rotates the WAL (if any), writes only the series that
-    /// changed since the previous pass, commits the chain manifest, and
-    /// discards the covered log generations — so both the log and the
+    /// changed since the previous pass (the link's rename is the
+    /// commit), and discards the covered log generations — so both the log and the
     /// checkpoint cost stay bounded by write activity. The drain ends
     /// with one more pass and client `SNAPSHOT` commands start with one
     /// (see [`Server::shutdown`]).
@@ -726,8 +726,8 @@ impl Shared {
     }
 
     /// Runs one incremental checkpoint pass on the configured chain —
-    /// rotate the WAL, write the delta (or re-base), commit the
-    /// manifest, discard the covered generations — folding the outcome
+    /// rotate the WAL, write the delta (or re-base) — the commit —,
+    /// discard the covered generations — folding the outcome
     /// into the `checkpoint.*` stats. The caller must hold the snapshot
     /// gate; the chain's own lock serializes concurrent callers.
     pub(crate) fn run_checkpoint(&self) -> Result<ChainCheckpointReport, String> {
@@ -1329,9 +1329,9 @@ fn resolved(path: &Path) -> PathBuf {
 /// the chain directory and the WAL directory are equal or nested.
 /// [`resolve_snapshot_path`] confines an export to `snapshot_dir`, which
 /// protects nothing when durable state lives under it: `SNAPSHOT
-/// chain/MANIFEST` would overwrite the manifest with an export, and the
-/// next boot would serve an empty store. The chain and the log also
-/// each assume they own their directory's file names.
+/// chain/base-….snap` would overwrite a chain link with an export, and
+/// the next boot would serve the wrong store. The chain and the log
+/// also each assume they own their directory's file names.
 fn check_disjoint_dirs(config: &ServerConfig) -> Result<(), TsdbError> {
     let dirs: Vec<PathBuf> = [
         config.snapshot_dir.as_deref(),
@@ -1850,7 +1850,7 @@ mod tests {
     #[test]
     fn checkpoint_last_error_clears_when_a_later_pass_succeeds() {
         let mut stats = CheckpointStats::default();
-        stats.record_failure("manifest write failed".to_owned());
+        stats.record_failure("link write failed".to_owned());
         assert_eq!(stats.errors, 1);
         assert!(stats.last_error.is_some());
 

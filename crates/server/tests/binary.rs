@@ -76,6 +76,21 @@ fn path_str(path: &Path) -> &str {
     path.to_str().unwrap()
 }
 
+/// Writes a chain of two links into `dir` — a base holding `cpu{host=a}`
+/// at t = 0..50 and a delta adding t = 50..100 — replacing whatever
+/// chain was there.
+fn two_link_chain(dir: &Path) {
+    let db = ShardedDb::with_config(ShardedConfig::new(2, 16));
+    let key = SeriesKey::metric("cpu").with_tag("host", "a");
+    let mut chain = CheckpointChain::open(dir, 4).unwrap();
+    for half in [0..50, 50..100] {
+        for t in half {
+            db.write(&key, DataPoint::new(t, t as f64)).unwrap();
+        }
+        chain.checkpoint(&db, None).unwrap();
+    }
+}
+
 /// A damaged chain boots (degraded to its loadable prefix) but must say
 /// so: one `warn` line with how far the fold got, where a healthy chain
 /// logs `snapshot_loaded`.
@@ -83,11 +98,7 @@ fn path_str(path: &Path) -> &str {
 fn damaged_chain_boots_with_a_warning_not_like_a_healthy_one() {
     let dir = temp_dir("damaged");
     let chain_dir = dir.join("chain");
-    CheckpointChain::open(&chain_dir, 4)
-        .unwrap()
-        .checkpoint(&store(), None)
-        .unwrap();
-
+    two_link_chain(&chain_dir);
     let (healthy, log) = boot_query_shutdown(&["--snapshot", path_str(&chain_dir)]);
     assert!(
         healthy.starts_with("OK 1\n") && healthy.contains("\n99 99\n"),
@@ -96,26 +107,79 @@ fn damaged_chain_boots_with_a_warning_not_like_a_healthy_one() {
     assert!(log.contains("event=snapshot_loaded"), "{log}");
     assert!(!log.contains("level=warn"), "{log}");
 
-    let manifest = chain_dir.join("MANIFEST");
-    let mut bytes = std::fs::read(&manifest).unwrap();
-    bytes[13] ^= 0x10; // inside the chain id; the CRC no longer matches
-    std::fs::write(&manifest, &bytes).unwrap();
+    // The drain re-based the chain: write the two links again, then
+    // flip one bit of the delta. The base still loads.
+    two_link_chain(&chain_dir);
+    let delta = std::fs::read_dir(&chain_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("delta-"))
+        .expect("the chain has a delta");
+    let mut bytes = std::fs::read(&delta).unwrap();
+    bytes[40] ^= 0x10;
+    std::fs::write(&delta, &bytes).unwrap();
     let (degraded, log) = boot_query_shutdown(&["--snapshot", path_str(&chain_dir)]);
-    assert!(degraded.starts_with("OK 0\n"), "{degraded}");
-    let warning = log
-        .lines()
-        .find(|l| l.contains("event=snapshot_damaged"))
-        .unwrap_or_else(|| panic!("no snapshot_damaged line:\n{log}"));
     assert!(
-        warning.starts_with("level=warn component=server "),
-        "{warning}"
+        degraded.starts_with("OK 1\n")
+            && degraded.contains("\n49 49\n")
+            && !degraded.contains("\n50 50\n"),
+        "{degraded}"
+    );
+    let warnings: Vec<&str> = log
+        .lines()
+        .filter(|l| l.contains("event=snapshot_damaged"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{log}");
+    assert!(
+        warnings[0].starts_with("level=warn component=server "),
+        "{}",
+        warnings[0]
     );
     assert!(
-        warning.contains(" links_loaded=0 links_total=0 damage=\"")
-            && warning.contains("manifest is damaged"),
-        "{warning}"
+        warnings[0].contains(" links_loaded=1 links_total=2 damage=\"")
+            && warnings[0].contains("checksum mismatch"),
+        "{}",
+        warnings[0]
     );
     assert!(!log.contains("event=snapshot_loaded"), "{log}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Regression for a data loss: a chain directory holding a damaged
+/// `MANIFEST` (the index an earlier build kept beside the links, here
+/// with one flipped bit) used to boot an empty store, whose drain
+/// re-based and deleted the intact links. The links are the index now:
+/// every point is served, before and after a restart.
+#[test]
+fn a_damaged_manifest_beside_the_chain_loses_nothing() {
+    let dir = temp_dir("manifest");
+    let chain_dir = dir.join("chain");
+    two_link_chain(&chain_dir);
+    let mut manifest = b"ASAPCHN1".to_vec();
+    manifest.extend_from_slice(&2u32.to_le_bytes()); // version
+    manifest.extend_from_slice(&1u64.to_le_bytes()); // chain id
+    manifest.extend_from_slice(&2u32.to_le_bytes()); // link count
+    manifest.extend_from_slice(&0u64.to_le_bytes()); // the base's seq
+    manifest.extend_from_slice(&1u64.to_le_bytes()); // the delta's seq
+    let crc = asap_tsdb::wal::crc32(&manifest);
+    manifest.extend_from_slice(&crc.to_le_bytes());
+    manifest[13] ^= 0x10; // inside the chain id; the CRC no longer matches
+    std::fs::write(chain_dir.join("MANIFEST"), &manifest).unwrap();
+
+    for boot in ["first", "second"] {
+        let (response, log) = boot_query_shutdown(&["--snapshot", path_str(&chain_dir)]);
+        assert!(
+            response.starts_with("OK 1\n")
+                && response.contains("\n0 0\n")
+                && response.contains("\n99 99\n"),
+            "{boot} boot: {response}"
+        );
+        assert!(log.contains("event=snapshot_loaded"), "{boot} boot: {log}");
+    }
+    assert!(
+        !chain_dir.join("MANIFEST").exists(),
+        "the first re-base removes the leftover index"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -147,7 +211,7 @@ fn retired_and_unsafe_durable_layouts_exit_2() {
     assert_eq!(std::fs::read(&file).unwrap(), before);
 
     // A chain of the retired layout: a CRC-valid version-1 manifest over
-    // a version-2 base. Refused by name; no file is touched.
+    // a version-2 base. The base is refused by name; no file is touched.
     let v1_chain = dir.join("v1-chain");
     std::fs::create_dir_all(&v1_chain).unwrap();
     let mut manifest = b"ASAPCHN1".to_vec();
@@ -164,7 +228,7 @@ fn retired_and_unsafe_durable_layouts_exit_2() {
     let base_path = v1_chain.join("base-0000000000000001-00000000.snap");
     std::fs::write(&base_path, &base).unwrap();
     let log = refused(&["--snapshot", path_str(&v1_chain)]);
-    assert!(log.contains("chain manifest version 1"), "{log}");
+    assert!(log.contains("format version 2"), "{log}");
     assert!(log.contains("retired"), "{log}");
     assert_eq!(std::fs::read(v1_chain.join("MANIFEST")).unwrap(), manifest);
     assert_eq!(std::fs::read(&base_path).unwrap(), base);
@@ -175,7 +239,7 @@ fn retired_and_unsafe_durable_layouts_exit_2() {
     );
 
     // `--snapshot-dir` an ancestor of the chain: `SNAPSHOT
-    // chain/MANIFEST` would overwrite the manifest.
+    // chain/base-….snap` would overwrite a link.
     let chain = dir.join("chain");
     let log = refused(&[
         "--snapshot",

@@ -1095,7 +1095,7 @@ fn nested_durable_directories_are_refused_at_start_up() {
 
     let (db, report) =
         load_chain_with_report(&base.join("chain"), ShardedConfig::new(2, 16)).unwrap();
-    assert_eq!(report.damage, None, "the export landed on the live manifest");
+    assert_eq!(report.damage, None, "the export landed on the live chain");
     let second = Server::start(db, config(&exports, "chain", "wal")).unwrap();
     assert_eq!(query(second.query_addr(), range_cmd), expect);
     second.shutdown();

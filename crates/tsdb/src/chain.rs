@@ -5,31 +5,36 @@
 //! A long-running server checkpointing every minute needs the opposite:
 //! cost proportional to what changed since the last checkpoint. This
 //! module provides that as a *chain* — a directory holding one full base
-//! plus a sequence of per-series delta links, indexed by a manifest.
-//! Every link is one file of [`crate::persist`]'s link format: the base
-//! is an export under the chain's id, and a delta holds only the series
-//! that changed. The chain directory is the only state a server boots
-//! from:
+//! plus a sequence of per-series delta links. Every link is one file of
+//! [`crate::persist`]'s link format: the base is an export under the
+//! chain's id, and a delta holds only the series that changed. Each link
+//! carries its chain id and sequence number under its own CRC, so the
+//! directory is its own index — there is no manifest — and it is the
+//! only state a server boots from:
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST                              which links are live, in order
 //!   base-<chain_id:016x>-00000000.snap    link seq 0: every series, replaced
 //!   delta-<chain_id:016x>-<seq:08>.snap   series that changed since seq-1
 //! ```
 //!
-//! ## Manifest (little-endian)
+//! ## The fold
 //!
-//! ```text
-//! magic "ASAPCHN1" | u32 2 | u64 chain_id | u32 link_count
-//! per link: u64 seq          (link 0 is the base, the rest are deltas)
-//! u32 crc32 of all preceding bytes
-//! ```
+//! [`load_chain_with_report`] takes the newest chain (the highest id)
+//! whose base loads, then folds that chain's deltas in `seq` order while
+//! they are contiguous and load. Each link's inner chain id and sequence
+//! must match its file name. A damaged newest base falls back to the
+//! next older chain still on disk — one that a re-base killed before its
+//! cleanup left behind. Other names in the directory — a `*.tmp` file a
+//! killed write left, the `MANIFEST` an earlier build indexed its chains
+//! with — are ignored, and booting modifies nothing.
 //!
-//! Manifest version 1 indexed the retired unchecksummed links. A
-//! CRC-valid version-1 manifest is refused by name — a hard error from
-//! [`load_chain_with_report`] and [`CheckpointChain::open`], never damage
-//! that boots an empty store — and nothing on disk is touched.
+//! A retired layout is refused by name, never degraded past: a link of
+//! format version 1–3 anywhere in the directory is a hard error from
+//! [`load_chain_with_report`] and [`CheckpointChain::open`], found from
+//! each link's 12-byte header before anything on disk is touched.
+//! Downgrading to a build that reads a `MANIFEST` is unsupported (it
+//! would find none and boot empty); the way back is a `SNAPSHOT` export.
 //!
 //! ## Change detection
 //!
@@ -46,47 +51,51 @@
 //!
 //! ## Crash safety
 //!
-//! Every file is written via tmp+fsync+rename+directory-fsync
-//! ([`crate::persist`]'s `replace_file`), and a checkpoint orders its
-//! steps so that a kill anywhere leaves a recoverable prefix:
+//! Every link is written via tmp+fsync+rename+directory-fsync
+//! ([`crate::persist`]'s `replace_file`), and its rename is the commit
+//! point. A checkpoint orders its steps so that a kill anywhere leaves a
+//! recoverable prefix:
 //!
 //! 1. rotate the WAL (boundary `g`): nothing discarded yet;
-//! 2. write the delta (or, on re-base, the new base under a fresh
-//!    chain id): an orphan file no manifest references — ignored;
-//! 3. rename the new manifest: the chain now covers everything before
-//!    `g`; replay of not-yet-discarded generations is idempotent;
-//! 4. (re-base only) delete the previous chain's files: the manifest
-//!    stopped referencing them in step 3;
-//! 5. discard WAL generations `< g`: every record they hold is in the
+//! 2. write the delta (or, on re-base, the new base under a fresh chain
+//!    id) — the commit: the newest chain now covers everything before
+//!    `g`, and replay of not-yet-discarded generations is idempotent;
+//! 3. (re-base only) delete every other chain's links, leftover `*.tmp`
+//!    files and an earlier build's `MANIFEST`: the new base supersedes
+//!    them all;
+//! 4. discard WAL generations `< g`: every record they hold is in the
 //!    chain.
 //!
-//! The in-memory chain state (links, fingerprints) only advances after
-//! step 3 succeeds, so a *failed* step (as opposed to a kill) leaves the
-//! writer consistent with the on-disk manifest and the next checkpoint
-//! simply overwrites the orphan. A checkpoint pass starts no thread.
-//! [`load_chain`] folds the links in manifest order through the one link
-//! reader and the one fold, so each link is validated **fully before it
-//! is applied**, and degrades to the newest loadable prefix on any
-//! damage — the WAL tail (which was only discarded once covered)
-//! supplies the rest. `tests/crash_properties.rs` kills a checkpoint
-//! between every step, truncates and bit-flips every link, and proves
-//! recovery ≡ the surviving-prefix oracle.
+//! The in-memory chain state (link count, fingerprints) only advances
+//! after the link write returns `Ok`. A write that returns `Err` may
+//! still have landed, so the writer then drops its fingerprints, and a
+//! failed re-base also uses up its chain id: the next checkpoint
+//! re-bases under a fresh id, and never writes a delta onto a chain a
+//! newer base on disk may have superseded. A checkpoint pass starts no
+//! thread. The fold goes through the one link reader and the one fold,
+//! so each link is validated **fully before it is applied**, and
+//! degrades to the newest loadable prefix on any damage — the WAL tail
+//! (which was only discarded once covered) supplies the rest.
+//! `tests/crash_properties.rs` kills a checkpoint between every step,
+//! truncates and bit-flips every link, and proves recovery ≡ the
+//! surviving-prefix oracle.
 
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use crate::block::Block;
 use crate::error::TsdbError;
 use crate::persist::{
-    apply_link, checked_body, corrupt, export_all, is_refusal, read_link, read_u32, read_u64,
-    replace_file, retired, write_link, Entry, Mode, SnapshotError,
+    apply_link, corrupt, export_all, is_refusal, read_link, refuse_retired, write_link, Entry,
+    Mode, SnapshotError,
 };
 use crate::sharded::{ShardedConfig, ShardedDb};
 use crate::tags::SeriesKey;
 use crate::wal::Wal;
 
-const CHAIN_MAGIC: &[u8; 8] = b"ASAPCHN1";
-const MANIFEST_VERSION: u32 = 2;
+/// The chain index an earlier build kept beside the links; removed by
+/// the first re-base, ignored until then.
 const MANIFEST_NAME: &str = "MANIFEST";
 
 /// The steps of one incremental checkpoint, in execution order. Passed
@@ -97,13 +106,14 @@ const MANIFEST_NAME: &str = "MANIFEST";
 pub enum ChainStep {
     /// The WAL was rotated onto a fresh generation; nothing written yet.
     Rotated,
-    /// The delta link file was renamed into place (delta path).
+    /// The delta link was renamed into place — the commit point (delta
+    /// path).
     DeltaWritten,
-    /// The new base file was renamed into place (re-base path).
+    /// The new base was renamed into place — the commit point (re-base
+    /// path).
     BaseWritten,
-    /// The new manifest was renamed into place — the commit point.
-    ManifestWritten,
-    /// The previous chain's files were deleted (re-base path).
+    /// Every other chain's links and the leftover files were deleted
+    /// (re-base path).
     OldChainRemoved,
     /// Covered WAL generations were discarded — the final step.
     Discarded,
@@ -136,11 +146,14 @@ pub struct ChainCheckpointReport {
 /// How much of a chain [`load_chain`] managed to fold.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChainLoadReport {
-    /// Links the manifest lists.
+    /// Links of the folded chain on disk: its highest link `seq` + 1,
+    /// so a missing link in the middle still counts. When every base is
+    /// damaged, the oldest chain tried; 0 for a directory with no links.
     pub links_total: usize,
     /// Links folded before damage (== `links_total` when clean).
     pub links_loaded: usize,
-    /// Description of the first damaged link, if any.
+    /// Description of the first damaged or missing link, if any —
+    /// including a damaged newer base the fold fell back past.
     pub damage: Option<String>,
 }
 
@@ -180,73 +193,44 @@ fn link_name(chain_id: u64, seq: u64) -> String {
     format!("{role}-{chain_id:016x}-{seq:08}.snap")
 }
 
-/// Parses `base-…`/`delta-…` link file names back into their chain id.
-fn parse_link_name(name: &str) -> Option<u64> {
+/// Parses a name [`link_name`] produced back into `(chain_id, seq)`.
+fn parse_link_name(name: &str) -> Option<(u64, u64)> {
     let stem = name.strip_suffix(".snap")?;
     let rest = stem
         .strip_prefix("base-")
         .or_else(|| stem.strip_prefix("delta-"))?;
     let (chain_id, seq) = rest.split_once('-')?;
-    seq.parse::<u64>().ok()?;
-    u64::from_str_radix(chain_id, 16).ok()
+    let parsed = (u64::from_str_radix(chain_id, 16).ok()?, seq.parse().ok()?);
+    (link_name(parsed.0, parsed.1) == name).then_some(parsed)
 }
 
-struct Manifest {
-    chain_id: u64,
-    links: Vec<u64>,
-}
-
-/// Checks the CRC, then the version: a damaged manifest is damage, a
-/// CRC-valid retired one a refusal.
-fn parse_manifest(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
-    let damaged = || corrupt("chain manifest is damaged");
-    let body = checked_body(bytes).ok_or_else(damaged)?;
-    if body.len() < CHAIN_MAGIC.len() + 4 + 8 + 4 || &body[..8] != CHAIN_MAGIC {
-        return Err(damaged());
-    }
-    let mut r = &body[8..];
-    match read_u32(&mut r)? {
-        MANIFEST_VERSION => {}
-        1 => {
-            return Err(retired(
-                "chain manifest version 1 (a chain of links without checksums) is retired; \
-                 this build reads manifest version 2 only and carries no migration",
-            ))
+/// The chain directory's only index, shared by the fold and the writer:
+/// each chain id on disk with its highest link seq. Other names are
+/// ignored. A link of a retired format version is refused by its 12-byte
+/// header, so neither a fold nor a re-base's cleanup ever passes over
+/// one; a header that cannot be read is left to the fold as damage.
+fn scan(dir: &Path) -> Result<BTreeMap<u64, u64>, SnapshotError> {
+    let mut chains = BTreeMap::new();
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(chains),
+        Err(e) => return Err(e.into()),
+    };
+    for entry in entries {
+        let entry = entry?;
+        let Some((chain_id, seq)) = entry.file_name().to_str().and_then(parse_link_name) else {
+            continue;
+        };
+        let mut header = Vec::with_capacity(12);
+        let read = std::fs::File::open(entry.path())
+            .and_then(|file| file.take(12).read_to_end(&mut header));
+        if read.is_ok() {
+            refuse_retired(&header)?;
         }
-        _ => return Err(corrupt("unsupported chain manifest version")),
+        let last = chains.entry(chain_id).or_insert(seq);
+        *last = (*last).max(seq);
     }
-    let chain_id = read_u64(&mut r)?;
-    let count = read_u32(&mut r)? as usize;
-    if r.len() != count * 8 {
-        return Err(damaged());
-    }
-    let links = r
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("eight bytes")))
-        .collect();
-    Ok(Manifest { chain_id, links })
-}
-
-/// Reads the manifest; `Ok(None)` means no manifest exists (an empty
-/// chain), `Err` means one exists but is damaged or retired.
-fn read_manifest(dir: &Path) -> Result<Option<Manifest>, SnapshotError> {
-    match std::fs::read(dir.join(MANIFEST_NAME)) {
-        Ok(bytes) => parse_manifest(&bytes).map(Some),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
-fn write_manifest(dir: &Path, chain_id: u64, links: &[u64]) -> Result<(), SnapshotError> {
-    let mut body = Vec::with_capacity(24 + links.len() * 8 + 4);
-    body.extend_from_slice(CHAIN_MAGIC);
-    body.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    body.extend_from_slice(&chain_id.to_le_bytes());
-    body.extend_from_slice(&(links.len() as u32).to_le_bytes());
-    for seq in links {
-        body.extend_from_slice(&seq.to_le_bytes());
-    }
-    replace_file(&dir.join(MANIFEST_NAME), body).map(drop)
+    Ok(chains)
 }
 
 /// Computes the delta entries between the chain's fingerprints and a
@@ -296,53 +280,52 @@ fn refuse_single_file(dir: &Path) -> Result<(), SnapshotError> {
 }
 
 /// Folds a checkpoint-chain directory into a fresh [`ShardedDb`],
-/// returning how much of the chain was loadable. Damage — a garbage
-/// manifest, a missing, foreign or torn link, a link that does not
-/// extend its predecessors — stops the fold at the newest loadable
-/// prefix instead of failing: the WAL tail (never discarded past the
-/// manifest's coverage) supplies the rest via
-/// [`crate::persist::recover_sharded`]. The hard errors are refusals of
-/// a retired layout — a regular file at `dir` (a single-file boot
-/// snapshot), a version-1 manifest, a version 1–3 link — which boot
-/// nothing and touch nothing.
+/// returning how much of the chain was loadable. The newest chain whose
+/// base loads is folded (see the module docs); damage — a missing,
+/// foreign or torn link, a link that does not extend its predecessors —
+/// stops the fold at the newest loadable prefix instead of failing: the
+/// WAL tail (never discarded past what a committed link covers) supplies
+/// the rest via [`crate::persist::recover_sharded`]. The hard errors are
+/// refusals of a retired layout — a regular file at `dir` (a single-file
+/// boot snapshot), a version 1–3 link — which boot nothing and touch
+/// nothing.
 pub fn load_chain_with_report(
     dir: &Path,
     config: ShardedConfig,
 ) -> Result<(ShardedDb, ChainLoadReport), SnapshotError> {
     refuse_single_file(dir)?;
-    let db = ShardedDb::with_config(config);
     let mut report = ChainLoadReport::default();
-    let manifest = match read_manifest(dir) {
-        Ok(Some(manifest)) => manifest,
-        Ok(None) => return Ok((db, report)),
-        Err(e) if is_refusal(&e) => return Err(e),
-        Err(e) => {
-            report.damage = Some(e.to_string());
+    // Newest chain first: an older one is folded only when every newer
+    // base is damaged.
+    for (&chain_id, &last) in scan(dir)?.iter().rev() {
+        let db = ShardedDb::with_config(config);
+        report.links_total = last as usize + 1;
+        report.links_loaded = 0;
+        for seq in 0..=last {
+            let name = link_name(chain_id, seq);
+            let folded = read_link(&dir.join(&name), &db).and_then(|link| {
+                if link.chain_id != chain_id {
+                    return Err(corrupt("link belongs to a foreign chain"));
+                }
+                if link.seq != seq {
+                    return Err(corrupt("link sequence does not match its file name"));
+                }
+                apply_link(&db, link.entries)
+            });
+            match folded {
+                Ok(()) => report.links_loaded += 1,
+                Err(e) if is_refusal(&e) => return Err(e),
+                Err(e) => {
+                    report.damage.get_or_insert(format!("{name}: {e}"));
+                    break;
+                }
+            }
+        }
+        if report.links_loaded > 0 {
             return Ok((db, report));
         }
-    };
-    report.links_total = manifest.links.len();
-    for (index, &seq) in manifest.links.iter().enumerate() {
-        let path = dir.join(link_name(manifest.chain_id, seq));
-        let folded = read_link(&path, &db).and_then(|link| {
-            if link.chain_id != manifest.chain_id {
-                return Err(corrupt("link belongs to a foreign chain"));
-            }
-            if link.seq != seq {
-                return Err(corrupt("link sequence does not match the manifest"));
-            }
-            apply_link(&db, link.entries)
-        });
-        match folded {
-            Ok(()) => report.links_loaded += 1,
-            Err(e) if is_refusal(&e) => return Err(e),
-            Err(e) => {
-                report.damage = Some(format!("link {index} (seq {seq}): {e}"));
-                break;
-            }
-        }
     }
-    Ok((db, report))
+    Ok((ShardedDb::with_config(config), report))
 }
 
 /// [`load_chain_with_report`] without the report — the form
@@ -352,15 +335,17 @@ pub fn load_chain(dir: &Path, config: ShardedConfig) -> Result<ShardedDb, Snapsh
 }
 
 /// The writer side of an incremental checkpoint chain: owns the chain
-/// directory, the live manifest state, and the per-series fingerprints
-/// change detection works from. One instance per store; callers
-/// serialize checkpoints (the server holds it behind a mutex and the
-/// snapshot gate).
+/// directory, the id and link count of the chain it extends, and the
+/// per-series fingerprints change detection works from. One instance
+/// per store; callers serialize checkpoints (the server holds it behind
+/// a mutex and the snapshot gate).
 pub struct CheckpointChain {
     dir: PathBuf,
     max_depth: usize,
     chain_id: u64,
-    links: Vec<u64>,
+    links: usize,
+    /// `None` until a link write returns `Ok`: the next checkpoint
+    /// re-bases.
     series: Option<BTreeMap<SeriesKey, Fingerprint>>,
     next_chain_id: u64,
 }
@@ -371,9 +356,10 @@ impl CheckpointChain {
     /// fresh full base and drops the old chain); it must be at least 1.
     ///
     /// Fingerprints do not survive restarts, so the first checkpoint of
-    /// a fresh instance always re-bases. A regular file at `dir` (a
-    /// retired single-file boot snapshot) and a retired version-1
-    /// manifest are refused, before anything on disk is touched.
+    /// a fresh instance always re-bases, under an id above every chain
+    /// in the directory. A regular file at `dir` (a retired single-file
+    /// boot snapshot) and a directory holding a link of a retired format
+    /// version are refused, before anything on disk is touched.
     pub fn open(dir: &Path, max_depth: usize) -> Result<Self, SnapshotError> {
         refuse_single_file(dir)?;
         if max_depth == 0 {
@@ -382,31 +368,17 @@ impl CheckpointChain {
                 message: "the checkpoint chain depth must be at least 1",
             }));
         }
-        let (chain_id, links) = match read_manifest(dir) {
-            Ok(Some(manifest)) => (manifest.chain_id, manifest.links),
-            Err(e) if is_refusal(&e) => return Err(e),
-            // No manifest, or a damaged one: the first checkpoint
-            // re-bases under a fresh id anyway.
-            _ => (0, Vec::new()),
-        };
+        let (chain_id, links) = scan(dir)?
+            .pop_last()
+            .map_or((0, 0), |(id, last)| (id, last as usize + 1));
         std::fs::create_dir_all(dir)?;
-        // New chain ids must never collide with any file already in the
-        // directory, including orphans from chains whose manifest is
-        // gone — scan everything, not just the manifest.
-        let mut highest = chain_id;
-        for entry in std::fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            if let Some(chain_id) = name.to_str().and_then(parse_link_name) {
-                highest = highest.max(chain_id);
-            }
-        }
         Ok(Self {
             dir: dir.to_path_buf(),
             max_depth,
             chain_id,
             links,
             series: None,
-            next_chain_id: highest + 1,
+            next_chain_id: chain_id + 1,
         })
     }
 
@@ -417,12 +389,12 @@ impl CheckpointChain {
 
     /// Links currently in the chain (base + deltas).
     pub fn links(&self) -> usize {
-        self.links.len()
+        self.links
     }
 
     /// Takes one incremental checkpoint: rotate `wal` (if present),
-    /// write the delta (or re-base), commit the manifest, discard the
-    /// covered WAL generations. See the module docs for the ordering's
+    /// write the delta (or re-base) — the commit —, discard the covered
+    /// WAL generations. See the module docs for the ordering's
     /// crash-safety argument.
     pub fn checkpoint(
         &mut self,
@@ -445,7 +417,7 @@ impl CheckpointChain {
     ) -> Result<ChainCheckpointReport, SnapshotError> {
         let stop = |step: ChainStep| stop_after == Some(step);
         let mut report = ChainCheckpointReport {
-            links: self.links.len(),
+            links: self.links,
             ..ChainCheckpointReport::default()
         };
         if let Some(wal) = wal {
@@ -465,56 +437,46 @@ impl CheckpointChain {
             .map(|e| (e.key.clone(), fingerprint(&e.blocks)))
             .collect();
 
-        let deltas = self.links.len().saturating_sub(1);
-        if self.series.is_none() || self.links.is_empty() || deltas >= self.max_depth {
-            // Re-base: a fresh full base under a fresh chain id.
-            report.rebased = true;
-            report.link_written = true;
-            report.series_written = exports.len();
-            let chain_id = self.next_chain_id;
-            let base = self.dir.join(link_name(chain_id, 0));
-            report.bytes_written = write_link(&base, chain_id, 0, &exports)?;
-            if stop(ChainStep::BaseWritten) {
-                return Ok(report);
-            }
-
-            write_manifest(&self.dir, chain_id, &[0])?;
-            self.chain_id = chain_id;
-            self.links = vec![0];
-            self.next_chain_id = chain_id + 1;
-            self.series = Some(fingerprints);
-            report.links = 1;
-            if stop(ChainStep::ManifestWritten) {
-                return Ok(report);
-            }
-
-            self.remove_other_chains()?;
-            if stop(ChainStep::OldChainRemoved) {
-                return Ok(report);
-            }
-        } else {
-            let entries = diff(self.series.as_ref().expect("checked above"), &exports);
-            if entries.is_empty() {
-                // Nothing changed: no link, but the rotation boundary is
-                // still fully covered — fall through to the discard.
+        // The fingerprints come back only once a link write (or an empty
+        // diff) returns `Ok`.
+        match self.series.take() {
+            Some(prev) if self.links <= self.max_depth => {
+                let entries = diff(&prev, &exports);
+                // An empty diff writes no link, but the rotation boundary
+                // is still fully covered — fall through to the discard.
+                if !entries.is_empty() {
+                    let seq = self.links as u64;
+                    let path = self.dir.join(link_name(self.chain_id, seq));
+                    report.bytes_written = write_link(&path, self.chain_id, seq, &entries)?;
+                    report.link_written = true;
+                    report.series_written = entries.len();
+                    self.links += 1;
+                }
                 self.series = Some(fingerprints);
-            } else {
-                let seq = self.links.last().copied().unwrap_or(0) + 1;
-                let path = self.dir.join(link_name(self.chain_id, seq));
+                report.links = self.links;
+                if report.link_written && stop(ChainStep::DeltaWritten) {
+                    return Ok(report);
+                }
+            }
+            _ => {
+                // Re-base: a fresh full base under a fresh chain id, used
+                // up even when the write fails.
+                let chain_id = self.next_chain_id;
+                self.next_chain_id += 1;
+                let base = self.dir.join(link_name(chain_id, 0));
+                report.bytes_written = write_link(&base, chain_id, 0, &exports)?;
+                (self.chain_id, self.links) = (chain_id, 1);
+                self.series = Some(fingerprints);
+                report.rebased = true;
                 report.link_written = true;
-                report.series_written = entries.len();
-                report.bytes_written = write_link(&path, self.chain_id, seq, &entries)?;
-                if stop(ChainStep::DeltaWritten) {
+                report.series_written = exports.len();
+                report.links = 1;
+                if stop(ChainStep::BaseWritten) {
                     return Ok(report);
                 }
 
-                let mut links = self.links.clone();
-                links.push(seq);
-                write_manifest(&self.dir, self.chain_id, &links)?;
-                self.links = links;
-                self.series = Some(fingerprints);
-                report.links = self.links.len();
-                if stop(ChainStep::ManifestWritten) {
+                self.remove_other_chains()?;
+                if stop(ChainStep::OldChainRemoved) {
                     return Ok(report);
                 }
             }
@@ -523,7 +485,6 @@ impl CheckpointChain {
         if let (Some(wal), Some(boundary)) = (wal, report.boundary) {
             report.wal_files_discarded = wal.discard_before(boundary)?;
         }
-        report.links = self.links.len();
         if stop(ChainStep::Discarded) {
             return Ok(report);
         }
@@ -531,17 +492,20 @@ impl CheckpointChain {
         Ok(report)
     }
 
-    /// Deletes every link file not belonging to the current chain —
-    /// the previous chain after a re-base, plus any orphans earlier
-    /// kills left behind.
+    /// Deletes what the current chain's base supersedes: every other
+    /// chain's links (the previous chain, and orphans earlier kills left
+    /// behind), `*.tmp` files of killed writes, and an earlier build's
+    /// `MANIFEST`.
     fn remove_other_chains(&self) -> Result<(), SnapshotError> {
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
-            if let Some(chain_id) = name.to_str().and_then(parse_link_name) {
-                if chain_id != self.chain_id {
-                    std::fs::remove_file(entry.path())?;
-                }
+            let Some(name) = name.to_str() else {
+                continue;
+            };
+            let other_chain = parse_link_name(name).is_some_and(|(id, _)| id != self.chain_id);
+            if other_chain || name.ends_with(".tmp") || name == MANIFEST_NAME {
+                std::fs::remove_file(entry.path())?;
             }
         }
         Ok(())
@@ -734,10 +698,11 @@ mod tests {
         assert_eq!(report.links_total, 0);
         assert!(report.damage.is_none());
 
+        // A garbage `MANIFEST` is not a link: ignored, not damage.
         std::fs::write(dir.join(MANIFEST_NAME), b"not a manifest").unwrap();
         let (folded, report) = load_chain_with_report(&dir, ShardedConfig::default()).unwrap();
         assert_eq!(folded.series_count(), 0);
-        assert!(report.damage.is_some());
+        assert_eq!(report, ChainLoadReport::default());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -808,47 +773,94 @@ mod tests {
         chain.checkpoint(&db, None).unwrap();
         drop(chain);
 
-        // A CRC-valid version-1 manifest: a chain of retired links.
-        let manifest = dir.join(MANIFEST_NAME);
-        let current = std::fs::read(&manifest).unwrap();
-        let mut body = current[..current.len() - 4].to_vec();
-        body[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let crc = crate::wal::crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        std::fs::write(&manifest, &body).unwrap();
-        let before = dir_bytes(&dir);
-        let loaded = load_chain_with_report(&dir, ShardedConfig::default())
-            .map(|_| ())
-            .unwrap_err();
-        let opened = CheckpointChain::open(&dir, 8).map(|_| ()).unwrap_err();
-        let via_load = ShardedDb::load(&dir, ShardedConfig::default())
-            .map(|_| ())
-            .unwrap_err();
-        for err in [loaded, opened, via_load] {
-            assert!(is_refusal(&err), "{err}");
-            assert!(
-                err.to_string().contains("chain manifest version 1"),
-                "{err}"
-            );
+        // Version 2 in the base's header, version 3 in the delta's: each
+        // is refused by name, by the fold and by the writer alike — a
+        // writer that opened would delete the links at its first re-base.
+        for (role, version) in [("base-", 2u32), ("delta-", 3)] {
+            let path = link_files(&dir)
+                .into_iter()
+                .find(|n| n.starts_with(role))
+                .map(|n| dir.join(n))
+                .unwrap();
+            let current = std::fs::read(&path).unwrap();
+            let mut retired = current.clone();
+            retired[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &retired).unwrap();
+            let before = dir_bytes(&dir);
+            let loaded = load_chain_with_report(&dir, ShardedConfig::default())
+                .map(|_| ())
+                .unwrap_err();
+            let opened = CheckpointChain::open(&dir, 8).map(|_| ()).unwrap_err();
+            let via_load = ShardedDb::load(&dir, ShardedConfig::default())
+                .map(|_| ())
+                .unwrap_err();
+            for err in [loaded, opened, via_load] {
+                assert!(is_refusal(&err), "{err}");
+                assert!(
+                    err.to_string().contains(&format!("format version {version}")),
+                    "{err}"
+                );
+            }
+            assert_eq!(dir_bytes(&dir), before, "a refusal touched the chain");
+            std::fs::write(&path, &current).unwrap();
         }
-        assert_eq!(dir_bytes(&dir), before, "a refusal touched the chain");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // A current manifest over a version-3 delta: the fold refuses
-        // the link instead of degrading past it.
-        std::fs::write(&manifest, &current).unwrap();
-        let delta = link_files(&dir)
-            .into_iter()
-            .find(|n| n.starts_with("delta-"))
-            .map(|n| dir.join(n))
-            .unwrap();
-        let mut bytes = std::fs::read(&delta).unwrap();
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        std::fs::write(&delta, &bytes).unwrap();
-        let err = load_chain_with_report(&dir, ShardedConfig::default())
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("format version 3"), "{err}");
-        assert_eq!(std::fs::read(&delta).unwrap(), bytes);
+    #[test]
+    fn a_failed_rebase_uses_up_its_chain_id() {
+        let dir = temp_dir("failed-rebase");
+        let db = db();
+        write_points(&db, "a", 0, 64);
+        let mut chain = CheckpointChain::open(&dir, 8).unwrap();
+        chain.checkpoint(&db, None).unwrap();
+        drop(chain);
+
+        // A fresh writer re-bases first, under chain id 2; a non-empty
+        // directory at that base's name makes the write fail.
+        let mut chain = CheckpointChain::open(&dir, 8).unwrap();
+        let blocker = dir.join(link_name(2, 0));
+        std::fs::create_dir_all(blocker.join("occupied")).unwrap();
+        write_points(&db, "a", 10_000, 16);
+        assert!(chain.checkpoint(&db, None).is_err());
+        std::fs::remove_dir_all(&blocker).unwrap();
+
+        // The next checkpoint re-bases again, under a fresh id: never a
+        // delta onto chain 1, which a landed base 2 would supersede.
+        write_points(&db, "a", 20_000, 16);
+        let report = chain.checkpoint(&db, None).unwrap();
+        assert!(report.rebased && report.completed, "{report:?}");
+        assert_eq!(link_files(&dir), [link_name(3, 0)]);
+        assert_fold_matches(&dir, &db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_first_rebase_removes_leftover_tmp_files_and_an_old_manifest() {
+        let dir = temp_dir("leftovers");
+        let db = db();
+        write_points(&db, "a", 0, 64);
+        let mut chain = CheckpointChain::open(&dir, 8).unwrap();
+        chain.checkpoint(&db, None).unwrap();
+        drop(chain);
+
+        // What a kill inside `replace_file` leaves, and the index an
+        // earlier build kept: the fold and `open` ignore both and touch
+        // nothing; the first re-base deletes both.
+        let tmp = dir.join(format!("{}.tmp", link_name(1, 1)));
+        let manifest = dir.join(MANIFEST_NAME);
+        std::fs::write(&tmp, b"half a link").unwrap();
+        std::fs::write(&manifest, b"ASAPCHN1 and a damaged index").unwrap();
+        let before = dir_bytes(&dir);
+        assert_fold_matches(&dir, &db);
+        let mut chain = CheckpointChain::open(&dir, 8).unwrap();
+        assert_eq!(dir_bytes(&dir), before, "booting modified the chain directory");
+
+        write_points(&db, "a", 10_000, 16);
+        assert!(chain.checkpoint(&db, None).unwrap().rebased);
+        assert!(!tmp.exists() && !manifest.exists());
+        assert_eq!(dir_bytes(&dir).into_keys().collect::<Vec<_>>(), [link_name(2, 0)]);
+        assert_fold_matches(&dir, &db);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -868,7 +880,7 @@ mod tests {
         // A fresh instance has no fingerprints: its first checkpoint
         // must write a new base under a new chain id, then clean up.
         let mut chain = CheckpointChain::open(&dir, 8).unwrap();
-        assert_eq!(chain.links(), 2, "open reads the existing manifest");
+        assert_eq!(chain.links(), 2, "open scans the existing chain");
         write_points(&db, "a", 20_000, 10);
         let report = chain.checkpoint(&db, None).unwrap();
         assert!(report.rebased);

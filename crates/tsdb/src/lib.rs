@@ -39,8 +39,8 @@
 //!   all-or-nothing fold), and the snapshot+WAL-tail recovery entry
 //!   point;
 //! * [`chain`] — incremental checkpoint chains, the one durable boot
-//!   state: a base link plus per-series delta links under a CRC-guarded
-//!   manifest, so online checkpoint cost scales with write activity
+//!   state: a base link plus per-series delta links in a directory that
+//!   is its own index, so online checkpoint cost scales with write activity
 //!   instead of total data, folded transparently by the recovery entry
 //!   points;
 //! * [`wal`] — per-shard append-only write-ahead log: CRC-checked

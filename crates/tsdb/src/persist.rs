@@ -201,7 +201,7 @@ pub(crate) fn replace_file(path: &Path, mut body: Vec<u8>) -> Result<u64, Snapsh
 
 /// The body of a file [`replace_file`] wrote, or `None` when its trailing
 /// CRC-32 does not match.
-pub(crate) fn checked_body(bytes: &[u8]) -> Option<&[u8]> {
+fn checked_body(bytes: &[u8]) -> Option<&[u8]> {
     let (body, crc) = bytes.split_at(bytes.len().checked_sub(4)?);
     (crc32(body).to_le_bytes() == crc).then_some(body)
 }
@@ -356,34 +356,38 @@ pub(crate) fn write_link(
     replace_file(path, out)
 }
 
-/// The checked body of a link file. A retired layout carries no CRC, so
-/// its version is refused first; then the CRC, then the version.
+/// Refuses a retired link by its 12-byte header (magic and version). A
+/// retired layout carries no CRC, so this needs nothing past the header;
+/// a current link and a damaged one both pass.
+pub(crate) fn refuse_retired(header: &[u8]) -> Result<(), SnapshotError> {
+    if header.len() < 12 || &header[..8] != MAGIC {
+        return Ok(());
+    }
+    match u32::from_le_bytes(header[8..12].try_into().expect("four bytes")) {
+        1 => Err(retired(
+            "snapshot format version 1 (the sequential single file) is retired; \
+             this build reads link format version 4 only and carries no migration",
+        )),
+        2 => Err(retired(
+            "snapshot format version 2 (an export or chain base without a checksum) \
+             is retired; this build reads link format version 4 only and carries no \
+             migration",
+        )),
+        3 => Err(retired(
+            "snapshot format version 3 (a delta link without a checksum) is retired; \
+             this build reads link format version 4 only and carries no migration",
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// The checked body of a link file: a retired version is refused first
+/// ([`refuse_retired`]), then the CRC is checked, then the version.
 fn link_body(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     if bytes.len() < 12 || &bytes[..8] != MAGIC {
         return Err(corrupt("bad magic"));
     }
-    match u32::from_le_bytes(bytes[8..12].try_into().expect("four bytes")) {
-        1 => {
-            return Err(retired(
-                "snapshot format version 1 (the sequential single file) is retired; \
-                 this build reads link format version 4 only and carries no migration",
-            ))
-        }
-        2 => {
-            return Err(retired(
-                "snapshot format version 2 (an export or chain base without a checksum) \
-                 is retired; this build reads link format version 4 only and carries no \
-                 migration",
-            ))
-        }
-        3 => {
-            return Err(retired(
-                "snapshot format version 3 (a delta link without a checksum) is retired; \
-                 this build reads link format version 4 only and carries no migration",
-            ))
-        }
-        _ => {}
-    }
+    refuse_retired(bytes)?;
     let body = checked_body(bytes)
         .filter(|body| body.len() >= HEADER_LEN)
         .ok_or_else(|| corrupt("link checksum mismatch"))?;
@@ -515,8 +519,8 @@ pub fn save_sharded(db: &ShardedDb, path: &Path) -> Result<(), SnapshotError> {
 /// link, so a damaged or retired file is an error and imports nothing.
 ///
 /// When `path` is a **directory** it is treated as an incremental
-/// checkpoint chain and folded via [`crate::chain::load_chain`]: every
-/// link the chain manifest lists, degrading to the newest loadable
+/// checkpoint chain and folded via [`crate::chain::load_chain`]: the
+/// newest chain whose base loads, degrading to its newest loadable
 /// prefix on damage.
 pub fn load_sharded(path: &Path, config: ShardedConfig) -> Result<ShardedDb, SnapshotError> {
     if path.is_dir() {
@@ -570,13 +574,13 @@ fn read_u8(r: &mut impl Read) -> Result<u8, SnapshotError> {
     Ok(b[0])
 }
 
-pub(crate) fn read_u32(r: &mut impl Read) -> Result<u32, SnapshotError> {
+fn read_u32(r: &mut impl Read) -> Result<u32, SnapshotError> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
 
-pub(crate) fn read_u64(r: &mut impl Read) -> Result<u64, SnapshotError> {
+fn read_u64(r: &mut impl Read) -> Result<u64, SnapshotError> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))

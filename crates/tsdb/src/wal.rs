@@ -33,8 +33,8 @@
 //! tail is never appended to. A *checkpoint* is the coordinated sequence
 //!
 //! 1. [`Wal::rotate`] — every shard moves to generation *G+1*;
-//! 2. chain link + manifest commit — covers everything in generations
-//!    ≤ *G*, durably (file and directory fsynced);
+//! 2. chain link written — its rename is the commit, covering everything
+//!    in generations ≤ *G*, durably (file and directory fsynced);
 //! 3. [`Wal::discard_before`]`(G+1)` — delete the covered generations.
 //!
 //! A crash between any two steps is safe because [`replay`] is

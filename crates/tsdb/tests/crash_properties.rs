@@ -20,14 +20,16 @@
 //!   arbitrary per-shard record boundary — replay must equal the prefix
 //!   oracle of exactly the records that survived;
 //! * kill an **incremental checkpoint chain** after every step
-//!   (rotate, delta write, base write, manifest commit, old-chain
-//!   removal, discard — including partial discards and removals) —
-//!   recovery from chain + WAL tail must equal the full oracle;
-//! * fuzz the chain's on-disk index — garbage manifest (every-byte
-//!   bit-flip sweep under `CRASH_EXTENDED=1`, a stride otherwise),
-//!   manifest referencing a missing delta, delta from a foreign chain —
-//!   folding must degrade to the newest loadable prefix, never panic,
-//!   and never lose acknowledged data while the WAL tail survives;
+//!   (rotate, delta write, base write — each the commit point —,
+//!   old-chain removal, discard — including partial discards and
+//!   removals, and a re-base whose new base then rots) — recovery from
+//!   chain + WAL tail must equal the full oracle;
+//! * fuzz the chain directory, which is its own index — a garbage,
+//!   empty or bit-flipped `MANIFEST` left by an earlier build (every-byte
+//!   sweep under `CRASH_EXTENDED=1`, a stride otherwise) is ignored; a
+//!   missing delta and a delta from a foreign chain degrade the fold to
+//!   the newest loadable prefix, never panic, and never lose
+//!   acknowledged data while the WAL tail survives;
 //! * fuzz every **link** of a base + two-delta chain — truncated at
 //!   every byte, one bit flipped at every byte offset (strided unless
 //!   `CRASH_EXTENDED=1`) — the link's CRC refuses each case, the fold
@@ -428,7 +430,6 @@ fn a_kill_between_any_incremental_chain_step_recovers_the_full_store() {
     for step in [
         ChainStep::Rotated,
         ChainStep::DeltaWritten,
-        ChainStep::ManifestWritten,
         ChainStep::Discarded,
     ] {
         let root = temp_dir("chain-kill-delta");
@@ -457,7 +458,6 @@ fn a_kill_between_any_incremental_chain_step_recovers_the_full_store() {
     for step in [
         ChainStep::Rotated,
         ChainStep::BaseWritten,
-        ChainStep::ManifestWritten,
         ChainStep::OldChainRemoved,
         ChainStep::Discarded,
     ] {
@@ -484,7 +484,7 @@ fn a_kill_between_any_incremental_chain_step_recovers_the_full_store() {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    // Mid-discard: the manifest committed, then the kill landed partway
+    // Mid-discard: the delta committed, then the kill landed partway
     // through deleting covered generations — simulate by removing a
     // strict subset of the covered files by hand.
     {
@@ -498,7 +498,7 @@ fn a_kill_between_any_incremental_chain_step_recovers_the_full_store() {
         chain.checkpoint(&db, Some(&wal)).unwrap();
         apply_batch(&db, &wal, &b);
         let killed = chain
-            .checkpoint_until(&db, Some(&wal), Some(ChainStep::ManifestWritten))
+            .checkpoint_until(&db, Some(&wal), Some(ChainStep::DeltaWritten))
             .unwrap();
         let boundary = killed.boundary.unwrap();
         drop((db, wal, chain));
@@ -516,7 +516,7 @@ fn a_kill_between_any_incremental_chain_step_recovers_the_full_store() {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    // Mid-removal on the re-base path: the new chain's manifest is
+    // Mid-removal on the re-base path: the new chain's base is
     // committed, the kill landed partway through deleting the previous
     // chain's files — the leftover orphan must be invisible.
     {
@@ -532,7 +532,7 @@ fn a_kill_between_any_incremental_chain_step_recovers_the_full_store() {
         chain.checkpoint(&db, Some(&wal)).unwrap();
         apply_batch(&db, &wal, &c);
         let killed = chain
-            .checkpoint_until(&db, Some(&wal), Some(ChainStep::ManifestWritten))
+            .checkpoint_until(&db, Some(&wal), Some(ChainStep::BaseWritten))
             .unwrap();
         assert!(killed.rebased);
         drop((db, wal, chain));
@@ -552,13 +552,54 @@ fn a_kill_between_any_incremental_chain_step_recovers_the_full_store() {
         assert_equiv(&recovered, &oracle_of_batches(&[&a, &b, &c]));
         fs::remove_dir_all(&root).unwrap();
     }
+
+    // A re-base killed before its cleanup, then one bit of the new base
+    // flips: the fold falls back to the previous chain, still whole on
+    // disk, and the undiscarded WAL tail supplies the rest.
+    {
+        let root = temp_dir("chain-kill-rotten-base");
+        let wal_dir = root.join("wal");
+        let chain_dir = root.join("chain");
+        let db = ShardedDb::with_config(ShardedConfig::new(2, 32));
+        let wal = Wal::open(&wal_dir, 2, FsyncPolicy::EveryN(4)).unwrap();
+        let mut chain = CheckpointChain::open(&chain_dir, 1).unwrap();
+        apply_batch(&db, &wal, &a);
+        chain.checkpoint(&db, Some(&wal)).unwrap();
+        apply_batch(&db, &wal, &b);
+        chain.checkpoint(&db, Some(&wal)).unwrap();
+        apply_batch(&db, &wal, &c);
+        let killed = chain
+            .checkpoint_until(&db, Some(&wal), Some(ChainStep::BaseWritten))
+            .unwrap();
+        assert!(killed.rebased);
+        drop((db, wal, chain));
+        let new_base = chain_dir.join("base-0000000000000002-00000000.snap");
+        let mut bytes = fs::read(&new_base).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x04;
+        fs::write(&new_base, &bytes).unwrap();
+
+        let (folded, report) =
+            load_chain_with_report(&chain_dir, ShardedConfig::new(2, 32)).unwrap();
+        assert_eq!((report.links_total, report.links_loaded), (2, 2), "{report:?}");
+        assert!(
+            report.damage.as_deref().unwrap_or("").contains("base-0000000000000002"),
+            "{report:?}"
+        );
+        assert_equiv(&folded, &oracle_of_batches(&[&a, &b]));
+        let (recovered, _) =
+            recover_sharded(Some(&chain_dir), Some(&wal_dir), ShardedConfig::new(2, 32)).unwrap();
+        assert_equiv(&recovered, &oracle_of_batches(&[&a, &b, &c]));
+        fs::remove_dir_all(&root).unwrap();
+    }
 }
 
-/// Satellite wall: fuzz the chain's on-disk index. The chain is built
-/// *without* discarding the WAL, so acknowledged data must always be
-/// recoverable — damaged chains degrade to the newest loadable prefix
-/// and the log supplies the rest; nothing panics, nothing is silently
-/// lost.
+/// Satellite wall: fuzz the chain directory, which is its own index —
+/// a stray `MANIFEST`, a missing link, a link from a foreign chain. The
+/// chain is built *without* discarding the WAL, so acknowledged data
+/// must always be recoverable — damaged chains degrade to the newest
+/// loadable prefix and the log supplies the rest; nothing panics,
+/// nothing is silently lost.
 #[test]
 fn chain_index_fuzz_degrades_to_the_newest_loadable_prefix() {
     let keys = chain_keys();
@@ -569,13 +610,14 @@ fn chain_index_fuzz_degrades_to_the_newest_loadable_prefix() {
     let build = |tag: &str| build_unwalled_chain(tag, &[&a, &b, &c]);
     let full_oracle = oracle_of_batches(&[&a, &b, &c]);
 
-    // Garbage manifest — including a bit-flip sweep over every byte
-    // (strided unless CRASH_EXTENDED=1): the CRC rejects the manifest,
-    // the fold degrades to empty, and the WAL recovers everything.
+    // A `MANIFEST` beside the links — as an earlier build wrote it,
+    // bit-flipped at every byte (strided unless CRASH_EXTENDED=1),
+    // garbage or empty: the directory is the index, so the file is
+    // ignored and the fold is the whole chain.
     {
         let root = build("chain-fuzz-manifest");
         let manifest = root.join("chain").join("MANIFEST");
-        let pristine = fs::read(&manifest).unwrap();
+        let pristine = legacy_manifest(1, 3);
         let stride = if extended() { 1 } else { 7 };
         let mut flips: Vec<Vec<u8>> = (0..pristine.len())
             .step_by(stride)
@@ -585,14 +627,16 @@ fn chain_index_fuzz_degrades_to_the_newest_loadable_prefix() {
                 bytes
             })
             .collect();
+        flips.push(pristine);
         flips.push(b"complete garbage".to_vec());
         flips.push(Vec::new());
         for (i, bytes) in flips.iter().enumerate() {
             fs::write(&manifest, bytes).unwrap();
             let (folded, report) =
                 load_chain_with_report(&root.join("chain"), ShardedConfig::new(2, 32)).unwrap();
-            assert_eq!(folded.series_count(), 0, "fuzz case {i} half-loaded");
-            assert!(report.damage.is_some(), "fuzz case {i} went undetected");
+            assert_eq!((report.links_total, report.links_loaded), (3, 3), "fuzz case {i}");
+            assert_eq!(report.damage, None, "fuzz case {i}");
+            assert_equiv(&folded, &full_oracle);
             let (recovered, _) = recover_sharded(
                 Some(&root.join("chain")),
                 Some(&root.join("wal")),
@@ -604,8 +648,8 @@ fn chain_index_fuzz_degrades_to_the_newest_loadable_prefix() {
         fs::remove_dir_all(&root).unwrap();
     }
 
-    // Manifest referencing a missing delta: the fold stops at the link
-    // before the hole — even though a later delta file exists.
+    // A missing delta: the fold stops at the link before the hole —
+    // even though a later delta file exists.
     {
         let root = build("chain-fuzz-missing");
         let chain_dir = root.join("chain");
@@ -673,6 +717,21 @@ fn chain_index_fuzz_degrades_to_the_newest_loadable_prefix() {
         fs::remove_dir_all(&root).unwrap();
         fs::remove_dir_all(&other_root).unwrap();
     }
+}
+
+/// The chain index an earlier build kept beside the links: `"ASAPCHN1"
+/// | u32 2 | u64 chain_id | u32 link count | u64 seq per link | crc32`.
+fn legacy_manifest(chain_id: u64, links: u64) -> Vec<u8> {
+    let mut bytes = b"ASAPCHN1".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&chain_id.to_le_bytes());
+    bytes.extend_from_slice(&(links as u32).to_le_bytes());
+    for seq in 0..links {
+        bytes.extend_from_slice(&seq.to_le_bytes());
+    }
+    let crc = asap_tsdb::wal::crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
 }
 
 /// Builds a chain of one link per batch — base(first) + one delta per
