@@ -25,10 +25,6 @@ pub struct AsapConfig {
     /// the paper's constraint; the sensitivity study (Appendix B.2) sweeps
     /// 0.5 / 1.5 / 2.0.
     pub kurtosis_factor: f64,
-    /// Disables autocorrelation pruning, making `search::asap` behave like
-    /// plain binary search. Exists for the lesion study (Figure 11, "no
-    /// AC").
-    pub autocorrelation_pruning: bool,
 }
 
 impl Default for AsapConfig {
@@ -40,7 +36,6 @@ impl Default for AsapConfig {
             max_window_fraction: 0.1,
             correlation_threshold: 0.2,
             kurtosis_factor: 1.0,
-            autocorrelation_pruning: true,
         }
     }
 }
@@ -93,12 +88,6 @@ impl AsapBuilder {
         self
     }
 
-    /// Enables or disables autocorrelation pruning (lesion study).
-    pub fn autocorrelation_pruning(mut self, on: bool) -> Self {
-        self.config.autocorrelation_pruning = on;
-        self
-    }
-
     /// Finishes building.
     pub fn build(self) -> crate::Asap {
         crate::Asap::with_config(self.config)
@@ -147,14 +136,12 @@ mod tests {
             .max_window(99)
             .correlation_threshold(0.5)
             .kurtosis_factor(1.5)
-            .autocorrelation_pruning(false)
             .build_config();
         assert_eq!(c.resolution, 2000);
         assert!(!c.preaggregate);
         assert_eq!(c.max_window, Some(99));
         assert_eq!(c.correlation_threshold, 0.5);
         assert_eq!(c.kurtosis_factor, 1.5);
-        assert!(!c.autocorrelation_pruning);
     }
 
     #[test]

@@ -69,20 +69,6 @@ pub fn search_seeded(
         }
     }
 
-    // Lesion mode ("no AC"): skip candidate generation entirely.
-    if !config.autocorrelation_pruning {
-        binary::refine(
-            &ev,
-            config,
-            2,
-            max_window,
-            &mut best_window,
-            &mut best,
-            &mut checked,
-        )?;
-        return Ok(outcome(best_window, best, checked));
-    }
-
     let cands = match candidates::generate(data, config) {
         Ok(c) => c,
         // Zero-variance (flat) series: nothing to smooth.
@@ -257,17 +243,6 @@ mod tests {
         data[400] = 10.0;
         let out = search_seeded(&data, &AsapConfig::default(), Some(40)).unwrap();
         assert_eq!(out.window, 1, "spiky series should stay unsmoothed");
-    }
-
-    #[test]
-    fn lesion_mode_reduces_to_binary_search() {
-        let data = periodic_with_anomaly(1200, 48);
-        let no_ac = crate::AsapBuilder::default()
-            .autocorrelation_pruning(false)
-            .build_config();
-        let lesioned = search(&data, &no_ac).unwrap();
-        let b = crate::search::binary::search(&data, &AsapConfig::default()).unwrap();
-        assert_eq!(lesioned.window, b.window);
     }
 
     #[test]

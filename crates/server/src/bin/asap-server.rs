@@ -22,6 +22,10 @@
 //! `--max-connections` caps each listener (ingest and query) at N
 //! concurrent connections. All connections are multiplexed onto
 //! `--event-workers` threads sweeping nonblocking sockets.
+//! Compaction (`--compact-interval`), chain checkpoints (`--snapshot`)
+//! and the self-scrape (`--self-scrape-interval`) are passes of one
+//! maintenance thread, so the process runs `1 + event-workers + shards`
+//! threads, plus that one when any of them is on, whatever the load.
 //! `--write-deadline-ms` bounds how long a peer with pending response
 //! bytes may refuse to read before it is disconnected — including
 //! subscribers that stop reading pushed frames.
@@ -41,9 +45,9 @@
 //! changed, each a CRC-checked link that names its own place in the
 //! chain, so the directory is its own index. An existing chain is
 //! folded at boot (a damaged one degrades to its newest loadable prefix
-//! and is logged as a warning), a background thread checkpoints into it
-//! on jittered ticks while the server runs, and the drain ends with one
-//! more pass. `--checkpoint-interval SECS` (default 300) only sets how
+//! and is logged as a warning), the maintenance thread checkpoints into
+//! it on jittered ticks while the server runs, and the drain ends with
+//! one more pass. `--checkpoint-interval SECS` (default 300) only sets how
 //! often a pass runs and `--checkpoint-chain-depth N` (default 8) caps
 //! the delta links before a pass re-bases; neither changes what is on
 //! disk. A regular file at DIR — the retired single-file boot snapshot
@@ -195,7 +199,6 @@ fn main() {
         },
         schedule: Schedule::every(Duration::from_secs(secs))
             .with_jitter(Duration::from_secs(compact_jitter)),
-        seed: 0x5eed,
         clock: CompactionClock::WallClock,
     });
 
@@ -218,7 +221,6 @@ fn main() {
     let checkpoint = snapshot.clone().map(|dir| {
         let mut config = CheckpointConfig {
             dir,
-            seed: 0xc4ec,
             chain_depth: checkpoint_chain_depth,
             ..CheckpointConfig::default()
         };

@@ -20,9 +20,11 @@
 //!  ┌ ShardWriters: one writer ┐        │
 //!  │ per shard, server-lifetime│       │
 //!  └────────┬─────────────────┘        ▼
-//!        ┌──────────── ShardedDb ───────────┐   ┌ compaction scheduler ┐
-//!        │  shards · reorder · smoothing    │◀──│ Compactor::run_sharded│
-//!        └──────────────────────────────────┘   │ jittered ticks       │
+//!        ┌──────────── ShardedDb ───────────┐   ┌ maintenance thread ──┐
+//!        │  shards · reorder · smoothing    │◀──│ compaction pass      │
+//!        └──────────────────────────────────┘   │ checkpoint pass      │
+//!                                               │ self-scrape pass     │
+//!                                               │ jittered ticks       │
 //!                                               └──────────────────────┘
 //! ```
 //!
@@ -39,8 +41,9 @@
 //!   the server's lifetime), with end-to-end backpressure (a full
 //!   writer inbox stops reading, TCP flow control stalls the sender).
 //!   A connection costs no thread: the server runs
-//!   `1 + event_workers + shards` threads plus its background ones,
-//!   whatever the number of connections. Clients may wrap payloads in
+//!   `1 + event_workers + shards` threads, plus one maintenance thread
+//!   when any background job is configured, whatever the number of
+//!   connections. Clients may wrap payloads in
 //!   length-prefixed `BATCH <nbytes>` frames (see [`protocol`]) so one
 //!   syscall carries thousands of points. On close the final
 //!   [`asap_tsdb::IngestReport`] is written back as one stable
@@ -59,20 +62,27 @@
 //!   Slow subscribers are lag-dropped (bounded per-subscriber outbox)
 //!   or disconnected at the write deadline — never allowed to delay
 //!   ingest or the drain.
-//! * **Compaction scheduler** — a background thread driving
-//!   [`asap_tsdb::Compactor::run_sharded`] on jittered ticks
-//!   ([`asap_tsdb::Schedule`]), mutually exclusive with snapshot saves,
-//!   its cumulative counters surfaced through `STATS`.
-//! * **Checkpoint scheduler** — with a chain directory configured
-//!   ([`ServerConfig::checkpoint`], the one durable boot state), a
-//!   second background thread takes *incremental* checkpoints on
-//!   jittered ticks ([`asap_tsdb::CheckpointChain`]): each pass writes
-//!   only the series that changed since the last one and discards the
-//!   covered WAL generations, so checkpoint cost tracks write activity
-//!   — not total data — and the log stays bounded at steady state.
+//! * **Maintenance thread** — one background thread runs every
+//!   configured job as a pass of one loop, each job on its own jittered
+//!   tick plan ([`asap_tsdb::Schedule`]), all jitter from one
+//!   fixed-seed RNG. Passes run one at a time; compaction and
+//!   checkpoint passes are also mutually exclusive with snapshot saves.
+//!   * *Compaction* ([`ServerConfig::compaction`]) — one serial
+//!     [`asap_tsdb::Compactor::run_sharded`] pass per tick, its
+//!     cumulative counters surfaced through `STATS`.
+//!   * *Checkpoints* — with a chain directory configured
+//!     ([`ServerConfig::checkpoint`], the one durable boot state), an
+//!     *incremental* checkpoint per tick
+//!     ([`asap_tsdb::CheckpointChain`]): each pass writes only the
+//!     series that changed since the last one and discards the covered
+//!     WAL generations, so checkpoint cost tracks write activity — not
+//!     total data — and the log stays bounded at steady state.
+//!   * *Self-scrape* ([`ServerConfig::self_scrape`]) — the server's own
+//!     metrics ingested as [`asap_tsdb::SELF_TAG`]-tagged series.
 //! * **Graceful shutdown** — `SHUTDOWN` (or [`Server::shutdown`]) stops
 //!   accepting, finalizes every connection (complete ingest lines
-//!   applied, reorder buffers flushed), stops the schedulers, takes a
+//!   applied, reorder buffers flushed), stops the maintenance thread
+//!   (after a final self-scrape, if configured), takes a
 //!   final chain checkpoint, and returns a [`ServerReport`] — promptly
 //!   even when a peer has stopped reading: the drain is bounded by one
 //!   wake-up and server-side work, never by client behavior.
@@ -99,11 +109,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod checkpoint;
 mod conn;
 mod event;
+mod maintenance;
 pub mod protocol;
-mod scheduler;
 mod server;
 mod subscribe;
 

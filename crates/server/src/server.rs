@@ -1,11 +1,12 @@
-//! The TCP server: ingest listener, query/ops listener, background
-//! compaction, graceful shutdown.
+//! The TCP server: ingest listener, query/ops listener, the
+//! maintenance thread, graceful shutdown.
 //!
 //! All connections are multiplexed onto a small worker pool blocking in
 //! `poll(2)` over nonblocking sockets ([`crate::event`] /
 //! [`crate::conn`]). A graceful shutdown sets the drain flag and writes
-//! every I/O thread's waker; the background schedulers wait on a
-//! condvar — nothing polls the flag on a timer.
+//! every I/O thread's waker; the maintenance thread
+//! ([`crate::maintenance`]) waits on a condvar — nothing polls the flag
+//! on a timer.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -27,7 +28,8 @@ use asap_tsdb::{
 use crate::event::Waker;
 use crate::protocol::{self, Command};
 use crate::subscribe::{Registry, SubSession};
-use crate::{checkpoint, event, scheduler};
+use crate::event;
+use crate::maintenance::Maintenance;
 
 /// Configuration of an [`Server`] instance.
 #[derive(Debug, Clone)]
@@ -57,7 +59,8 @@ pub struct ServerConfig {
     /// plus the record's 0-based line index (see
     /// [`asap_tsdb::ingest::ingest_reader`]).
     pub default_ts: i64,
-    /// Background compaction; `None` disables the scheduler thread.
+    /// Background compaction, a job of the maintenance thread; `None`
+    /// disables it.
     pub compaction: Option<CompactionConfig>,
     /// Write-ahead log directory + fsync policy (`None` disables the
     /// log). When set, [`Server::start`] first replays any existing log
@@ -68,13 +71,14 @@ pub struct ServerConfig {
     /// a chain it grows until the operator removes it.
     pub wal: Option<WalConfig>,
     /// The durable boot state: an incremental checkpoint chain (`None`
-    /// keeps the store in memory only — no checkpoint thread, nothing
+    /// keeps the store in memory only — no checkpoint passes, nothing
     /// written at drain). When set, the server maintains a
     /// [`CheckpointChain`] in the configured directory: each scheduled
-    /// pass rotates the WAL (if any), writes only the series that
-    /// changed since the previous pass (the link's rename is the
-    /// commit), and discards the covered log generations — so both the log and the
-    /// checkpoint cost stay bounded by write activity. The drain ends
+    /// pass (a job of the maintenance thread) rotates the WAL (if any),
+    /// writes only the series that changed since the previous pass (the
+    /// link's rename is the commit), and discards the covered log
+    /// generations — so both the log and the checkpoint cost stay
+    /// bounded by write activity. The drain ends
     /// with one more pass and client `SNAPSHOT` commands start with one
     /// (see [`Server::shutdown`]).
     pub checkpoint: Option<CheckpointConfig>,
@@ -124,8 +128,8 @@ pub struct ServerConfig {
     /// execute + render) reaches this threshold as one structured
     /// `slow_query` warning line (default `None` — disabled).
     pub slow_query: Option<Duration>,
-    /// Background self-scrape interval: every tick the server renders
-    /// its own metrics registry as line protocol tagged
+    /// Self-scrape interval, a job of the maintenance thread: every tick
+    /// the server renders its own metrics registry as line protocol tagged
     /// [`asap_tsdb::SELF_TAG`] and ingests it through the normal
     /// pipeline — WAL, checkpoints, and subscriptions all apply, so the
     /// server's own telemetry is queryable (`RANGE` / `SMOOTH` /
@@ -160,17 +164,14 @@ impl Default for ServerConfig {
     }
 }
 
-/// What the background compaction scheduler runs and when.
+/// What the maintenance thread's compaction job runs and when.
 #[derive(Debug, Clone)]
 pub struct CompactionConfig {
-    /// Retention/rollup policy driven by the scheduler.
+    /// Retention/rollup policy each pass applies.
     pub policy: RetentionPolicy,
     /// Tick plan: base interval plus jitter (see
     /// [`asap_tsdb::Schedule`]).
     pub schedule: Schedule,
-    /// Seed of the scheduler's jitter RNG — fixed so a server's tick
-    /// plan is reproducible run to run.
-    pub seed: u64,
     /// Where the compactor's logical `now` comes from.
     pub clock: CompactionClock,
 }
@@ -181,13 +182,12 @@ impl Default for CompactionConfig {
             policy: RetentionPolicy::default(),
             schedule: Schedule::every(Duration::from_secs(60))
                 .with_jitter(Duration::from_secs(5)),
-            seed: 0,
             clock: CompactionClock::WallClock,
         }
     }
 }
 
-/// What the background checkpoint scheduler runs and when: the on-disk
+/// What the maintenance thread's checkpoint job runs and when: the on-disk
 /// incremental chain plus the tick plan driving it. The schedule only
 /// decides *when* a pass runs, never what is written.
 #[derive(Debug, Clone)]
@@ -201,9 +201,6 @@ pub struct CheckpointConfig {
     /// Tick plan: base interval plus jitter (see
     /// [`asap_tsdb::Schedule`]).
     pub schedule: Schedule,
-    /// Seed of the scheduler's jitter RNG — fixed so a server's tick
-    /// plan is reproducible run to run.
-    pub seed: u64,
     /// Delta links the chain may accumulate before a checkpoint
     /// re-bases (writes a fresh full base and drops the old chain).
     /// Must be at least 1; the default is 8.
@@ -216,7 +213,6 @@ impl Default for CheckpointConfig {
             dir: PathBuf::from("checkpoints"),
             schedule: Schedule::every(Duration::from_secs(300))
                 .with_jitter(Duration::from_secs(15)),
-            seed: 0,
             chain_depth: 8,
         }
     }
@@ -368,7 +364,7 @@ impl CompactionStats {
 }
 
 /// Cumulative background-checkpoint counters, surfaced through `STATS`
-/// (`checkpoint.*`) and the final [`ServerReport`]. Scheduler ticks,
+/// (`checkpoint.*`) and the final [`ServerReport`]. Scheduled passes,
 /// client `SNAPSHOT` commands, and the drain-time final checkpoint all
 /// fold into the same counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -534,21 +530,20 @@ struct Lifecycle {
     /// graceful stop; [`Server::run`] waits on this.
     shutdown_requested: bool,
     /// The drain has started: the dispatcher stops accepting, workers
-    /// finalize their connections, the schedulers stop.
+    /// finalize their connections, the maintenance thread stops.
     draining: bool,
 }
 
-/// State shared by the dispatcher, the event workers, the background
-/// schedulers, and the [`Server`] handle.
+/// State shared by the dispatcher, the event workers, the maintenance
+/// thread, and the [`Server`] handle.
 pub(crate) struct Shared {
     db: ShardedDb,
     config: ServerConfig,
     draining: AtomicBool,
     lifecycle: Mutex<Lifecycle>,
     lifecycle_cv: Condvar,
-    /// Held for the duration of every snapshot save; the scheduler
-    /// acquires it per pass, so compaction pauses while a snapshot is
-    /// being written (and vice versa).
+    /// Held for the duration of every snapshot save and every
+    /// compaction or checkpoint pass, so no two of them overlap.
     snapshot_gate: Mutex<()>,
     /// Live counters of every open ingest connection, read on demand:
     /// a connection idle on its socket is never ticked, while the shard
@@ -564,7 +559,7 @@ pub(crate) struct Shared {
     compaction: Mutex<CompactionStats>,
     checkpoint: Mutex<CheckpointStats>,
     /// The incremental checkpoint chain, when configured. The lock
-    /// serializes checkpoint passes (scheduler ticks, `SNAPSHOT`
+    /// serializes checkpoint passes (scheduled ones, `SNAPSHOT`
     /// commands, the drain); the snapshot gate additionally keeps them
     /// exclusive with compaction and `SNAPSHOT` exports.
     chain: Option<Mutex<CheckpointChain>>,
@@ -683,12 +678,13 @@ impl Shared {
     }
 
     /// One self-scrape pass: render the full metrics state (live
-    /// sources + registry) as line protocol tagged [`SELF_TAG`] at
-    /// `ts`, ingest it as one session on the shard writers, parsed on
-    /// the calling thread (WAL, checkpoints, and subscriptions all
+    /// sources + registry) as line protocol tagged [`SELF_TAG`] at the
+    /// current Unix millisecond, ingest it as one session on the shard
+    /// writers, parsed on the calling thread (WAL, checkpoints, and subscriptions all
     /// apply), and return the ingested document — the oracle the
     /// round-trip tests compare query results against.
-    pub(crate) fn scrape(&self, ts: i64) -> Result<String, String> {
+    pub(crate) fn scrape(&self) -> Result<String, String> {
+        let ts = unix_millis();
         let doc = obs::render_line_protocol(&collect_metrics(self), SELF_TAG, ts);
         let mut session = self.writers.session(ts);
         session.feed(doc.as_bytes());
@@ -708,8 +704,8 @@ impl Shared {
         self.config.verbose
     }
 
-    /// Holds the gate that keeps snapshot saves and compaction passes
-    /// mutually exclusive.
+    /// Holds the gate that keeps snapshot saves, compaction passes and
+    /// checkpoint passes mutually exclusive.
     pub(crate) fn snapshot_gate(&self) -> std::sync::MutexGuard<'_, ()> {
         self.snapshot_gate
             .lock()
@@ -786,14 +782,14 @@ impl Shared {
         }
     }
 
-    /// Sleeps up to `timeout`, returning `true` early if the drain
-    /// started — the scheduler's interruptible tick wait.
-    pub(crate) fn wait_drain_timeout(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+    /// Sleeps until `deadline`, returning `true` early if the drain
+    /// started — the maintenance thread's interruptible tick wait.
+    pub(crate) fn wait_drain_until(&self, deadline: Instant) -> bool {
         let mut guard = self.lifecycle.lock().expect("lifecycle poisoned");
         while !guard.draining {
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
+            let Some(remaining) = deadline
+                .checked_duration_since(Instant::now())
+                .filter(|d| !d.is_zero())
             else {
                 return false;
             };
@@ -907,8 +903,8 @@ impl Drop for ActiveGuard {
     }
 }
 
-/// A running ASAP server: two TCP listeners plus the optional compaction
-/// scheduler over one shared [`ShardedDb`].
+/// A running ASAP server: two TCP listeners plus the optional
+/// maintenance thread over one shared [`ShardedDb`].
 ///
 /// The handle owns the lifecycle: [`Server::shutdown`] (or a client's
 /// `SHUTDOWN` command followed by [`Server::run`] returning) drains
@@ -921,19 +917,20 @@ pub struct Server {
     query_addr: SocketAddr,
     /// The serving threads: dispatcher + event workers.
     io_threads: Vec<JoinHandle<()>>,
-    scheduler_thread: Option<JoinHandle<()>>,
-    checkpoint_thread: Option<JoinHandle<()>>,
-    scrape_thread: Option<JoinHandle<()>>,
+    /// Compaction, checkpoint and self-scrape passes, when any is
+    /// configured.
+    maintenance_thread: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds both listeners, spawns one writer per shard, the
-    /// dispatcher, the event workers and the configured background
-    /// threads (compaction, checkpoint, self-scrape), and returns the
-    /// running server. The thread count is fixed from here on:
-    /// `1 + event_workers + shards` plus the background threads,
-    /// whatever the number of connections, requests, checkpoint passes
-    /// or `SNAPSHOT` exports.
+    /// dispatcher, the event workers and — when compaction, a chain or
+    /// the self-scrape is configured — the one maintenance thread, and
+    /// returns the running server. Every thread the server ever runs
+    /// starts here: `1 + event_workers + shards`, plus one when any
+    /// maintenance job is configured, whatever the number of
+    /// connections, requests, compaction or checkpoint passes,
+    /// self-scrapes or `SNAPSHOT` exports.
     ///
     /// Fails fast on configuration errors ([`ServerError::Config`]) and
     /// socket errors ([`ServerError::Io`]); nothing is spawned on
@@ -1027,12 +1024,8 @@ impl Server {
             }
             .into());
         }
-        if let Some(compaction) = &config.compaction {
-            compaction.policy.validate()?;
-            compaction.schedule.validate()?;
-        }
+        let maintenance = Maintenance::new(&config)?;
         if let Some(checkpoint) = &config.checkpoint {
-            checkpoint.schedule.validate()?;
             if checkpoint.chain_depth == 0 {
                 return Err(TsdbError::InvalidParameter {
                     name: "chain_depth",
@@ -1081,24 +1074,13 @@ impl Server {
         query_listener.set_nonblocking(true)?;
         let ingest_addr = ingest_listener.local_addr()?;
         let query_addr = query_listener.local_addr()?;
-        let compaction = config.compaction.clone();
-        let checkpoint_config = config.checkpoint.clone();
-        let self_scrape = config.self_scrape;
         let (wakers, wake_receivers) = event::wake_channels(config.event_workers + 1)?;
         let shared = Arc::new(Shared::new(db, config, wal, wal_replay, chain, wakers)?);
 
         let io_threads = event::start(ingest_listener, query_listener, wake_receivers, &shared);
-        let scheduler_thread = compaction.map(|cfg| {
+        let maintenance_thread = maintenance.map(|maintenance| {
             let s = Arc::clone(&shared);
-            std::thread::spawn(move || scheduler::run(&s, &cfg))
-        });
-        let checkpoint_thread = checkpoint_config.map(|cfg| {
-            let s = Arc::clone(&shared);
-            std::thread::spawn(move || checkpoint::run(&s, &cfg))
-        });
-        let scrape_thread = self_scrape.map(|interval| {
-            let s = Arc::clone(&shared);
-            std::thread::spawn(move || scrape_loop(&s, interval))
+            std::thread::spawn(move || maintenance.run(&s))
         });
 
         Ok(Self {
@@ -1106,9 +1088,7 @@ impl Server {
             ingest_addr,
             query_addr,
             io_threads,
-            scheduler_thread,
-            checkpoint_thread,
-            scrape_thread,
+            maintenance_thread,
         })
     }
 
@@ -1119,7 +1099,7 @@ impl Server {
     /// [`ServerConfig::self_scrape`] interval; the round-trip tests use
     /// the returned document as their oracle.
     pub fn scrape_now(&self) -> Result<String, String> {
-        self.shared.scrape(unix_millis())
+        self.shared.scrape()
     }
 
     /// The bound address of the ingest listener (resolves `:0` binds).
@@ -1148,25 +1128,6 @@ impl Server {
         self.shared.wal_replay
     }
 
-    /// Current compaction counters (what `STATS` reports).
-    pub fn compaction_stats(&self) -> CompactionStats {
-        self.shared
-            .compaction
-            .lock()
-            .expect("compaction stats poisoned")
-            .clone()
-    }
-
-    /// Current checkpoint counters (what `STATS` reports; zeroes when
-    /// no chain is configured).
-    pub fn checkpoint_stats(&self) -> CheckpointStats {
-        self.shared
-            .checkpoint
-            .lock()
-            .expect("checkpoint stats poisoned")
-            .clone()
-    }
-
     /// Blocks until a client issues `SHUTDOWN` (or another thread calls
     /// [`Server::shutdown`] via a clone of the handle — there is none,
     /// so in practice: until `SHUTDOWN` arrives), then drains and
@@ -1178,10 +1139,10 @@ impl Server {
     }
 
     /// Gracefully stops the server now: stops accepting, lets every
-    /// ingest connection flush its reorder buffers, stops the background
-    /// threads and then the shard writers, takes one last chain
-    /// checkpoint if a chain is configured, seals the WAL, and returns
-    /// the final report.
+    /// ingest connection flush its reorder buffers, stops the
+    /// maintenance thread (after its final self-scrape) and then the
+    /// shard writers, takes one last chain checkpoint if a chain is
+    /// configured, seals the WAL, and returns the final report.
     pub fn shutdown(self) -> ServerReport {
         self.drain()
     }
@@ -1191,27 +1152,20 @@ impl Server {
         // the dispatcher stops accepting and the event workers finalize
         // their connections (abort + flush reorder buffers); (2) join
         // the I/O threads (workers exit after finalizing); (3) the
-        // schedulers observed the flag via the condvar — join them, the
-        // self-scrape after its final pass; (4) with nothing left to
-        // feed them, stop and join the shard writers; (5) with every
-        // point applied and the compactor stopped, take the final
-        // checkpoint; (6) seal the WAL; (7) assemble the report (gauges
-        // now zero).
+        // maintenance thread observed the flag via the condvar — join
+        // it after its final self-scrape; (4) with nothing left to feed
+        // them, stop and join the shard writers; (5) with every point
+        // applied and the compactor stopped, take the final checkpoint;
+        // (6) seal the WAL; (7) assemble the report (gauges now zero).
         self.shared.begin_drain();
         for handle in self.io_threads.drain(..) {
             let _ = handle.join();
         }
-        if let Some(handle) = self.scheduler_thread.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.checkpoint_thread.take() {
-            let _ = handle.join();
-        }
-        // Join the self-scrape thread before the final checkpoint and
+        // Join the maintenance thread before the final checkpoint and
         // the WAL seal: its drain-time final scrape must land inside
         // both, so the last thing a restarted server recovers includes
         // the dying server's own telemetry.
-        if let Some(handle) = self.scrape_thread.take() {
+        if let Some(handle) = self.maintenance_thread.take() {
             let _ = handle.join();
         }
         self.shared.writers.stop();
@@ -1261,22 +1215,6 @@ fn unix_millis() -> i64 {
         .ok()
         .and_then(|d| i64::try_from(d.as_millis()).ok())
         .unwrap_or(0)
-}
-
-/// The self-scrape thread body: one pass per configured interval, plus
-/// one final pass when the drain begins so the shutdown state of the
-/// registry is durable (the drain joins this thread before the final
-/// checkpoint and WAL seal).
-fn scrape_loop(shared: &Shared, interval: Duration) {
-    loop {
-        let draining = shared.wait_drain_timeout(interval);
-        if let Err(e) = shared.scrape(unix_millis()) {
-            obs::warn("scrape", "scrape_failed", &[("error", &e)]);
-        }
-        if draining {
-            return;
-        }
-    }
 }
 
 /// Largest bucketed grid a remote query may materialize. The engine
@@ -1513,8 +1451,8 @@ fn dispatch(
                     Ok(target) => target,
                     Err(e) => return fail(e),
                 };
-            // Hold the gate for the whole save: the compaction scheduler
-            // pauses rather than mutating the store mid-snapshot.
+            // Hold the gate for the whole save: a compaction pass waits
+            // rather than mutating the store mid-snapshot.
             let _gate = shared.snapshot_gate();
             match snapshot_command(shared, &target) {
                 Ok(()) => (format!("OK snapshot {path}\n"), false, 0, Duration::ZERO),

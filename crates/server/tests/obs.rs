@@ -445,7 +445,6 @@ fn health_degrades_when_a_background_checkpoint_fails() {
             checkpoint: Some(CheckpointConfig {
                 dir: chain_dir.clone(),
                 schedule: Schedule::every(Duration::from_millis(25)),
-                seed: 7,
                 chain_depth: 4,
             }),
             ..ServerConfig::default()

@@ -662,7 +662,6 @@ fn background_scheduler_compacts_like_serial_compactor() {
                 policy: policy.clone(),
                 schedule: Schedule::every(Duration::from_millis(20))
                     .with_jitter(Duration::from_millis(10)),
-                seed: 7,
                 clock: CompactionClock::DataWatermark,
             }),
             ..ServerConfig::default()
@@ -726,7 +725,6 @@ fn boot_compacting(chain_dir: &std::path::Path, policy: &RetentionPolicy) -> Ser
         compaction: Some(CompactionConfig {
             policy: policy.clone(),
             schedule: Schedule::every(Duration::from_millis(20)),
-            seed: 7,
             clock: CompactionClock::DataWatermark,
         }),
         ..ServerConfig::default()
@@ -1147,7 +1145,6 @@ fn snapshot_with_a_chain_checkpoints_and_truncates_the_wal() {
             // An idle schedule: this test drives checkpoints through
             // SNAPSHOT and the drain, not the background thread.
             schedule: Schedule::every(Duration::from_secs(3600)),
-            seed: 1,
             chain_depth: 4,
         }),
         snapshot_dir: Some(export_dir.clone()),
@@ -1249,7 +1246,6 @@ fn background_checkpoints_bound_the_wal_at_steady_state() {
             dir: chain_dir.clone(),
             schedule: Schedule::every(Duration::from_millis(40))
                 .with_jitter(Duration::from_millis(10)),
-            seed: 7,
             chain_depth: DEPTH,
         }),
         ..ServerConfig::default()

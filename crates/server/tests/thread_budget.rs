@@ -1,11 +1,13 @@
-//! Thread-budget wall: ingest connections, self-scrapes, `SMOOTH` and
-//! `SNAPSHOT` cost no threads. The server runs one writer per shard for
-//! its whole lifetime, parses ingest bytes on the event worker that read
-//! them, smooths on the event worker that read the request, and runs a
-//! `SNAPSHOT`'s checkpoint pass and export there too, serially, so after
-//! `Server::start` the process thread count stays fixed whatever the
-//! number of connections or requests — and the shared writers still give
-//! every connection its own exact report.
+//! Thread-budget wall: ingest connections, self-scrapes, `SMOOTH`,
+//! `SNAPSHOT` and background passes cost no threads. The server runs one
+//! writer per shard for its whole lifetime, parses ingest bytes on the
+//! event worker that read them, smooths on the event worker that read
+//! the request, runs a `SNAPSHOT`'s checkpoint pass and export there
+//! too, serially, and runs every compaction, checkpoint and self-scrape
+//! pass on its one maintenance thread, so after `Server::start` the
+//! process thread count stays fixed whatever the number of connections,
+//! requests or passes — and the shared writers still give every
+//! connection its own exact report.
 //!
 //! This is a test binary of its own, holding one test that runs its legs
 //! one after another: it reads the whole process's thread count
@@ -18,10 +20,12 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use asap_core::Asap;
-use asap_server::{protocol, CheckpointConfig, Server, ServerConfig};
+use asap_server::{
+    protocol, CheckpointConfig, CompactionClock, CompactionConfig, Server, ServerConfig,
+};
 use asap_tsdb::{
-    line_protocol, smooth_query_selector, DataPoint, RangeQuery, Schedule, Selector, SeriesKey,
-    ShardedConfig, ShardedDb, Tsdb, SELF_TAG,
+    line_protocol, smooth_query_selector, Aggregator, DataPoint, RangeQuery, RetentionPolicy,
+    RollupLevel, Schedule, Selector, SeriesKey, ShardedConfig, ShardedDb, Tsdb, SELF_TAG,
 };
 
 const CONNECTIONS: usize = 64;
@@ -33,6 +37,8 @@ const SNAPSHOT_ROUNDS: usize = 20;
 /// Series of the snapshot leg's store: enough that listing and cloning
 /// them takes an export measurable time.
 const SNAPSHOT_SERIES: usize = 20_000;
+/// Passes of each maintenance job the maintenance leg waits for.
+const MAINTENANCE_PASSES: i64 = 5;
 
 /// Threads of this process right now.
 fn threads() -> usize {
@@ -188,6 +194,7 @@ fn idle_connections_and_scrapes_add_no_threads() {
     server.shutdown();
 
     snapshot_leg();
+    maintenance_leg();
 }
 
 /// A chain-configured 4-shard server answering `SNAPSHOT` in a loop —
@@ -257,5 +264,97 @@ fn snapshot_leg() {
         db.query_selector(&disk, full).unwrap()
     );
     server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// This process's thread count once threads that were just joined have
+/// left it: a joined thread can still be counted for a moment after
+/// `join` returns.
+fn settled_threads() -> usize {
+    let mut last = threads();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = threads();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// A 4-shard server compacting, checkpointing into a chain and scraping
+/// itself, each every 20 ms, starts exactly one thread beyond its
+/// dispatcher, event workers and shard writers, and never another while
+/// every job runs at least five passes.
+fn maintenance_leg() {
+    const SHARDS: usize = 4;
+    let root = std::env::temp_dir().join(format!("asap-thread-maint-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let db = ShardedDb::with_config(ShardedConfig::new(SHARDS, 64));
+    for host in 0..64 {
+        let key = SeriesKey::metric("temp").with_tag("host", format!("h{host}"));
+        let points: Vec<DataPoint> = (0..1_000i64)
+            .map(|t| DataPoint::new(t, (t as f64 / 50.0).sin() + host as f64))
+            .collect();
+        db.write_batch(&key, &points).expect("write temp series");
+    }
+    let tick = Schedule::every(Duration::from_millis(20));
+    let config = ServerConfig {
+        compaction: Some(CompactionConfig {
+            policy: RetentionPolicy {
+                raw_ttl: None,
+                rollups: vec![RollupLevel {
+                    bucket: 100,
+                    aggregator: Aggregator::Mean,
+                    ttl: None,
+                }],
+            },
+            schedule: tick,
+            clock: CompactionClock::DataWatermark,
+        }),
+        checkpoint: Some(CheckpointConfig {
+            dir: root.join("chain"),
+            schedule: tick,
+            ..CheckpointConfig::default()
+        }),
+        self_scrape: Some(Duration::from_millis(20)),
+        ..ServerConfig::default()
+    };
+    let budget = 1 + config.event_workers + SHARDS + 1;
+    let before = settled_threads();
+    let server = Server::start(db, config).expect("server starts");
+    let started = threads();
+    assert_eq!(
+        started - before,
+        budget,
+        "Server::start added {} threads; 1 dispatcher + event workers + {SHARDS} \
+         writers + 1 maintenance thread is {budget}",
+        started - before
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut peak = started;
+    loop {
+        let sampled = Instant::now() + Duration::from_millis(10);
+        while Instant::now() < sampled {
+            peak = peak.max(threads());
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let runs = ["compaction.runs", "checkpoint.runs", "scrape.runs"]
+            .map(|key| stat(server.query_addr(), key));
+        if runs.iter().all(|&n| n >= MAINTENANCE_PASSES) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "passes (compaction, checkpoint, scrape) stuck at {runs:?}"
+        );
+    }
+    assert_eq!(
+        peak, started,
+        "{MAINTENANCE_PASSES} passes of each job peaked at {peak} threads, {started} after start"
+    );
+    let report = server.shutdown();
+    assert_eq!(report.compaction.errors, 0, "{:?}", report.compaction.last_error);
+    assert_eq!(report.checkpoint.errors, 0, "{:?}", report.checkpoint.last_error);
     std::fs::remove_dir_all(&root).ok();
 }

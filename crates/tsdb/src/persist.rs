@@ -181,15 +181,16 @@ pub(crate) fn replace_file(path: &Path, mut body: Vec<u8>) -> Result<u64, Snapsh
         .unwrap_or_else(|| std::ffi::OsString::from("snapshot"));
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    let written = std::fs::File::create(&tmp).and_then(|mut file| {
-        file.write_all(&body)?;
-        file.sync_all()
-    });
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(&body)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
     if let Err(e) = written {
         std::fs::remove_file(&tmp).ok();
         return Err(e.into());
     }
-    std::fs::rename(&tmp, path)?;
     // The rename is only durable once the directory entry is.
     #[cfg(unix)]
     {
@@ -884,6 +885,19 @@ mod tests {
         // No stray temp file left behind.
         assert!(!path.with_file_name("keepold.snap.tmp").exists());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_rename_leaves_no_temp_file() {
+        // The body is written and synced, then the rename fails: a
+        // non-empty directory stands at the target.
+        let path = tmp("occupied.snap");
+        std::fs::remove_dir_all(&path).ok();
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        assert!(seeded(2).save(&path).is_err());
+        assert!(path.join("inside").is_dir(), "the directory is untouched");
+        assert!(!path.with_file_name("occupied.snap.tmp").exists());
+        std::fs::remove_dir_all(&path).ok();
     }
 
     #[test]

@@ -31,13 +31,13 @@
 //!
 //! The compactor works on concrete [`Tsdb`] partitions. [`Compactor::run`]
 //! compacts one `Tsdb`; on a sharded store, [`Compactor::run_sharded`]
-//! fans the per-series work out across shards on scoped worker threads:
-//! each worker owns the base series that route to its shard — those it
-//! holds, plus the base of every rollup series whose raw series is gone,
-//! so those rollups still expire — and does every read, write and
-//! eviction of their rollup series itself, wherever the
-//! `__rollup__`-tagged keys route. No two workers touch the same series,
-//! and the outcome (report and store state) is identical to the serial
+//! walks the shards in turn on the caller's thread: each shard's turn
+//! covers the base series that route to it — those it holds, plus the
+//! base of every rollup series whose raw series is gone, so those
+//! rollups still expire — and does every read, write and eviction of
+//! their rollup series, wherever the `__rollup__`-tagged keys route.
+//! Every series is compacted in exactly one turn, and the outcome
+//! (report and store state) is identical to the single-partition
 //! [`Compactor::run`] on the same data.
 
 use std::collections::BTreeSet;
@@ -48,8 +48,8 @@ use crate::query::{Aggregator, RangeQuery};
 use crate::sharded::ShardedDb;
 use crate::tags::{Selector, SeriesKey};
 
-/// A periodic tick plan for a background compaction driver: a base
-/// `interval` displaced by a uniform random `jitter` each tick.
+/// A periodic tick plan for a background job (compaction, checkpoints):
+/// a base `interval` displaced by a uniform random `jitter` each tick.
 ///
 /// Fleet-wide schedulers that tick at exactly the same period
 /// self-synchronize — every compactor in a deployment fires at once and
@@ -57,7 +57,7 @@ use crate::tags::{Selector, SeriesKey};
 /// delay is drawn uniformly from `[interval - jitter, interval + jitter]`.
 ///
 /// The draw takes the RNG **by injection** ([`Schedule::next_delay`]) so
-/// callers control determinism: a scheduler thread passes a seeded
+/// callers control determinism: a maintenance loop passes a seeded
 /// [`rand::rngs::StdRng`], and tests assert *bounds* on the drawn delays
 /// rather than stream-specific values (the workspace's rand shim does not
 /// reproduce the real `StdRng` stream — see ROADMAP).
@@ -267,40 +267,28 @@ impl Compactor {
     }
 
     /// Runs one compaction pass at logical time `now` over a sharded
-    /// store, fanning out across shards on scoped worker threads — one
-    /// worker per shard with work.
+    /// store, shard by shard on the caller's thread.
     ///
-    /// Each worker compacts exactly the base series that route to its
-    /// shard: rollup reads and raw eviction hit the shard directly, while
+    /// Each shard's turn compacts exactly the base series that route to
+    /// it: rollup reads and raw eviction hit the shard directly, while
     /// rollup watermark reads, writes and eviction go to the shard `db`
     /// routes the `__rollup__`-tagged key to (it may be a different one).
-    /// Every series is touched by one worker only, so the outcome —
-    /// report and store state — equals a serial [`Compactor::run`] over
-    /// the same data (pinned by `tests/ops_properties.rs`).
+    /// Every series is compacted in one turn only, so the outcome —
+    /// report and store state — equals [`Compactor::run`] over the same
+    /// data in one partition (pinned by `tests/ops_properties.rs`). The
+    /// first failing turn ends the pass.
     pub fn run_sharded(&self, db: &ShardedDb, now: i64) -> Result<CompactionReport, TsdbError> {
-        let policy = &self.policy;
         let lists = work_lists(db.shards(), |key| db.shard_of(key));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = db
-                .shards()
-                .iter()
-                .zip(lists)
-                .filter(|(_, bases)| !bases.is_empty())
-                .map(|(shard, bases)| {
-                    scope.spawn(move || {
-                        compact_series(shard, |key| db.shard(key), &bases, policy, now)
-                    })
-                })
-                .collect();
-            let mut merged = CompactionReport::default();
-            for handle in handles {
-                let report = handle.join().expect("compaction worker panicked")?;
+        db.shards()
+            .iter()
+            .zip(lists)
+            .try_fold(CompactionReport::default(), |mut merged, (shard, bases)| {
+                let report = compact_series(shard, |key| db.shard(key), &bases, &self.policy, now)?;
                 merged.rolled_up += report.rolled_up;
                 merged.raw_evicted += report.raw_evicted;
                 merged.rollup_evicted += report.rollup_evicted;
-            }
-            Ok(merged)
-        })
+                Ok(merged)
+            })
     }
 }
 

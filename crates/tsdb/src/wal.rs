@@ -457,9 +457,9 @@ struct WalInner {
     /// success path pays one relaxed load instead of a mutex.
     has_error: AtomicBool,
     /// Rendering of the most recent append/fsync failure — cleared when
-    /// a later append succeeds, matching the schedulers' `last_error`
-    /// convention: a populated value means the log is *currently*
-    /// failing, not that it once did.
+    /// a later append succeeds, matching the server's compaction and
+    /// checkpoint `last_error` convention: a populated value means the
+    /// log is *currently* failing, not that it once did.
     last_error: Mutex<Option<String>>,
     /// Optional latency instrumentation, installed once by the server.
     metrics: OnceLock<WalMetrics>,
@@ -541,11 +541,6 @@ impl Wal {
     /// The log directory.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
-    }
-
-    /// The configured fsync policy.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.inner.fsync
     }
 
     /// The generation current appends go to.

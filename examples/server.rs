@@ -88,7 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 },
                 schedule: Schedule::every(Duration::from_millis(100))
                     .with_jitter(Duration::from_millis(25)),
-                seed: 7,
                 clock: CompactionClock::DataWatermark,
             }),
             checkpoint: Some(CheckpointConfig {
@@ -127,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("agent h{agent} report: {}", handle.join().unwrap()?);
     }
 
-    // ── ops: wait for the scheduler, then inspect the counters ─────────
+    // ── ops: wait for a compaction pass, then inspect the counters ─────
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let stats = loop {
         let stats = query(server.query_addr(), "STATS")?;
@@ -151,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── a dashboard asks for a smoothed window over the wire ───────────
     // Line protocol flattens `req rate=…` into the series metric
     // `req.rate`. The selector also matches the `__rollup__`-tagged
-    // series the scheduler materialized — both come back as frames.
+    // series the compactor materialized — both come back as frames.
     let span = SAMPLES * 10;
     let response = query(
         server.query_addr(),

@@ -38,7 +38,7 @@
 //! | [`baselines`] | `asap-baselines` | M4, PAA, Visvalingam–Whyatt, oversmooth |
 //! | [`eval`] | `asap-eval` | experiment harness and simulated user study |
 //! | [`tsdb`] | `asap-tsdb` | embedded Gorilla-compressed time-series storage |
-//! | [`server`] | `asap-server` | TCP front-end: line-protocol ingest, text query protocol, compaction scheduler |
+//! | [`server`] | `asap-server` | TCP front-end: line-protocol ingest, text query protocol, one maintenance thread (compaction, checkpoints, self-scrape) |
 //! | [`viz`] | `asap-viz` | SVG and terminal chart rendering |
 
 #![forbid(unsafe_code)]
